@@ -6,19 +6,36 @@ Two capacities of a grid set E, both with the normalized arc measure:
   probability measure on E }. The discrete problem minimizes the
   quadratic form w^T K w over the probability simplex on E's cells,
   with K the difference-indexed kernel table of ``energy.kernel_column``
-  (cell-averaged diagonal). Solved by Frank-Wolfe or projected-gradient
-  iterations followed by a KKT active-set polish (direct solve of
-  K_AA x = 1 on the active cells), which certifies the stationarity
-  residual down to the configured tolerance.
+  (cell-averaged diagonal).
 
 * l2_capacity: C_{alpha,2}(E) = inf { ||f||_{L2}^2 : f >= 0 and the
   convolution k_{1-alpha/2} * f >= 1 on E }. The discrete dual is a
   bound-constrained concave quadratic
       max_{lam >= 0}  sum(lam) - lam^T G lam / (4N),
-  where G[i,k] is the circular autocorrelation of the kernel column at
-  index difference i - k. Solved by projected gradient plus the same
-  style of active-set polish; the primal density is recovered as
-  f = (1/2) K^T lam and reported as the minimizer.
+  where G is the restricted table of ``energy.autocorr_column``, the
+  circular autocorrelation of the kernel column. The primal density is
+  recovered as f = (1/2) K^T lam and reported as the minimizer.
+
+After normalization both are one problem: find x >= 0 with M x >= rhs
+on E and equality on the support of x. The classical problem is
+M = K, rhs = 1, with weights w = x / sum(x) and minimal energy
+1 / sum(x); the L2 dual is M = G, rhs = 2N, with lam = x. One driver
+solves both. Descent steps locate the support: Frank-Wolfe or projected
+gradient on the simplex for the classical capacity, projected gradient
+on lam >= 0 for the L2 dual. One active-set polish then solves
+M_AA x = rhs by a direct solve, drops cells with x <= 0 and adds cells
+whose residual r = rhs - M x exceeds tolerance * max(rhs, sum(x)). Its
+certificate, reported as kkt_residual, is
+
+    max( max |r| on the support, max(r, 0) off it ) / max(rhs, sum(x)).
+
+For the classical capacity this is the gap between the equilibrium
+potential and its level 1 / sum(x), relative to max(1, level). For the
+L2 dual sum(lam) = 2 C_{alpha,2} stays below 2N, so the scale is 2N and
+the certificate is the dual gradient 1 - (G lam) / (2N). Descent steps
+and polish solves both count toward max_iterations; a solver that runs
+out of iterations, or stalls with neither a descent step nor a polish
+solution, raises ConvergenceError carrying its best estimate.
 
 Both kernel matrices are pure lookups into difference-indexed tables,
 so rotating E by a whole number of cells permutes the same matrix and
@@ -29,20 +46,17 @@ classical capacity uses kernel exponent 1 - beta while the L2 capacity
 convolves with kernel exponent 1 - beta/2. ``kernel_exponents`` is the
 single source for this mapping.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from . import energy as _energy
 from .circle import GridSet
 from .errors import ConvergenceError, PreconditionError
-from .energy import kernel_column
+from .energy import autocorr_column, kernel_column
 
 _STEP_RULES = ("frank_wolfe", "projected_gradient")
 
@@ -120,27 +134,28 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-@lru_cache(maxsize=64)
-def _autocorr_base(n: int, exponent: float) -> np.ndarray:
-    kappa = _energy._kernel_column_base(n, exponent)
-    spec = np.fft.rfft(kappa)
-    out = np.fft.irfft(spec * np.conj(spec), n).real
-    out.setflags(write=False)
-    return out
-
-
-def _autocorr_column(n: int, exponent: float) -> np.ndarray:
-    """A[m] = sum_j kappa[j] kappa[(j - m) mod n], the Gram column of the
-    convolution operator; scales exactly with the kernel fault hook."""
-    base = _autocorr_base(n, exponent)
-    fault = _energy._KERNEL_FAULT
-    if fault != 0.0:
-        return base * (1.0 + fault) ** 2
-    return base
+def _empty_estimate(method: str, alpha: float, n: int, energy_or_norm: float) -> CapacityEstimate:
+    """The empty set has capacity 0 by convention."""
+    return CapacityEstimate(
+        value=0.0,
+        method=method,
+        alpha=alpha,
+        grid_n=n,
+        iterations=0,
+        kkt_residual=0.0,
+        energy_or_norm=energy_or_norm,
+        minimizer=np.zeros(n),
+        notes=("empty set",),
+    )
 
 
 def _restricted(table: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     return table[(idx[:, None] - idx[None, :]) % n]
+
+
+def _circular_convolve(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(table * x)[m] = sum_j table[(m - j) mod n] x[j], by FFT."""
+    return np.fft.irfft(np.fft.rfft(table) * np.fft.rfft(x), len(x))
 
 
 def _power_lambda_max(mat: np.ndarray, iters: int = 40) -> float:
@@ -160,60 +175,117 @@ def _power_lambda_max(mat: np.ndarray, iters: int = 40) -> float:
 
 
 # ---------------------------------------------------------------------------
-# classical capacity
+# shared solver: active-set polish, projected gradient, outer driver
 # ---------------------------------------------------------------------------
 
 
-def _classical_kkt_polish(K: np.ndarray, active: np.ndarray, tol: float, rounds: int = 200):
-    """Active-set solve of the simplex KKT system.
+def _kkt_polish(M: np.ndarray, rhs: float, active: np.ndarray, tol: float, rounds: int = 200):
+    """Active-set solve of x >= 0, M x >= rhs, with equality on the support.
 
-    On the active cells the equilibrium potential is constant, so
-    K_AA x = 1 and w = x / sum(x). Cells with nonpositive solution are
-    dropped; off-active cells whose potential dips below the level are
-    added; repeat until clean or the round budget is exhausted.
-    Returns (weights, level, residual, solves) with weights over the
-    local index range; None when a solve fails (singular system).
+    Solves M_AA x = rhs on the active cells. Cells with nonpositive
+    solution are dropped; off-active cells whose residual
+    r = rhs - M x exceeds tol * max(rhs, sum(x)) are added; repeat until
+    clean or the round budget is exhausted. Returns
+    (x, sum(x), residual, solves) with x over the local index range and
+    residual the certificate of the module docstring; None when a solve
+    fails (singular system) or every cell is dropped.
     """
-    k = K.shape[0]
-    act = np.array(sorted(set(int(i) for i in active)), dtype=int)
-    if act.size == 0:
-        act = np.arange(k)
+    k = M.shape[0]
+    act = active if active.size else np.arange(k)
     solves = 0
     for _ in range(rounds):
-        kaa = K[np.ix_(act, act)]
         try:
-            x = np.linalg.solve(kaa, np.ones(len(act)))
+            x_act = np.linalg.solve(M[np.ix_(act, act)], np.full(len(act), rhs))
         except np.linalg.LinAlgError:
             return None
         solves += 1
-        if np.any(x <= 0.0):
-            keep = x > 0.0
+        if np.any(x_act <= 0.0):
+            keep = x_act > 0.0
             if not np.any(keep):
                 return None
             act = act[keep]
             continue
-        sigma = float(x.sum())
-        w_act = x / sigma
-        level = 1.0 / sigma
-        potential = K[:, act] @ w_act
-        thresh = tol * max(1.0, abs(level))
-        off = np.setdiff1d(np.nonzero(potential < level - thresh)[0], act)
-        if off.size == 0:
-            w = np.zeros(k)
-            w[act] = w_act
-            on_res = float(np.max(np.abs(potential[act] - level)))
-            off_mask = np.ones(k, dtype=bool)
-            off_mask[act] = False
-            off_res = float(np.max(np.clip(level - potential[off_mask], 0.0, None))) if off_mask.any() else 0.0
-            residual = max(on_res, off_res) / max(1.0, abs(level))
-            return w, level, residual, solves
-        act = np.union1d(act, off)
+        total = float(x_act.sum())
+        scale = max(rhs, total)
+        x = np.zeros(k)
+        x[act] = x_act
+        r = rhs - M @ x
+        off = np.ones(k, dtype=bool)
+        off[act] = False
+        viol = np.nonzero(off & (r > tol * scale))[0]
+        if viol.size == 0:
+            on_res = float(np.max(np.abs(r[act])))
+            off_res = float(np.max(r[off], initial=0.0))
+            return x, total, max(on_res, off_res) / scale, solves
+        act = np.union1d(act, viol)
     return None
 
 
-def _frank_wolfe_steps(K: np.ndarray, w: np.ndarray, kw: np.ndarray, budget: int, gap_tol: float):
+def _projected_gradient(x: np.ndarray, budget: int, step: float, grad, project):
+    """Up to ``budget`` steps x <- project(x - step * grad(x)), stopping
+    early once an update moves no entry by more than 1e-15; returns the
+    iterate and the number of steps taken."""
+    steps = 0
+    for _ in range(budget):
+        x_new = project(x - step * grad(x))
+        moved = float(np.max(np.abs(x_new - x)))
+        x = x_new
+        steps += 1
+        if moved <= 1e-15:
+            break
+    return x, steps
+
+
+def _solve(name: str, M: np.ndarray, rhs: float, x: np.ndarray, descend, finish,
+           support_floor: float, cfg: SolverConfig) -> CapacityEstimate:
+    """Outer driver shared by both capacities.
+
+    Each round runs ``descend(x, budget) -> (x, steps)``, polishes the
+    support {x > support_floor * max(x)} and returns
+    ``finish(x, sum(x), residual, iterations)`` of the polish solution
+    once its residual meets the tolerance; the round budget grows
+    fourfold. A round with no descent step and no polish solution could
+    only repeat itself, so it raises ConvergenceError, as does running
+    out of iterations. The error carries the last polished estimate, or
+    else ``finish(x, None, None, iterations)`` of the descent iterate.
+    """
+    total_steps = 0
+    budget = 200
+    best = None
+    while True:
+        steps = 0
+        remaining = cfg.max_iterations - total_steps
+        if remaining > 0:
+            x, steps = descend(x, min(budget, remaining))
+            total_steps += steps
+        support = np.nonzero(x > support_floor * float(x.max()))[0]
+        polished = _kkt_polish(M, rhs, support, cfg.tolerance)
+        if polished is not None:
+            sol, total, residual, solves = polished
+            total_steps += solves
+            best = finish(sol, total, residual, total_steps)
+            if residual <= cfg.tolerance:
+                return best
+        stalled = steps == 0 and polished is None
+        if stalled or total_steps >= cfg.max_iterations:
+            if best is None:
+                best = finish(x, None, None, total_steps)
+            raise ConvergenceError(
+                f"{name} capacity solver did not reach tolerance {cfg.tolerance}",
+                best_estimate=best,
+            )
+        budget *= 4
+
+
+# ---------------------------------------------------------------------------
+# classical capacity
+# ---------------------------------------------------------------------------
+
+
+def _frank_wolfe_steps(K: np.ndarray, w: np.ndarray, budget: int, gap_tol: float):
     """Run up to ``budget`` Frank-Wolfe steps with exact line search on the
     quadratic; returns the updated iterate and the number of steps taken."""
+    kw = K @ w
     e_val = float(w @ kw)
     steps = 0
     for _ in range(budget):
@@ -232,19 +304,6 @@ def _frank_wolfe_steps(K: np.ndarray, w: np.ndarray, kw: np.ndarray, budget: int
         kw = (1.0 - gamma) * kw + gamma * col
         e_val = float(w @ kw)
         steps += 1
-    return w, kw, steps
-
-
-def _projected_gradient_steps(K: np.ndarray, w: np.ndarray, budget: int, step: float):
-    steps = 0
-    for _ in range(budget):
-        g = 2.0 * (K @ w)
-        w_new = project_simplex(w - step * g)
-        delta = float(np.max(np.abs(w_new - w)))
-        w = w_new
-        steps += 1
-        if delta <= 1e-15:
-            break
     return w, steps
 
 
@@ -260,65 +319,32 @@ def classical_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None
     cfg = cfg or SolverConfig()
     n = e.grid.n_points
     if e.is_empty():
-        return CapacityEstimate(
-            value=0.0,
-            method="classical",
-            alpha=alpha,
-            grid_n=n,
-            iterations=0,
-            kkt_residual=0.0,
-            energy_or_norm=math.inf,
-            minimizer=np.zeros(n),
-            notes=("empty set",),
-        )
-    idx = e.indices
-    k = len(idx)
-    K = _restricted(kernel_column(n, alpha), idx, n)
+        return _empty_estimate("classical", alpha, n, math.inf)
+    K = _restricted(kernel_column(n, alpha), e.indices, n)
+    k = K.shape[0]
 
-    w = np.full(k, 1.0 / k)
-    total_steps = 0
-    pg_step = None
-    budget = 200
-    best = None
-    while True:
-        remaining = cfg.max_iterations - total_steps
-        if remaining > 0:
-            this = min(budget, remaining)
-            if cfg.step_rule == "frank_wolfe":
-                kw = K @ w
-                w, kw, steps = _frank_wolfe_steps(K, w, kw, this, cfg.tolerance)
-            else:
-                if pg_step is None:
-                    lam_max = _power_lambda_max(K)
-                    pg_step = 1.0 / (2.0 * lam_max) if lam_max > 0 else 1.0
-                w, steps = _projected_gradient_steps(K, w, this, pg_step)
-            total_steps += steps
-        support = np.nonzero(w > 1e-12 * float(w.max()))[0]
-        polished = _classical_kkt_polish(K, support, cfg.tolerance)
-        if polished is not None:
-            w_loc, level, residual, solves = polished
-            total_steps += solves
-            result = _finish_classical(e, alpha, w_loc, level, residual, total_steps, idx, cfg)
-            if residual <= cfg.tolerance:
-                return result
-            best = result
-        if total_steps >= cfg.max_iterations:
-            if best is None:
-                energy_val = float(w @ (K @ w))
-                best = _finish_classical(
-                    e, alpha, w, energy_val, math.inf, total_steps, idx, cfg
-                )
-            raise ConvergenceError(
-                f"classical capacity solver did not reach tolerance {cfg.tolerance}",
-                best_estimate=best,
-            )
-        budget *= 4
+    if cfg.step_rule == "frank_wolfe":
+        def descend(w, budget):
+            return _frank_wolfe_steps(K, w, budget, cfg.tolerance)
+    else:
+        lam_max = _power_lambda_max(K)
+        step = 1.0 / (2.0 * lam_max) if lam_max > 0 else 1.0
+
+        def descend(w, budget):
+            return _projected_gradient(w, budget, step, lambda v: 2.0 * (K @ v), project_simplex)
+
+    def finish(x, total, residual, iterations):
+        if total is None:  # a descent iterate, already on the simplex
+            return _finish_classical(e, alpha, x, float(x @ (K @ x)), math.inf, iterations)
+        return _finish_classical(e, alpha, x / total, 1.0 / total, residual, iterations)
+
+    return _solve("classical", K, 1.0, np.full(k, 1.0 / k), descend, finish, 1e-12, cfg)
 
 
-def _finish_classical(e, alpha, w_loc, energy_val, residual, iterations, idx, cfg):
+def _finish_classical(e, alpha, w_loc, energy_val, residual, iterations):
     n = e.grid.n_points
     minimizer = np.zeros(n)
-    minimizer[idx] = w_loc
+    minimizer[e.indices] = w_loc
     notes: tuple[str, ...] = ()
     if energy_val > 0.0:
         value = 1.0 / energy_val
@@ -343,42 +369,6 @@ def _finish_classical(e, alpha, w_loc, energy_val, residual, iterations, idx, cf
 # ---------------------------------------------------------------------------
 
 
-def _l2_kkt_polish(G: np.ndarray, n: int, active: np.ndarray, tol: float, rounds: int = 200):
-    """Active-set solve for the nonnegative dual: G_AA lam_A = 2N on the
-    active set, drop nonpositive multipliers, add violated constraints
-    (dual gradient above tolerance), repeat."""
-    k = G.shape[0]
-    act = np.array(sorted(set(int(i) for i in active)), dtype=int)
-    if act.size == 0:
-        act = np.arange(k)
-    solves = 0
-    for _ in range(rounds):
-        gaa = G[np.ix_(act, act)]
-        try:
-            x = np.linalg.solve(gaa, np.full(len(act), 2.0 * n))
-        except np.linalg.LinAlgError:
-            return None
-        solves += 1
-        if np.any(x <= 0.0):
-            keep = x > 0.0
-            if not np.any(keep):
-                return None
-            act = act[keep]
-            continue
-        lam = np.zeros(k)
-        lam[act] = x
-        grad = 1.0 - (G @ lam) / (2.0 * n)
-        off_mask = np.ones(k, dtype=bool)
-        off_mask[act] = False
-        viol = np.nonzero(off_mask & (grad > tol))[0]
-        if viol.size == 0:
-            on_res = float(np.max(np.abs(grad[act])))
-            off_res = float(np.max(np.clip(grad[off_mask], 0.0, None))) if off_mask.any() else 0.0
-            return lam, max(on_res, off_res), solves
-        act = np.union1d(act, viol)
-    return None
-
-
 def l2_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None) -> CapacityEstimate:
     """L2 capacity: minimal squared L2 norm of a nonnegative density whose
     Riesz potential (kernel exponent 1 - alpha/2) dominates 1 on E.
@@ -393,74 +383,36 @@ def l2_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None) -> Ca
     cfg = cfg or SolverConfig()
     n = e.grid.n_points
     if e.is_empty():
-        return CapacityEstimate(
-            value=0.0,
-            method="l2",
-            alpha=alpha,
-            grid_n=n,
-            iterations=0,
-            kkt_residual=0.0,
-            energy_or_norm=0.0,
-            minimizer=np.zeros(n),
-            notes=("empty set",),
-        )
+        return _empty_estimate("l2", alpha, n, 0.0)
     exponent = kernel_exponents(alpha).l2_convolution
     kappa = kernel_column(n, exponent)
-    G = _restricted(_autocorr_column(n, exponent), e.indices, n)
-    k = len(e.indices)
+    G = _restricted(autocorr_column(n, exponent), e.indices, n)
+    k = G.shape[0]
 
-    spec = np.abs(np.fft.rfft(np.asarray(kappa)))
-    lam_max = float(np.max(spec) ** 2)
-    step = (2.0 * n) / lam_max
+    step = (2.0 * n) / float(np.max(np.abs(np.fft.rfft(kappa))) ** 2)
+
+    def descend(lam, budget):
+        return _projected_gradient(
+            lam, budget, step, lambda v: (G @ v) / (2.0 * n) - 1.0, lambda v: np.maximum(0.0, v)
+        )
+
+    def finish(lam, total, residual, iterations):
+        if total is None:  # a descent iterate: report its largest dual gradient
+            residual = float(np.max(np.abs(1.0 - (G @ lam) / (2.0 * n))))
+        return _finish_l2(e, alpha, kappa, G, lam, residual, iterations)
 
     row_scale = float(np.mean(G.sum(axis=1)))
-    lam = np.full(k, 2.0 * n / row_scale if row_scale > 0 else 1.0)
-    total_steps = 0
-    budget = 200
-    best = None
-    while True:
-        remaining = cfg.max_iterations - total_steps
-        if remaining > 0:
-            this = min(budget, remaining)
-            for _ in range(this):
-                grad = 1.0 - (G @ lam) / (2.0 * n)
-                lam_new = np.maximum(0.0, lam + step * grad)
-                moved = float(np.max(np.abs(lam_new - lam)))
-                lam = lam_new
-                total_steps += 1
-                if moved <= 1e-15:
-                    break
-        active = np.nonzero(lam > 0.0)[0]
-        polished = _l2_kkt_polish(G, n, active, cfg.tolerance)
-        if polished is not None:
-            lam_fin, residual, solves = polished
-            total_steps += solves
-            result = _finish_l2(e, alpha, exponent, kappa, lam_fin, residual, total_steps)
-            if residual <= cfg.tolerance:
-                return result
-            best = result
-        if total_steps >= cfg.max_iterations:
-            if best is None:
-                grad = 1.0 - (G @ lam) / (2.0 * n)
-                residual = float(np.max(np.abs(grad)))
-                best = _finish_l2(e, alpha, exponent, kappa, lam, residual, total_steps)
-            raise ConvergenceError(
-                f"l2 capacity solver did not reach tolerance {cfg.tolerance}",
-                best_estimate=best,
-            )
-        budget *= 4
+    lam0 = np.full(k, 2.0 * n / row_scale if row_scale > 0 else 1.0)
+    return _solve("l2", G, 2.0 * n, lam0, descend, finish, 0.0, cfg)
 
 
-def _finish_l2(e, alpha, exponent, kappa, lam, residual, iterations):
+def _finish_l2(e, alpha, kappa, G, lam, residual, iterations):
     n = e.grid.n_points
-    idx = e.indices
-    G_row = _autocorr_column(n, exponent)
-    value = float(lam.sum() - lam @ (_restricted(G_row, idx, n) @ lam) / (4.0 * n))
-    f = np.zeros(n)
-    table = np.asarray(kappa)
-    for j, i in enumerate(idx):
-        f += table[(int(i) - np.arange(n)) % n] * lam[j]
-    f *= 0.5
+    value = float(lam.sum() - lam @ (G @ lam) / (4.0 * n))
+    # f = (1/2) K^T lam; the kernel is even, so this is a convolution
+    lam_full = np.zeros(n)
+    lam_full[e.indices] = lam
+    f = 0.5 * _circular_convolve(kappa, lam_full)
     return CapacityEstimate(
         value=value,
         method="l2",
@@ -481,12 +433,8 @@ def potential_on_set(estimate: CapacityEstimate, e: GridSet) -> np.ndarray:
         raise PreconditionError("potential check applies to l2 estimates")
     n = e.grid.n_points
     exponent = kernel_exponents(estimate.alpha).l2_convolution
-    kappa = np.asarray(kernel_column(n, exponent))
-    f = estimate.minimizer
-    out = np.empty(len(e.indices))
-    for row, i in enumerate(e.indices):
-        out[row] = float(kappa[(int(i) - np.arange(n)) % n] @ f) / n
-    return out
+    potential = _circular_convolve(kernel_column(n, exponent), estimate.minimizer)
+    return potential[e.indices] / n
 
 
 @dataclass(frozen=True)

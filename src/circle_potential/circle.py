@@ -49,43 +49,13 @@ def angles_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
     return abs(normalize_angle(float(a) - float(b))) <= tol
 
 
-@dataclass(frozen=True)
-class Angle:
-    """An angle stored by its canonical representative in [-pi, pi).
-
-    Thin wrapper used where the distinction between a raw float and a
-    point on the circle matters; most functions accept plain floats.
-    """
-
-    radians: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "radians", normalize_angle(self.radians))
-
-    def __add__(self, other) -> "Angle":
-        return Angle(self.radians + _rad(other))
-
-    def __sub__(self, other) -> "Angle":
-        return Angle(self.radians - _rad(other))
-
-    def __float__(self) -> float:
-        return self.radians
-
-
-def _rad(x) -> float:
-    """Radians of an Angle or a plain number."""
-    if isinstance(x, Angle):
-        return x.radians
-    return float(x)
-
-
 def chord_distance(s, t) -> float:
     """Euclidean distance |e^{is} - e^{it}| between two circle points.
 
     Computed as 2*|sin((s - t)/2)|, which is exact on the chord range
     [0, 2] and symmetric in its arguments.
     """
-    return 2.0 * abs(math.sin((_rad(s) - _rad(t)) / 2.0))
+    return 2.0 * abs(math.sin((float(s) - float(t)) / 2.0))
 
 
 @dataclass(frozen=True)
@@ -119,7 +89,7 @@ class Arc:
 
     def contains(self, t) -> bool:
         """Strict interior membership (open-arc semantics)."""
-        rel = (_rad(t) - self.start) % TWO_PI
+        rel = (float(t) - self.start) % TWO_PI
         return 0.0 < rel < self.length
 
     def to_json(self) -> dict:
@@ -133,11 +103,6 @@ class Arc:
     def centered(cls, midpoint: float, length: float) -> "Arc":
         half = float(length) / 2.0
         return cls(midpoint - half, midpoint + half)
-
-
-def arc_contains(a: Arc, t) -> bool:
-    """True iff angle ``t`` lies strictly inside the open arc ``a``."""
-    return a.contains(t)
 
 
 def _dilation_covers(big: Arc, small: Arc, factor: float = 3.0) -> bool:
@@ -291,7 +256,7 @@ class CircleGrid:
     def cell_index(self, t) -> int:
         """Index of the cell whose closed interval contains angle ``t``
         (ties at a cell edge resolve to the counterclockwise cell)."""
-        rel = (_rad(t) + math.pi) % TWO_PI
+        rel = (float(t) + math.pi) % TWO_PI
         return int(round(rel / self.cell_width)) % self.n_points
 
     def _arc_center_mask(self, arc: Arc) -> np.ndarray:

@@ -153,14 +153,7 @@ def parse_rule(text: str):
             return TableRule(tuple(float(x) for x in rest.split(",") if x))
         except ValueError:
             raise PreconditionError(f"malformed table rule {text!r}")
-    kv = {}
-    for item in rest.split(","):
-        if not item:
-            continue
-        key, sep, val = item.partition("=")
-        if not sep:
-            raise PreconditionError(f"malformed rule parameter {item!r}")
-        kv[key] = val
+    kv = _kv_pairs(rest)
     try:
         if kind == "power":
             return PowerChoice(float(kv["beta"]))
@@ -222,7 +215,7 @@ def _kv_pairs(rest: str) -> dict:
             continue
         key, sep, val = item.partition("=")
         if not sep:
-            raise PreconditionError(f"malformed builtin parameter {item!r}")
+            raise PreconditionError(f"malformed parameter {item!r}")
         kv[key] = val
     return kv
 
@@ -525,16 +518,17 @@ def _config_from_args(args) -> Config:
             step_rule=solver_raw.get("step_rule", "frank_wolfe"),
         )
     cfg = Config(**base) if base else Config()
-    grid_n = args.grid_n if getattr(args, "grid_n", None) else cfg.grid_n
-    seed = args.seed if getattr(args, "seed", None) is not None else cfg.seed
+
+    def pick(name, default):
+        value = getattr(args, name, None)
+        return default if value is None else value
+
+    grid_n = pick("grid_n", cfg.grid_n)
+    seed = pick("seed", cfg.seed)
     solver = SolverConfig(
-        tolerance=args.tolerance if getattr(args, "tolerance", None) else cfg.solver.tolerance,
-        max_iterations=(
-            args.max_iterations
-            if getattr(args, "max_iterations", None)
-            else cfg.solver.max_iterations
-        ),
-        step_rule=args.step_rule if getattr(args, "step_rule", None) else cfg.solver.step_rule,
+        tolerance=pick("tolerance", cfg.solver.tolerance),
+        max_iterations=pick("max_iterations", cfg.solver.max_iterations),
+        step_rule=pick("step_rule", cfg.solver.step_rule),
     )
     fourier_m = cfg.fourier_m if grid_n == cfg.grid_n else None
     return Config(grid_n=grid_n, fourier_m=fourier_m, seed=seed, solver=solver)

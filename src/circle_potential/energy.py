@@ -62,6 +62,14 @@ def kernel_fault(scale: float):
         _KERNEL_FAULT = old
 
 
+def _faulted(base: np.ndarray, power: int = 1) -> np.ndarray:
+    """A cached table as handed out: scaled by (1 + fault)^power while the
+    kernel fault hook is active. Every table provider goes through here."""
+    if _KERNEL_FAULT != 0.0:
+        return base * (1.0 + _KERNEL_FAULT) ** power
+    return base
+
+
 def kernel_k(alpha: float, chord: float) -> float:
     """Riesz kernel at a chord distance.
 
@@ -98,10 +106,7 @@ def _chord_power_table(n: int, alpha: float) -> np.ndarray:
     Indexed by cell-index difference m = (i - j) mod n; the zero entry
     implements the diagonal exclusion of the midpoint rule.
     """
-    base = _chord_power_table_base(n, alpha)
-    if _KERNEL_FAULT != 0.0:
-        return base * (1.0 + _KERNEL_FAULT)
-    return base
+    return _faulted(_chord_power_table_base(n, alpha))
 
 
 @lru_cache(maxsize=64)
@@ -135,10 +140,26 @@ def kernel_column(n: int, exponent: float) -> np.ndarray:
     solvers is a lookup kappa[(i - j) mod n] into this table."""
     if not 0.0 <= exponent < 1.0:
         raise PreconditionError(f"kernel exponent must be in [0, 1), got {exponent}")
-    base = _kernel_column_base(int(n), float(exponent))
-    if _KERNEL_FAULT != 0.0:
-        return base * (1.0 + _KERNEL_FAULT)
-    return base
+    return _faulted(_kernel_column_base(int(n), float(exponent)))
+
+
+@lru_cache(maxsize=64)
+def _autocorr_base(n: int, exponent: float) -> np.ndarray:
+    spec = np.fft.rfft(_kernel_column_base(n, exponent))
+    out = np.fft.irfft(spec * np.conj(spec), n)
+    out.setflags(write=False)
+    return out
+
+
+def autocorr_column(n: int, exponent: float) -> np.ndarray:
+    """A[m] = sum_j kappa[j] kappa[(j - m) mod n] for kappa =
+    ``kernel_column(n, exponent)``: the Gram column of convolution by the
+    kernel, so the L2 dual matrix is the lookup A[(i - k) mod n]. Under
+    the kernel fault hook it scales by (1 + fault)^2, as kappa does by
+    (1 + fault)."""
+    if not 0.0 <= exponent < 1.0:
+        raise PreconditionError(f"kernel exponent must be in [0, 1), got {exponent}")
+    return _faulted(_autocorr_base(int(n), float(exponent)), 2)
 
 
 @dataclass(frozen=True)
@@ -308,11 +329,16 @@ def fourier_from_samples(f: BoundarySamples, truncation: int | None = None) -> F
     """Discrete Fourier coefficients f^(n) = (1/N) sum_j f_j e^{-i n t_j}
     for |n| <= truncation (default N/4, which keeps aliasing below the
     quadrature error floor of the energy sums)."""
-    n_pts = f.grid.n_points
+    return _coeffs_from_dft(np.fft.fft(f.values) / f.grid.n_points, truncation)
+
+
+def _coeffs_from_dft(spec: np.ndarray, truncation: int | None) -> FourierCoeffs:
+    """Coefficient table |n| <= truncation (default N/4) from the plain DFT
+    of grid samples."""
+    n_pts = len(spec)
     m = n_pts // 4 if truncation is None else int(truncation)
     if m > n_pts // 2:
         raise PreconditionError(f"truncation {m} exceeds N/2 = {n_pts // 2}")
-    spec = np.fft.fft(f.values) / n_pts
     coeffs: dict[int, complex] = {}
     for k in range(-m, m + 1):
         # grid angles start at -pi, so the plain DFT picks up a factor (-1)^k
@@ -424,16 +450,7 @@ def measure_fourier_energy(c: FourierCoeffs, alpha: float) -> float:
 
 def measure_fourier_coeffs(mu: DiscreteMeasure, truncation: int | None = None) -> FourierCoeffs:
     """mu^(n) = sum_j w_j e^{-i n t_j} for |n| <= truncation."""
-    n_pts = mu.grid.n_points
-    m = n_pts // 4 if truncation is None else int(truncation)
-    if m > n_pts // 2:
-        raise PreconditionError(f"truncation {m} exceeds N/2 = {n_pts // 2}")
-    spec = np.fft.fft(mu.weights)
-    coeffs: dict[int, complex] = {}
-    for k in range(-m, m + 1):
-        phase = -1.0 if k % 2 else 1.0
-        coeffs[k] = complex(phase * spec[k % n_pts])
-    return FourierCoeffs(coeffs, m)
+    return _coeffs_from_dft(np.fft.fft(mu.weights), truncation)
 
 
 def energy_report(
@@ -445,11 +462,7 @@ def energy_report(
     """JSON-ready record for a localized energy evaluation."""
     value = dirichlet_energy_local(f, arc_i, arc_j, alpha)
     def _desc(a):
-        if isinstance(a, ArcFamily) and a.full:
-            return "full"
-        if isinstance(a, ArcFamily):
-            return a.to_json()
-        return a.to_json()
+        return "full" if isinstance(a, ArcFamily) and a.full else a.to_json()
     return {
         "value": value,
         "grid_n": f.grid.n_points,

@@ -60,3 +60,20 @@ def monomial_energy(n: int, alpha: float) -> float:
 
 def harmonic_number(n: int) -> float:
     return float(np.sum(1.0 / np.arange(1, n + 1)))
+
+
+def l2_density_direct(kappa: np.ndarray, idx: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Primal L2 density f = (1/2) K^T lam, f[m] = (1/2) sum_j lam_j
+    kappa[(i_j - m) mod n], by a direct loop over the cells i_j of E."""
+    n = len(kappa)
+    f = np.zeros(n)
+    for j, i in enumerate(idx):
+        f += kappa[(int(i) - np.arange(n)) % n] * lam[j]
+    return 0.5 * f
+
+
+def potential_direct(kappa: np.ndarray, f: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Convolution potential (1/n) sum_m kappa[(i - m) mod n] f[m] at each
+    cell i of E, one dot product per cell."""
+    n = len(kappa)
+    return np.array([float(kappa[(int(i) - np.arange(n)) % n] @ f) / n for i in idx])

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import oracles
 from circle_potential import (
     Arc,
     CapacityEstimate,
+    CircleGrid,
     ConvergenceError,
     DiscreteMeasure,
     GridSet,
@@ -19,8 +24,8 @@ from circle_potential import (
     l2_capacity,
     mu_energy,
 )
-from circle_potential.capacity import potential_on_set, project_simplex
-from circle_potential.energy import kernel_column
+from circle_potential.capacity import _finish_l2, potential_on_set, project_simplex
+from circle_potential.energy import autocorr_column, kernel_column, kernel_fault
 
 
 def test_kernel_exponent_mapping():
@@ -245,3 +250,90 @@ def test_capacity_deterministic_across_runs(grid256, solver):
     c = l2_capacity(e, 0.5, solver)
     d = l2_capacity(e, 0.5, solver)
     assert c.value == d.value
+
+
+def test_stalled_solver_raises_instead_of_hanging():
+    """With the active-set polish disabled, a Frank-Wolfe run that is
+    already stationary takes no descent step; the solver must give up
+    with ConvergenceError rather than repeat the same round forever.
+    Runs in a subprocess so a hang fails the test instead of pytest."""
+    script = textwrap.dedent(
+        """
+        import circle_potential.capacity as cap
+        from circle_potential import (
+            CircleGrid, ConvergenceError, GridSet, SolverConfig,
+            classical_capacity, l2_capacity,
+        )
+
+        cap._kkt_polish = lambda *args, **kwargs: None
+        e = GridSet.full(CircleGrid(64))
+        for solve, rule in (
+            (classical_capacity, "frank_wolfe"),
+            (classical_capacity, "projected_gradient"),
+            (l2_capacity, "frank_wolfe"),
+        ):
+            try:
+                solve(e, 0.5, SolverConfig(max_iterations=1000, step_rule=rule))
+            except ConvergenceError as exc:
+                assert exc.best_estimate.value > 0.0
+                assert exc.best_estimate.iterations <= 1000
+            else:
+                raise SystemExit(f"{solve.__name__} {rule}: no ConvergenceError")
+        print("ok")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_l2_density_matches_direct_loop(n, rng):
+    grid = CircleGrid(n)
+    e = GridSet.from_arcs(grid, Arc(-1.1, 0.4)).union(
+        GridSet.from_indices(grid, rng.choice(n, size=5, replace=False))
+    )
+    idx = e.indices
+    kappa = kernel_column(n, 0.75)
+    G = autocorr_column(n, 0.75)[(idx[:, None] - idx[None, :]) % n]
+    lam = rng.uniform(0.0, 2.0, size=len(idx))
+    f = _finish_l2(e, 0.5, kappa, G, lam, 0.0, 0).minimizer
+    ref = oracles.l2_density_direct(np.asarray(kappa), idx, lam)
+    assert np.max(np.abs(f - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_potential_on_set_matches_direct_loop(n, rng, solver):
+    grid = CircleGrid(n)
+    e = GridSet.from_arcs(grid, Arc(0.2, 2.0))
+    kappa = np.asarray(kernel_column(n, 0.75))
+    est = l2_capacity(e, 0.5, solver)
+    ref = oracles.potential_direct(kappa, est.minimizer, e.indices)
+    assert np.max(np.abs(potential_on_set(est, e) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    f = rng.uniform(0.0, 1.0, size=n)
+    rough = CapacityEstimate(
+        value=1.0, method="l2", alpha=0.5, grid_n=n, iterations=0,
+        kkt_residual=0.0, energy_or_norm=1.0, minimizer=f,
+    )
+    ref = oracles.potential_direct(kappa, f, e.indices)
+    assert np.max(np.abs(potential_on_set(rough, e) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("scale", [0.5, -0.25])
+def test_kernel_fault_scales_both_capacities(grid256, solver, scale):
+    """The fault hook scales K by (1 + s) and G by (1 + s)^2, so the
+    classical capacity becomes base / (1 + s) and the L2 capacity
+    base / (1 + s)^2."""
+    e = GridSet.from_arcs(grid256, Arc(-0.8, 1.1)).union(
+        GridSet.from_arcs(grid256, Arc(2.0, 2.6))
+    )
+    c_base = classical_capacity(e, 0.5, solver).value
+    l2_base = l2_capacity(e, 0.5, solver).value
+    with kernel_fault(scale):
+        c_fault = classical_capacity(e, 0.5, solver).value
+        l2_fault = l2_capacity(e, 0.5, solver).value
+    assert abs(c_fault - c_base / (1.0 + scale)) <= 1e-6 * c_fault
+    assert abs(l2_fault - l2_base / (1.0 + scale) ** 2) <= 1e-6 * l2_fault

@@ -316,6 +316,19 @@ def test_precondition_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--grid-n", "--max-iterations", "--tolerance"])
+def test_zero_flag_values_are_rejected(capsys, flag):
+    """A zero flag value reaches config validation instead of falling
+    back to the default."""
+    code, out, err = run_cli(
+        capsys, "capacity", "--method", "classical", "--alpha", "0.5",
+        "--set", "half", "--grid-n", "256", flag, "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 def test_no_convergence_exit_3(capsys):
     code, _, err = run_cli(
         capsys, "capacity", "--method", "classical", "--alpha", "0.5",
