@@ -10,13 +10,14 @@ Tolerance schedule: criteria are calibrated at grid_n = 4096. Running
 smaller grids relaxes quadrature-bound tolerances proportionally
 (exact_diagonalization) or by a flat documented factor
 (comparability and Poincare drift below 2048 cells), and sub-cases
-whose arcs fall under the 8-cell energy resolution floor are skipped
-and listed in the details. At the default grid nothing is relaxed or
+whose arcs fall under the energy resolution floor (RESOLUTION_CELLS)
+are skipped and listed in the details. At the default grid nothing is relaxed or
 skipped. No criterion records timing, so reports are byte-reproducible.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .capacity import (
     comparability_report,
     l2_capacity,
 )
-from .circle import Arc, CircleGrid, GridSet
+from .circle import RESOLUTION_CELLS, Arc, ArcFamily, CircleGrid, GridSet
 from .energy import (
     BoundarySamples,
     DiscreteMeasure,
@@ -100,7 +101,7 @@ def json_bytes(obj) -> bytes:
 
 
 def _resolved(grid: CircleGrid, arc: Arc) -> bool:
-    return int(grid._arc_center_mask(arc).sum()) >= 8
+    return len(grid.indices_of(arc)) >= RESOLUTION_CELLS
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +174,9 @@ def extension_ceiling(ctx: AcceptanceContext) -> CriterionResult:
     for gamma in (0.25, 0.5, 0.75):
         setup = ExtensionSetup(theta=0.45 * gamma * math.pi / 2.0, gamma=gamma)
         if not (_resolved(grid, setup.arc_l) and _resolved(grid, setup.arc_r)):
-            skipped.append({"gamma": gamma, "reason": "reflected arcs under 8 cells"})
+            skipped.append(
+                {"gamma": gamma, "reason": f"reflected arcs under {RESOLUTION_CELLS} cells"}
+            )
             continue
         for alpha in (0.25, 0.5, 1.0):
             for k, f in enumerate(polys):
@@ -210,7 +213,7 @@ def six_term_partition(ctx: AcceptanceContext) -> CriterionResult:
             direct = dirichlet_energy_local(f_tilde, setup.arc_j, setup.arc_j, 0.5)
             worst = max(worst, abs(parts["total"] - direct) / max(1.0, direct))
     else:
-        skipped.append({"reason": "reflected arcs under 8 cells"})
+        skipped.append({"reason": f"reflected arcs under {RESOLUTION_CELLS} cells"})
     passed = worst <= 1e-9 and (ctx.grid_n < REFERENCE_GRID or not skipped)
     return CriterionResult(
         name="six_term_partition",
@@ -319,10 +322,7 @@ def comparability_stability(ctx: AcceptanceContext) -> CriterionResult:
         for n in (n_lo, n_hi):
             grid = CircleGrid(n)
             if k < 8:
-                mask = np.zeros(n, dtype=bool)
-                for a in family[k]:
-                    mask |= grid._arc_cover_mask(a)
-                e = GridSet(grid, mask)
+                e = GridSet.from_arcs(grid, ArcFamily(family[k]))
             else:
                 depth = 3 if k == 8 else 4
                 spec = CantorSpec(
@@ -354,28 +354,30 @@ def comparability_stability(ctx: AcceptanceContext) -> CriterionResult:
     )
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
-    if parts == 1:
-        return np.array([[total]], dtype=np.int32)
-    blocks = []
-    for k in range(total + 1):
-        sub = _compositions(total - k, parts - 1)
-        head = np.full((len(sub), 1), k, dtype=np.int32)
-        blocks.append(np.hstack([head, sub]))
-    return np.vstack(blocks)
+#: Lattice points scored per einsum call in the oracle (a memory knob).
+_LATTICE_CHUNK = 500_000
 
 
 def _lattice_min_energy(K: np.ndarray, subdivisions: int) -> float:
     """Exhaustive minimum of w^T K w over the lattice of probability
-    vectors with denominators ``subdivisions`` (small instances only)."""
+    vectors with denominators ``subdivisions`` (small instances only).
+
+    The lattice is enumerated by stars and bars: each choice of c - 1
+    bar positions among ``subdivisions + c - 1`` slots is one
+    composition of ``subdivisions`` into c parts, taken in
+    lexicographic order and scored in fixed chunks.
+    """
     c = K.shape[0]
-    comps = _compositions(subdivisions, c)
+    slots = subdivisions + c - 1
+    bars = itertools.combinations(range(slots), c - 1)
+    total = math.comb(slots, c - 1)
     best = math.inf
-    chunk = 500_000
-    for s in range(0, len(comps), chunk):
-        w = comps[s : s + chunk].astype(float) / subdivisions
-        vals = np.einsum("ij,jk,ik->i", w, K, w)
-        best = min(best, float(vals.min()))
+    for start in range(0, total, _LATTICE_CHUNK):
+        rows = min(_LATTICE_CHUNK, total - start)
+        flat = itertools.chain.from_iterable(itertools.islice(bars, rows))
+        chunk = np.fromiter(flat, dtype=np.int32, count=rows * (c - 1)).reshape(rows, c - 1)
+        w = (np.diff(chunk, prepend=np.int32(-1), append=np.int32(slots)) - 1) / subdivisions
+        best = min(best, float(np.einsum("ij,jk,ik->i", w, K, w).min()))
     return best
 
 
@@ -407,10 +409,8 @@ def small_instance_oracle(ctx: AcceptanceContext) -> CriterionResult:
 def _poincare_instance(n: int, k_cells: int):
     grid = CircleGrid(n)
     arc = Arc.centered(0.05, 0.8)
-    mask = np.zeros(n, dtype=bool)
-    for j in range(k_cells):
-        mask |= grid._arc_cover_mask(Arc.centered(0.05 - 0.25 + 0.12 * j, 0.012))
-    e = GridSet(grid, mask)
+    arcs = [Arc.centered(0.05 - 0.25 + 0.12 * j, 0.012) for j in range(k_cells)]
+    e = GridSet.from_arcs(grid, ArcFamily(arcs))
     f = spike_function(e, 0.1)
     return f, e, arc
 
@@ -546,10 +546,7 @@ def carleson_diagnostics(ctx: AcceptanceContext) -> CriterionResult:
 def _determinism_probe(grid_n: int, seed: int, solver: SolverConfig) -> bytes:
     n = min(512, grid_n)
     grid = CircleGrid(n)
-    mask = grid._arc_cover_mask(Arc.centered(0.3, 0.45)) | grid._arc_cover_mask(
-        Arc.centered(-1.5, 0.3)
-    )
-    e = GridSet(grid, mask)
+    e = GridSet.from_arcs(grid, ArcFamily((Arc.centered(0.3, 0.45), Arc.centered(-1.5, 0.3))))
     cl = classical_capacity(e, 0.5, solver).to_json()
     l2 = l2_capacity(e, 0.5, solver).to_json()
     f, _ = random_trig_polynomial(grid, 5, np.random.default_rng(seed))

@@ -82,7 +82,7 @@ class SolverConfig:
     step_rule: str = "frank_wolfe"
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
+        if not self.tolerance > 0.0:
             raise PreconditionError("tolerance must be positive")
         if self.max_iterations < 1:
             raise PreconditionError("max_iterations must be >= 1")

@@ -21,12 +21,15 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResolutionError
 
 TWO_PI = 2.0 * math.pi
 
 #: Absolute tolerance for angle equality tests.
 ANGLE_TOL = 1e-12
+
+#: Fewest center-mode cells an arc needs before energies on it are computed.
+RESOLUTION_CELLS = 8
 
 
 def normalize_angle(x: float) -> float:
@@ -70,6 +73,8 @@ class Arc:
     end: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise PreconditionError(f"arc endpoints must be finite, got {self.start}, {self.end}")
         object.__setattr__(self, "start", normalize_angle(self.start))
         object.__setattr__(self, "end", normalize_angle(self.end))
         if self.length <= 0.0:
@@ -101,6 +106,8 @@ class Arc:
 
     @classmethod
     def centered(cls, midpoint: float, length: float) -> "Arc":
+        if not 0.0 < length < TWO_PI:
+            raise PreconditionError(f"arc length must be in (0, 2*pi), got {length}")
         half = float(length) / 2.0
         return cls(midpoint - half, midpoint + half)
 
@@ -259,15 +266,6 @@ class CircleGrid:
         rel = (float(t) + math.pi) % TWO_PI
         return int(round(rel / self.cell_width)) % self.n_points
 
-    def _arc_center_mask(self, arc: Arc) -> np.ndarray:
-        rel = (self.angles - arc.start) % TWO_PI
-        return (rel > 0.0) & (rel < arc.length)
-
-    def _arc_cover_mask(self, arc: Arc) -> np.ndarray:
-        h = self.cell_width
-        rel = (self.angles - arc.start) % TWO_PI
-        return (rel <= arc.length + h / 2.0) | (rel >= TWO_PI - h / 2.0)
-
     def mask_of(self, target: CircleSet, mode: str = "centers") -> np.ndarray:
         """Boolean mask of cells selected by an arc or family.
 
@@ -276,23 +274,34 @@ class CircleGrid:
         closed cell intersects the closure of the set (used for capacity
         targets; biases the represented set slightly outward).
         """
-        if isinstance(target, ArcFamily):
-            if target.full:
-                return np.ones(self.n_points, dtype=bool)
-            mask = np.zeros(self.n_points, dtype=bool)
-            for arc in target.arcs:
-                mask |= self.mask_of(arc, mode)
-            return mask
-        if not isinstance(target, Arc):
+        if not isinstance(target, (Arc, ArcFamily)):
             raise PreconditionError(f"unsupported set type {type(target)!r}")
-        if mode == "centers":
-            return self._arc_center_mask(target)
-        if mode == "cover":
-            return self._arc_cover_mask(target)
-        raise PreconditionError(f"unknown selection mode {mode!r}")
+        if mode not in ("centers", "cover"):
+            raise PreconditionError(f"unknown selection mode {mode!r}")
+        if isinstance(target, ArcFamily) and target.full:
+            return np.ones(self.n_points, dtype=bool)
+        half = self.cell_width / 2.0
+        mask = np.zeros(self.n_points, dtype=bool)
+        for arc in target.arcs if isinstance(target, ArcFamily) else (target,):
+            rel = (self.angles - arc.start) % TWO_PI
+            if mode == "centers":
+                mask |= (rel > 0.0) & (rel < arc.length)
+            else:
+                mask |= (rel <= arc.length + half) | (rel >= TWO_PI - half)
+        return mask
 
     def indices_of(self, target: CircleSet, mode: str = "centers") -> np.ndarray:
         return np.nonzero(self.mask_of(target, mode))[0]
+
+    def resolved_cells(self, target: CircleSet, what: str) -> np.ndarray:
+        """Center-mode indices of ``target``; fewer than RESOLUTION_CELLS
+        of them raise ResolutionError naming the set as ``what``."""
+        idx = self.indices_of(target)
+        if len(idx) < RESOLUTION_CELLS:
+            raise ResolutionError(
+                f"{what} is resolved by only {len(idx)} cells (need >= {RESOLUTION_CELLS})"
+            )
+        return idx
 
 
 @dataclass(frozen=True)

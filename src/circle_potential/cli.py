@@ -88,6 +88,8 @@ class Config:
             raise PreconditionError(
                 f"grid_n must be a power of two >= 64, got {self.grid_n}"
             )
+        if self.seed < 0:
+            raise PreconditionError(f"seed must be >= 0, got {self.seed}")
         if self.fourier_m is None:
             object.__setattr__(self, "fourier_m", self.grid_n // 4)
         if not 1 <= self.fourier_m <= self.grid_n // 2:
@@ -117,32 +119,52 @@ class Config:
 # ---------------------------------------------------------------------------
 
 
-def _load_json_arg(text: str) -> dict:
-    """Inline JSON when the argument looks like an object, else a path."""
+def _load_json_arg(text: str):
+    """Inline JSON when the argument looks like an object or an array,
+    else a path to a JSON file."""
     candidate = text.strip()
-    if not candidate.startswith("{"):
+    if not candidate.startswith(("{", "[")):
         try:
             with open(candidate) as fh:
                 candidate = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise PreconditionError(f"cannot read JSON argument: {exc}")
     try:
         obj = json.loads(candidate)
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"malformed JSON argument: {exc}")
-    if not isinstance(obj, dict):
-        raise PreconditionError("JSON argument must be an object")
+    if not isinstance(obj, (dict, list)):
+        raise PreconditionError("JSON argument must be an object or an array")
     return obj
 
 
+_REQUIRED = object()
+
+
+def _field(obj, key, kind, default=_REQUIRED):
+    """``kind(obj[key])`` for a spec read from JSON; ``default`` when the
+    key is absent or null. A non-object, a missing required key or a
+    value ``kind`` rejects raises PreconditionError."""
+    if not isinstance(obj, dict):
+        raise PreconditionError(f"expected a JSON object, got {obj!r}")
+    if obj.get(key) is None:
+        if default is _REQUIRED:
+            raise PreconditionError(f"spec {obj!r} needs the key {key!r}")
+        return default
+    try:
+        return kind(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise PreconditionError(f"malformed {key!r} in spec: {obj[key]!r}")
+
+
 def _arc_from_obj(obj) -> Arc:
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return Arc(float(obj[0]), float(obj[1]))
+    if isinstance(obj, list) and len(obj) == 2:
+        obj = {"start": obj[0], "end": obj[1]}
     if isinstance(obj, dict):
         if "start" in obj and "end" in obj:
-            return Arc(float(obj["start"]), float(obj["end"]))
+            return Arc(_field(obj, "start", float), _field(obj, "end", float))
         if "center" in obj and "length" in obj:
-            return Arc.centered(float(obj["center"]), float(obj["length"]))
+            return Arc.centered(_field(obj, "center", float), _field(obj, "length", float))
     raise PreconditionError(f"cannot interpret arc spec {obj!r}")
 
 
@@ -164,28 +186,30 @@ def parse_rule(text: str):
     raise PreconditionError(f"unknown rule kind {kind!r} (power, ratio, table)")
 
 
-def _set_from_obj(grid: CircleGrid, obj: dict) -> GridSet:
+def _set_from_obj(grid: CircleGrid, obj) -> GridSet:
+    if not isinstance(obj, dict):
+        raise PreconditionError(f"set JSON must be an object, got {obj!r}")
     if "arcs" in obj:
         mask = np.zeros(grid.n_points, dtype=bool)
-        for sub in obj["arcs"]:
+        for sub in _field(obj, "arcs", list):
             mask |= grid.mask_of(_arc_from_obj(sub), mode="cover")
         return GridSet(grid, mask)
     if "cantor" in obj:
-        spec = obj["cantor"]
+        spec = _field(obj, "cantor", dict)
         host = spec.get("host", "full")
         return cantor_grid_set(
             CantorSpec(
-                rule=parse_rule(spec["rule"]),
-                depth=int(spec["depth"]),
+                rule=parse_rule(_field(spec, "rule", str)),
+                depth=_field(spec, "depth", int),
                 host=None if host in (None, "full") else _arc_from_obj(host),
-                offset=spec.get("offset"),
+                offset=_field(spec, "offset", int, None),
                 scale_to_host=bool(spec.get("scale_to_host", False)),
             ),
             grid,
         )
     if "union" in obj:
         out = GridSet.empty(grid)
-        for sub in obj["union"]:
+        for sub in _field(obj, "union", list):
             out = out.union(_set_from_obj(grid, sub))
         return out
     raise PreconditionError(
@@ -205,7 +229,7 @@ def parse_arc(text: str):
     """Arc JSON, or the name 'full' for the whole circle."""
     if text == "full":
         return FULL_CIRCLE
-    return _arc_from_obj(json.loads(text) if text.strip().startswith(("{", "[")) else _load_json_arg(text))
+    return _arc_from_obj(_load_json_arg(text))
 
 
 def _kv_pairs(rest: str) -> dict:
@@ -272,26 +296,38 @@ def parse_fn(
     return BoundarySamples(grid, vals)
 
 
-def parse_family(text: str) -> ArcFamily:
-    if text.startswith("log-recip"):
-        kv = _kv_pairs(text.partition(",")[2])
-        return log_reciprocal_arcs(int(kv.get("n", 1000)))
-    if text.startswith("geometric"):
-        kv = _kv_pairs(text.partition(",")[2])
-        return geometric_arcs(
-            float(kv.get("ratio", 0.5)), int(kv.get("count", 60)), float(kv.get("start", 0.0))
-        )
-    obj = _load_json_arg(text)
-    if "arcs" not in obj:
+def parse_family(spec) -> ArcFamily:
+    """A named family (``log-recip,n=..`` or ``geometric,ratio=..``), arc
+    family JSON (inline or a path), or an already parsed JSON object."""
+    if isinstance(spec, str):
+        kind, _, rest = spec.partition(",")
+        if kind.startswith("log-recip"):
+            return log_reciprocal_arcs(_field(_kv_pairs(rest), "n", int, 1000))
+        if kind.startswith("geometric"):
+            kv = _kv_pairs(rest)
+            return geometric_arcs(
+                _field(kv, "ratio", float, 0.5),
+                _field(kv, "count", int, 60),
+                _field(kv, "start", float, 0.0),
+            )
+        spec = _load_json_arg(spec)
+    if not isinstance(spec, dict) or "arcs" not in spec:
         raise PreconditionError("arc family JSON must contain 'arcs'")
-    return ArcFamily(tuple(_arc_from_obj(sub) for sub in obj["arcs"]))
+    return ArcFamily(tuple(_arc_from_obj(sub) for sub in _field(spec, "arcs", list)))
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write CSV output: {exc}")
+
+
+def _write_samples_csv(path: str, f: BoundarySamples) -> None:
+    _write_csv(path, ["angle", "re", "im"], zip(f.grid.angles, f.values.real, f.values.imag))
 
 
 def _emit(payload: dict) -> None:
@@ -315,35 +351,22 @@ def _cmd_energy(args, cfg: Config) -> int:
         payload["fourier_energy"] = fourier_energy(coeffs, args.alpha)
     _emit(payload)
     if args.out:
-        _write_csv(
-            args.out,
-            ["angle", "re", "im"],
-            zip(grid.angles, f.values.real, f.values.imag),
-        )
+        _write_samples_csv(args.out, f)
     return EXIT_OK
 
 
 def _cmd_capacity(args, cfg: Config) -> int:
     grid = cfg.grid
     e = parse_set(grid, args.set)
-    if args.method == "classical":
-        est = classical_capacity(e, args.alpha, cfg.solver)
-        payload = {"config": cfg.to_json(), "estimate": est.to_json()}
-    elif args.method == "l2":
-        est = l2_capacity(e, args.alpha, cfg.solver)
-        payload = {"config": cfg.to_json(), "estimate": est.to_json()}
-    else:
+    if args.method == "compare":
         report = comparability_report(e, args.alpha, cfg.solver)
-        payload = {"config": cfg.to_json(), "comparability": report.to_json()}
-        _emit(payload)
+        _emit({"config": cfg.to_json(), "comparability": report.to_json()})
         return EXIT_OK
-    _emit(payload)
+    solve = classical_capacity if args.method == "classical" else l2_capacity
+    est = solve(e, args.alpha, cfg.solver)
+    _emit({"config": cfg.to_json(), "estimate": est.to_json()})
     if args.out:
-        _write_csv(
-            args.out,
-            ["angle", "weight"],
-            zip(grid.angles, est.minimizer),
-        )
+        _write_csv(args.out, ["angle", "weight"], zip(grid.angles, est.minimizer))
     return EXIT_OK
 
 
@@ -386,6 +409,8 @@ def _cmd_extend(args, cfg: Config) -> int:
 
 
 def _cmd_poincare(args, cfg: Config) -> int:
+    if args.sweep < 0:
+        raise PreconditionError(f"--sweep must be >= 0, got {args.sweep}")
     grid = cfg.grid
     e = parse_set(grid, args.set)
     arc = parse_arc(args.arc)
@@ -407,11 +432,7 @@ def _cmd_poincare(args, cfg: Config) -> int:
         payload["sweep_points"] = args.sweep
     _emit(payload)
     if args.out and not args.sweep:
-        _write_csv(
-            args.out,
-            ["angle", "re", "im"],
-            zip(grid.angles, f.values.real, f.values.imag),
-        )
+        _write_samples_csv(args.out, f)
     return EXIT_OK
 
 
@@ -423,12 +444,10 @@ def _cmd_series(args, cfg: Config) -> int:
         diag = carleson_sum(fam, args.n)
     else:
         spec = _load_json_arg(args.spec)
-        fam = parse_family(
-            spec["arcs"] if isinstance(spec["arcs"], str) else json.dumps(spec["arcs"])
-        )
-        rule = parse_rule(spec["rule"])
+        rule = parse_rule(_field(spec, "rule", str))
+        fam = parse_family(spec.get("arcs"))
         parts = cantor_parts_in_arcs(
-            rule, int(spec.get("depth", 4)), fam, cfg.grid, spec.get("offset")
+            rule, _field(spec, "depth", int, 4), fam, cfg.grid, _field(spec, "offset", int, None)
         )
         diag = uniqueness_series(
             parts, fam, args.alpha, args.beta, cfg.solver, args.n
@@ -441,7 +460,7 @@ def _cmd_series(args, cfg: Config) -> int:
 
 
 def _cmd_cantor(args, cfg: Config) -> int:
-    host = None if args.host == "full" else _arc_from_obj(json.loads(args.host))
+    host = None if args.host == "full" else parse_arc(args.host)
     spec = CantorSpec(
         rule=parse_rule(args.rule),
         depth=args.depth,
@@ -467,7 +486,7 @@ def _cmd_cantor(args, cfg: Config) -> int:
 
 
 def _cmd_selftest(args, cfg: Config) -> int:
-    only = args.only.split(",") if args.only else None
+    only = args.only.split(",") if args.only is not None else None
     report = run_all(
         grid_n=cfg.grid_n,
         seed=cfg.seed,
@@ -503,21 +522,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> Config:
-    base: dict = {}
+    cfg = Config()
     if getattr(args, "config", None):
         raw = _load_json_arg(args.config)
-        base = {
-            "grid_n": raw.get("grid_n", 4096),
-            "fourier_m": raw.get("fourier_m"),
-            "seed": raw.get("seed", 2023),
-        }
-        solver_raw = raw.get("solver", {})
-        base["solver"] = SolverConfig(
-            tolerance=solver_raw.get("tolerance", 1e-8),
-            max_iterations=solver_raw.get("max_iterations", 50_000),
-            step_rule=solver_raw.get("step_rule", "frank_wolfe"),
+        solver_raw = _field(raw, "solver", dict, {})
+        cfg = Config(
+            grid_n=_field(raw, "grid_n", int, cfg.grid_n),
+            fourier_m=_field(raw, "fourier_m", int, None),
+            seed=_field(raw, "seed", int, cfg.seed),
+            solver=SolverConfig(
+                tolerance=_field(solver_raw, "tolerance", float, cfg.solver.tolerance),
+                max_iterations=_field(
+                    solver_raw, "max_iterations", int, cfg.solver.max_iterations
+                ),
+                step_rule=_field(solver_raw, "step_rule", str, cfg.solver.step_rule),
+            ),
         )
-    cfg = Config(**base) if base else Config()
 
     def pick(name, default):
         value = getattr(args, name, None)

@@ -35,7 +35,6 @@ from scipy.integrate import quad
 from .circle import FULL_CIRCLE, Arc, ArcFamily, CircleGrid, GridSet, TWO_PI
 from .errors import (
     PreconditionError,
-    ResolutionError,
     SingularityError,
 )
 
@@ -204,6 +203,8 @@ def random_trig_polynomial(
     """A trigonometric polynomial with standard complex Gaussian
     coefficients on frequencies -degree..degree; returns the samples and
     the exact coefficients (handy as a spectral oracle)."""
+    if degree < 0:
+        raise PreconditionError(f"polynomial degree must be >= 0, got {degree}")
     freqs = range(-degree, degree + 1)
     coeffs = {
         k: complex(rng.standard_normal(), rng.standard_normal()) for k in freqs
@@ -213,14 +214,6 @@ def random_trig_polynomial(
     for k, c in coeffs.items():
         vals += c * np.exp(1j * k * t)
     return BoundarySamples(grid, vals), coeffs
-
-
-def _domain_indices(grid: CircleGrid, domain: EnergyDomain | None) -> np.ndarray:
-    if domain is None:
-        return np.arange(grid.n_points)
-    if isinstance(domain, ArcFamily) and domain.full:
-        return np.arange(grid.n_points)
-    return grid.indices_of(domain, mode="centers")
 
 
 def _pair_sum(values: np.ndarray, idx_i: np.ndarray, idx_j: np.ndarray, pw: np.ndarray, n: int) -> float:
@@ -248,18 +241,13 @@ def dirichlet_energy_local(
 
     Midpoint-rule double sum over the cells of I x J with same-index
     pairs excluded; each normalized measure factor contributes 1/N.
-    Both arcs must be resolved by at least 8 cells.
+    Both arcs must be resolved by at least ``circle.RESOLUTION_CELLS`` cells.
     """
     if not 0.0 < alpha <= 1.0:
         raise PreconditionError(f"energy exponent must be in (0, 1], got {alpha}")
     grid = f.grid
-    idx_i = _domain_indices(grid, arc_i)
-    idx_j = _domain_indices(grid, arc_j)
-    for name, idx in (("I", idx_i), ("J", idx_j)):
-        if len(idx) < 8:
-            raise ResolutionError(
-                f"arc {name} is resolved by only {len(idx)} cells (need >= 8)"
-            )
+    idx_i = grid.resolved_cells(arc_i, "arc I")
+    idx_j = grid.resolved_cells(arc_j, "arc J")
     pw = _chord_power_table(grid.n_points, float(alpha))
     return _pair_sum(f.values, idx_i, idx_j, pw, grid.n_points) / grid.n_points**2
 
@@ -469,7 +457,7 @@ def energy_report(
         "alpha": alpha,
         "arcs": {"i": _desc(arc_i), "j": _desc(arc_j)},
         "diagnostics": {
-            "cells_i": int(len(_domain_indices(f.grid, arc_i))),
-            "cells_j": int(len(_domain_indices(f.grid, arc_j))),
+            "cells_i": len(f.grid.indices_of(arc_i)),
+            "cells_j": len(f.grid.indices_of(arc_j)),
         },
     }

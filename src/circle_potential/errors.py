@@ -15,7 +15,7 @@ class PreconditionError(CirclePotentialError):
 
 
 class ResolutionError(PreconditionError):
-    """The grid is too coarse to resolve a requested arc (fewer than 8 cells)."""
+    """The grid is too coarse to resolve a requested arc (under RESOLUTION_CELLS cells)."""
 
 
 class SetupError(PreconditionError):

@@ -89,16 +89,6 @@ class ExtensionSetup:
         return np.where(t >= 0.0, (3.0 * self.theta - t) / 2.0, -(3.0 * self.theta + t) / 2.0)
 
 
-def _samples_in(f: BoundarySamples, arc: Arc) -> tuple[np.ndarray, np.ndarray]:
-    """Grid angles inside the arc (which must not cross the cut) and the
-    sample values there, in increasing angle order."""
-    grid = f.grid
-    mask = grid._arc_center_mask(arc)
-    angles = grid.angles[mask]
-    order = np.argsort(angles)
-    return angles[order], f.values[mask][order]
-
-
 def extend(f: BoundarySamples, setup: ExtensionSetup) -> BoundarySamples:
     """Extend f from I to J by the reflection pullbacks.
 
@@ -108,21 +98,16 @@ def extend(f: BoundarySamples, setup: ExtensionSetup) -> BoundarySamples:
     set to zero.
     """
     grid = f.grid
-    mask_i = grid._arc_center_mask(setup.arc_i)
-    mask_l = grid._arc_center_mask(setup.arc_l)
-    mask_r = grid._arc_center_mask(setup.arc_r)
-    for name, mask in (("L", mask_l), ("R", mask_r)):
-        count = int(mask.sum())
-        if count < 8:
-            raise ResolutionError(
-                f"reflected arc {name} is resolved by only {count} cells (need >= 8)"
-            )
-    xp, fp = _samples_in(f, setup.arc_i)
+    idx_l = grid.resolved_cells(setup.arc_l, "reflected arc L")
+    idx_r = grid.resolved_cells(setup.arc_r, "reflected arc R")
+    # I is centered at 0, so its cells are in increasing angle order.
+    mask_i = grid.mask_of(setup.arc_i)
+    xp, fp = grid.angles[mask_i], f.values[mask_i]
     out = np.zeros(grid.n_points, dtype=np.complex128)
-    out[mask_i] = f.values[mask_i]
-    for mask in (mask_l, mask_r):
-        pre = setup.preimage(grid.angles[mask])
-        out[mask] = np.interp(pre, xp, fp.real) + 1j * np.interp(pre, xp, fp.imag)
+    out[mask_i] = fp
+    for idx in (idx_l, idx_r):
+        pre = setup.preimage(grid.angles[idx])
+        out[idx] = np.interp(pre, xp, fp.real) + 1j * np.interp(pre, xp, fp.imag)
     return BoundarySamples(grid, out)
 
 
@@ -207,7 +192,7 @@ def test_function_F(
     J; nonnegative, supported in I_gamma, and equal to 1 wherever f~
     vanishes inside I."""
     grid = f_tilde.grid
-    mask_j = grid._arc_center_mask(setup.arc_j)
+    mask_j = grid.mask_of(setup.arc_j)
     if not mask_j.any():
         raise ResolutionError("J contains no grid cells")
     m = float(np.mean(np.abs(f_tilde.values[mask_j])))

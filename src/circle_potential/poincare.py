@@ -104,9 +104,7 @@ def poincare_check(
         )
 
     grid = f.grid
-    mask_i = grid._arc_center_mask(arc)
-    if not mask_i.any():
-        raise PreconditionError("I contains no grid cells")
+    mask_i = grid.mask_of(arc)
     energy = dirichlet_energy_local(f, arc, arc, alpha)
     cap = l2_capacity(e_in_i, beta, cfg).value
     scale = arc.length ** (alpha - beta)

@@ -7,10 +7,13 @@ selftest` and this module always agree. One summary line per criterion
 goes to stdout (visible with -s or on failure).
 """
 
+import itertools
 import json
 
+import numpy as np
 import pytest
 
+from circle_potential import acceptance
 from circle_potential.acceptance import criterion_names, json_bytes, run_all
 
 
@@ -129,3 +132,33 @@ def test_fault_injection_is_detected():
     assert by_name["exact_diagonalization"] is False
     assert by_name["seminorm_invariances"] is True
     assert report["all_passed"] is False
+
+
+def _product_lattice_min(K, subdivisions):
+    """The same lattice minimum from an itertools.product filter, which
+    also yields the compositions in lexicographic order."""
+    c = K.shape[0]
+    points = itertools.product(range(subdivisions + 1), repeat=c)
+    comps = [p for p in points if sum(p) == subdivisions]
+    w = np.array(comps, dtype=float) / subdivisions
+    return float(np.einsum("ij,jk,ik->i", w, K, w).min())
+
+
+@pytest.mark.parametrize("chunk", [500_000, 4])
+def test_lattice_oracle_matches_product_enumeration(monkeypatch, chunk):
+    """The stars-and-bars enumeration visits the same lattice as a
+    brute product filter, for one to three cells and every subdivision
+    up to 8, also when it is split into chunks of four points."""
+    monkeypatch.setattr(acceptance, "_LATTICE_CHUNK", chunk)
+    rng = np.random.default_rng(3)
+    for c in (1, 2, 3):
+        a = rng.standard_normal((c, c))
+        K = a @ a.T + 0.1 * np.eye(c)
+        for subdivisions in range(1, 9):
+            got = acceptance._lattice_min_energy(K, subdivisions)
+            assert got == _product_lattice_min(K, subdivisions), (c, subdivisions)
+
+
+def test_lattice_oracle_single_cell_is_the_unit_weight():
+    """With one cell the lattice is the single point w = [1]."""
+    assert acceptance._lattice_min_energy(np.array([[2.5]]), 48) == 2.5

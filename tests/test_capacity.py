@@ -49,6 +49,8 @@ def test_solver_config_validation():
     with pytest.raises(PreconditionError):
         SolverConfig(tolerance=0.0)
     with pytest.raises(PreconditionError):
+        SolverConfig(tolerance=math.nan)
+    with pytest.raises(PreconditionError):
         SolverConfig(max_iterations=0)
 
 

@@ -78,6 +78,27 @@ def test_degenerate_arc_rejected():
         Arc(1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "start, end", [(math.nan, 1.0), (0.0, math.nan), (math.inf, 1.0), (0.0, -math.inf)]
+)
+def test_arc_rejects_non_finite_endpoints(start, end):
+    with pytest.raises(PreconditionError):
+        Arc(start, end)
+
+
+@pytest.mark.parametrize("length", [-1.0, 0.0, TWO_PI, 7.0, math.inf, math.nan])
+def test_centered_arc_rejects_length_outside_open_range(length):
+    """Lengths are not reduced mod 2*pi: -1 is not the 5.28-rad
+    complement and 7 is not a 0.72-rad arc."""
+    with pytest.raises(PreconditionError):
+        Arc.centered(0.0, length)
+
+
+def test_centered_arc_keeps_lengths_inside_range():
+    for length in (1e-6, 1.0, TWO_PI - 1e-6):
+        assert abs(Arc.centered(0.3, length).length - length) < 1e-9
+
+
 def test_family_total_length_and_full_constant():
     fam = ArcFamily((Arc(0.0, 0.5), Arc(1.0, 1.25)))
     assert abs(fam.total_length - 0.75) < 1e-14

@@ -369,3 +369,53 @@ def test_cli_output_reproducible(capsys):
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+_ENERGY = ["energy", "--fn", "builtin:monomial,n=1", "--alpha", "0.5", "--grid-n", "64"]
+_CAPACITY = ["capacity", "--method", "classical", "--alpha", "0.5", "--grid-n", "64"]
+_UNIQUENESS = ["series", "uniqueness", "--grid-n", "64", "--spec"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _ENERGY + ["--arc-i", "{bad"],
+        ["cantor", "--rule", "power:beta=0.5", "--depth", "2", "--offset", "3", "--host", "{bad"],
+        _CAPACITY + ["--set", '{"arcs":[{"center":"x","length":1}]}'],
+        _CAPACITY + ["--set", '{"cantor":{"depth":2}}'],
+        _CAPACITY + ["--set", '{"arcs":5}'],
+        _CAPACITY + ["--set", '{"union":[5]}'],
+        _UNIQUENESS + ['{"rule":"power:beta=0.5","depth":2,"offset":3}'],
+        _UNIQUENESS + ['{"arcs":"log-recip,n=9","rule":"power:beta=0.5","depth":"x"}'],
+        _ENERGY + ["--config", '{"grid_n":"x"}'],
+        _ENERGY + ["--config", '{"solver":5}'],
+        ["series", "carleson", "--arcs", "geometric,ratio=x"],
+        _ENERGY + ["--arc-i", '{"center":0,"length":1e400}'],
+        [
+            "poincare-check", "--alpha", "0.75", "--beta", "0.5", "--gamma", "0.75",
+            "--set", '{"arcs":[[0.0,0.1]]}', "--arc", "[-0.4,0.4]",
+            "--fn", "builtin:spike,delta=0.1", "--grid-n", "64", "--sweep", "-1",
+            "--out", "TMP/sweep.csv",
+        ],
+        _ENERGY + ["--out", "TMP/missing/samples.csv"],
+        ["selftest", "--only", "determinism", "--seed", "-1", "--grid-n", "128"],
+        ["selftest", "--only", "", "--grid-n", "64"],
+    ],
+    ids=[
+        "arc-i-bad-json", "cantor-host-bad-json", "set-arc-center-text",
+        "set-cantor-without-rule", "set-arcs-number", "set-union-number",
+        "uniqueness-without-arcs", "uniqueness-depth-text", "config-grid-n-text",
+        "config-solver-number", "carleson-ratio-text", "arc-i-infinite-length",
+        "poincare-negative-sweep", "out-missing-dir", "selftest-negative-seed",
+        "selftest-empty-only",
+    ],
+)
+def test_malformed_specs_exit_2(capsys, tmp_path, argv):
+    """Malformed inputs are precondition errors (exit 2), reported on
+    stderr without a traceback; stdout is empty or one JSON document."""
+    argv = [a.replace("TMP", str(tmp_path)) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" or isinstance(json.loads(out), dict)
+    assert "error" in err
+    assert "Traceback" not in err

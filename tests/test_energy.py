@@ -120,6 +120,15 @@ def test_energy_weight_rejects_zero_frequency():
         energy_weight(0, 0.5)
 
 
+def test_random_trig_polynomial_rejects_negative_degree(grid64, rng):
+    """A negative degree would otherwise be the zero function."""
+    with pytest.raises(PreconditionError):
+        random_trig_polynomial(grid64, -1, rng)
+    f, coeffs = random_trig_polynomial(grid64, 0, rng)
+    assert list(coeffs) == [0]
+    assert np.allclose(f.values, coeffs[0])
+
+
 def test_exact_diagonalization_for_polynomials(grid1024, rng):
     """D_alpha(f) = sum_n w_alpha(|n|) |c_n|^2 for trigonometric
     polynomials, the spectral route against the spatial double sum."""
