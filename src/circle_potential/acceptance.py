@@ -11,8 +11,10 @@ smaller grids relaxes quadrature-bound tolerances proportionally
 (exact_diagonalization) or by a flat documented factor
 (comparability and Poincare drift below 2048 cells), and sub-cases
 whose arcs fall under the energy resolution floor (RESOLUTION_CELLS)
-are skipped and listed in the details. At the default grid nothing is relaxed or
-skipped. No criterion records timing, so reports are byte-reproducible.
+are skipped and listed in the details. At the default grid nothing is
+relaxed or skipped. Grids under 128 cells are refused: at 64 the
+determinism probe arc is unresolved and the Poincare drift exceeds its
+tolerance. No criterion records timing, so reports are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ class AcceptanceContext:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.grid_n < 64 or self.grid_n & (self.grid_n - 1):
-            raise PreconditionError("grid_n must be a power of two >= 64")
+        if self.grid_n < 128 or self.grid_n & (self.grid_n - 1):
+            raise PreconditionError(f"grid_n must be a power of two >= 128, got {self.grid_n}")
 
     @property
     def grid(self) -> CircleGrid:

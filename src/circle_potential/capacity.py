@@ -56,7 +56,7 @@ import numpy as np
 
 from .circle import GridSet
 from .errors import ConvergenceError, PreconditionError
-from .energy import autocorr_column, kernel_column
+from .energy import _circulant_apply, autocorr_column, kernel_column
 
 _STEP_RULES = ("frank_wolfe", "projected_gradient")
 
@@ -151,11 +151,6 @@ def _empty_estimate(method: str, alpha: float, n: int, energy_or_norm: float) ->
 
 def _restricted(table: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     return table[(idx[:, None] - idx[None, :]) % n]
-
-
-def _circular_convolve(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(table * x)[m] = sum_j table[(m - j) mod n] x[j], by FFT."""
-    return np.fft.irfft(np.fft.rfft(table) * np.fft.rfft(x), len(x))
 
 
 def _power_lambda_max(mat: np.ndarray, iters: int = 40) -> float:
@@ -399,20 +394,20 @@ def l2_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None) -> Ca
     def finish(lam, total, residual, iterations):
         if total is None:  # a descent iterate: report its largest dual gradient
             residual = float(np.max(np.abs(1.0 - (G @ lam) / (2.0 * n))))
-        return _finish_l2(e, alpha, kappa, G, lam, residual, iterations)
+        return _finish_l2(e, alpha, exponent, G, lam, residual, iterations)
 
     row_scale = float(np.mean(G.sum(axis=1)))
     lam0 = np.full(k, 2.0 * n / row_scale if row_scale > 0 else 1.0)
     return _solve("l2", G, 2.0 * n, lam0, descend, finish, 0.0, cfg)
 
 
-def _finish_l2(e, alpha, kappa, G, lam, residual, iterations):
+def _finish_l2(e, alpha, exponent, G, lam, residual, iterations):
     n = e.grid.n_points
     value = float(lam.sum() - lam @ (G @ lam) / (4.0 * n))
     # f = (1/2) K^T lam; the kernel is even, so this is a convolution
     lam_full = np.zeros(n)
     lam_full[e.indices] = lam
-    f = 0.5 * _circular_convolve(kappa, lam_full)
+    f = 0.5 * _circulant_apply("kernel", n, exponent, np.arange(n), lam_full)
     return CapacityEstimate(
         value=value,
         method="l2",
@@ -433,7 +428,7 @@ def potential_on_set(estimate: CapacityEstimate, e: GridSet) -> np.ndarray:
         raise PreconditionError("potential check applies to l2 estimates")
     n = e.grid.n_points
     exponent = kernel_exponents(estimate.alpha).l2_convolution
-    potential = _circular_convolve(kernel_column(n, exponent), estimate.minimizer)
+    potential = _circulant_apply("kernel", n, exponent, np.arange(n), estimate.minimizer)
     return potential[e.indices] / n
 
 

@@ -283,7 +283,8 @@ class CircleGrid:
         half = self.cell_width / 2.0
         mask = np.zeros(self.n_points, dtype=bool)
         for arc in target.arcs if isinstance(target, ArcFamily) else (target,):
-            rel = (self.angles - arc.start) % TWO_PI
+            rel = self.angles - arc.start  # both in [-pi, pi): same as % 2pi, cheaper
+            rel += TWO_PI * (rel < 0.0)
             if mode == "centers":
                 mask |= (rel > 0.0) & (rel < arc.length)
             else:

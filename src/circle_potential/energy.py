@@ -17,8 +17,10 @@ Quantities computed here, all with the normalized arc measure |dz|/2pi:
   probability measure twice, with a cell-averaged kernel on the
   diagonal so atom self-energies track the continuum limit.
 
-All double sums run in fixed blocked order, so results are
-bit-reproducible for a given grid size.
+Every double sum is a circulant quadratic form: a table indexed by
+(i - j) mod N between cell values. ``_circulant_apply`` is the one place
+a table meets a vector, by single-threaded FFT with numpy's pairwise
+sums around it, so results are byte-reproducible for given inputs.
 """
 
 from __future__ import annotations
@@ -33,16 +35,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from .circle import FULL_CIRCLE, Arc, ArcFamily, CircleGrid, GridSet, TWO_PI
-from .errors import (
-    PreconditionError,
-    SingularityError,
-)
+from .errors import PreconditionError, SingularityError
 
 EnergyDomain = Union[Arc, ArcFamily]
-
-#: Pairs per summation block in the double sums (memory/performance knob,
-#: does not affect results).
-_BLOCK_PAIRS = 4_000_000
 
 # Test hook: when nonzero, kernel tables are scaled by (1 + fault).
 # Used by the self-test battery to demonstrate failure reporting.
@@ -91,21 +86,14 @@ def kernel_k(alpha: float, chord: float) -> float:
 
 @lru_cache(maxsize=64)
 def _chord_power_table_base(n: int, alpha: float) -> np.ndarray:
+    """pw[m] = (2 sin(pi m / n))^(-(1+alpha)), indexed by the cell difference
+    m = (i - j) mod n; pw[0] = 0 is the midpoint rule's diagonal exclusion."""
     m = np.arange(n)
     chord = 2.0 * np.abs(np.sin(np.pi * m / n))
     pw = np.zeros(n)
     pw[1:] = chord[1:] ** (-(1.0 + alpha))
     pw.setflags(write=False)
     return pw
-
-
-def _chord_power_table(n: int, alpha: float) -> np.ndarray:
-    """pw[m] = (2 sin(pi m / n))^(-(1+alpha)) with pw[0] = 0.
-
-    Indexed by cell-index difference m = (i - j) mod n; the zero entry
-    implements the diagonal exclusion of the midpoint rule.
-    """
-    return _faulted(_chord_power_table_base(n, alpha))
 
 
 @lru_cache(maxsize=64)
@@ -159,6 +147,35 @@ def autocorr_column(n: int, exponent: float) -> np.ndarray:
     if not 0.0 <= exponent < 1.0:
         raise PreconditionError(f"kernel exponent must be in [0, 1), got {exponent}")
     return _faulted(_autocorr_base(int(n), float(exponent)), 2)
+
+
+@lru_cache(maxsize=256)
+def _spectrum_base(table: str, n: int, exponent: float, m: int) -> np.ndarray:
+    """Real spectrum of the windowed table t[min(d, m - d)], d < m, for t
+    the even "chord" power table or "kernel" column of an n-cell grid."""
+    t = (_chord_power_table_base if table == "chord" else _kernel_column_base)(n, exponent)
+    d = np.arange(m)
+    spec = np.fft.rfft(t[np.minimum(d, m - d)]).real
+    spec.setflags(write=False)
+    return spec
+
+
+def _circulant_apply(table: str, n: int, exponent: float, cells: np.ndarray, x: np.ndarray):
+    """y[..., a] = sum_b t[(cells[a] - cells[b]) mod n] x[..., b] over sorted
+    distinct ``cells``, t the table of ``_spectrum_base``, by FFT over the
+    shortest cyclic window of L cells holding them: circular convolution
+    of length m, the next power of two >= 2L - 1, is the linear one, or
+    of length n when m would not be shorter."""
+    gaps = np.diff(cells, prepend=cells[-1] - n)  # cyclic gap before each cell
+    k = int(np.argmax(gaps))
+    start, m = int(cells[k]), 1 << (2 * (n - int(gaps[k]))).bit_length()
+    if m >= n:
+        start, m = 0, n
+    pos = (cells - start) % n
+    buf = np.zeros(x.shape[:-1] + (m,))
+    buf[..., pos] = x
+    spec = _faulted(_spectrum_base(table, n, float(exponent), m))
+    return np.fft.irfft(np.fft.rfft(buf) * spec, m)[..., pos]
 
 
 @dataclass(frozen=True)
@@ -216,21 +233,6 @@ def random_trig_polynomial(
     return BoundarySamples(grid, vals), coeffs
 
 
-def _pair_sum(values: np.ndarray, idx_i: np.ndarray, idx_j: np.ndarray, pw: np.ndarray, n: int) -> float:
-    """sum over (i, j) in idx_i x idx_j of |f_i - f_j|^2 pw[(i-j) mod n],
-    accumulated in fixed blocks of rows for reproducibility."""
-    total = 0.0
-    vj = values[idx_j]
-    block = max(1, _BLOCK_PAIRS // max(1, len(idx_j)))
-    for s in range(0, len(idx_i), block):
-        ia = idx_i[s : s + block]
-        diff = values[ia][:, None] - vj[None, :]
-        d2 = diff.real**2 + diff.imag**2
-        w = pw[(ia[:, None] - idx_j[None, :]) % n]
-        total += float(np.sum(d2 * w))
-    return total
-
-
 def dirichlet_energy_local(
     f: BoundarySamples,
     arc_i: EnergyDomain,
@@ -242,14 +244,27 @@ def dirichlet_energy_local(
     Midpoint-rule double sum over the cells of I x J with same-index
     pairs excluded; each normalized measure factor contributes 1/N.
     Both arcs must be resolved by at least ``circle.RESOLUTION_CELLS`` cells.
+
+    For g = f - f[c0], c0 in I u J (D is unchanged, and g is exactly 0
+    where f is constant on I u J) and T the chord power table, D * N^2 is
+    sum_I |g|^2 (T 1_J) + sum_J |g|^2 (T 1_I) - 2 Re sum_I conj(g) (T g_J).
     """
     if not 0.0 < alpha <= 1.0:
         raise PreconditionError(f"energy exponent must be in (0, 1], got {alpha}")
     grid = f.grid
-    idx_i = grid.resolved_cells(arc_i, "arc I")
-    idx_j = grid.resolved_cells(arc_j, "arc J")
-    pw = _chord_power_table(grid.n_points, float(alpha))
-    return _pair_sum(f.values, idx_i, idx_j, pw, grid.n_points) / grid.n_points**2
+    n = grid.n_points
+    member = np.zeros((2, n))
+    member[0, grid.resolved_cells(arc_i, "arc I")] = 1.0
+    member[1, grid.resolved_cells(arc_j, "arc J")] = 1.0
+    cells = np.flatnonzero(member[0] + member[1])
+    in_i, in_j = member[:, cells]
+    g = f.values[cells] - f.values[cells[0]]
+    g2 = g.real**2 + g.imag**2
+    t_j, t_i, t_re, t_im = _circulant_apply(
+        "chord", n, alpha, cells, np.stack([in_j, in_i, in_j * g.real, in_j * g.imag])
+    )
+    terms = in_i * (g2 * t_j - 2.0 * (g.real * t_re + g.imag * t_im)) + in_j * g2 * t_i
+    return float(np.sum(terms)) / n**2
 
 
 def dirichlet_energy_global(f: BoundarySamples, alpha: float) -> float:
@@ -388,37 +403,23 @@ def mu_energy(mu: DiscreteMeasure, alpha: float) -> float:
     centers; the diagonal uses the cell-averaged kernel (excluding it
     would understate atom self-energy and break capacity convergence).
     """
-    return _mu_energy_parts(mu, alpha)[0]
+    return mu_energy_report(mu, alpha)["value"]
 
 
 def mu_energy_report(mu: DiscreteMeasure, alpha: float) -> dict:
     """Measure energy plus diagnostics splitting out the diagonal term."""
-    value, diagonal = _mu_energy_parts(mu, alpha)
-    return {
-        "value": value,
-        "alpha": alpha,
-        "grid_n": mu.grid.n_points,
-        "diagnostics": {"diagonal_estimate": diagonal},
-    }
-
-
-def _mu_energy_parts(mu: DiscreteMeasure, alpha: float) -> tuple[float, float]:
     if not 0.0 <= alpha < 1.0:
         raise PreconditionError(f"kernel exponent must be in [0, 1), got {alpha}")
     n = mu.grid.n_points
-    kappa = kernel_column(n, float(alpha))
     support = np.nonzero(mu.weights)[0]
     w = mu.weights[support]
-    diagonal = float(kappa[0] * np.sum(w * w))
-    off = np.array(kappa)
-    off[0] = 0.0
-    total = 0.0
-    block = max(1, _BLOCK_PAIRS // max(1, len(support)))
-    for s in range(0, len(support), block):
-        ia = support[s : s + block]
-        k_blk = off[(ia[:, None] - support[None, :]) % n]
-        total += float(w[s : s + block] @ (k_blk @ w))
-    return total + diagonal, diagonal
+    diagonal = float(kernel_column(n, float(alpha))[0] * np.sum(w * w))
+    return {
+        "value": float(np.sum(w * _circulant_apply("kernel", n, alpha, support, w))),
+        "alpha": alpha,
+        "grid_n": n,
+        "diagnostics": {"diagonal_estimate": diagonal},
+    }
 
 
 def measure_fourier_energy(c: FourierCoeffs, alpha: float) -> float:

@@ -77,3 +77,42 @@ def potential_direct(kappa: np.ndarray, f: np.ndarray, idx: np.ndarray) -> np.nd
     cell i of E, one dot product per cell."""
     n = len(kappa)
     return np.array([float(kappa[(int(i) - np.arange(n)) % n] @ f) / n for i in idx])
+
+
+# Pairs per summation block of the direct double sums below.
+_BLOCK_PAIRS = 4_000_000
+
+
+def pair_sum_direct(values: np.ndarray, idx_i: np.ndarray, idx_j: np.ndarray, pw: np.ndarray, n: int) -> float:
+    """sum over (i, j) in idx_i x idx_j of |f_i - f_j|^2 pw[(i-j) mod n],
+    accumulated in fixed blocks of rows: the direct O(|I| |J|) route for
+    the localized energy (times N^2)."""
+    total = 0.0
+    vj = values[idx_j]
+    block = max(1, _BLOCK_PAIRS // max(1, len(idx_j)))
+    for s in range(0, len(idx_i), block):
+        ia = idx_i[s : s + block]
+        diff = values[ia][:, None] - vj[None, :]
+        d2 = diff.real**2 + diff.imag**2
+        w = pw[(ia[:, None] - idx_j[None, :]) % n]
+        total += float(np.sum(d2 * w))
+    return total
+
+
+def mu_energy_direct(weights: np.ndarray, kappa: np.ndarray) -> tuple[float, float]:
+    """Measure energy sum_ij w_i w_j kappa[(i-j) mod n] and its diagonal
+    part kappa[0] sum w_i^2, by blocked rows of the restricted kernel
+    matrix over the support."""
+    n = len(kappa)
+    support = np.nonzero(weights)[0]
+    w = weights[support]
+    diagonal = float(kappa[0] * np.sum(w * w))
+    off = np.array(kappa)
+    off[0] = 0.0
+    total = 0.0
+    block = max(1, _BLOCK_PAIRS // max(1, len(support)))
+    for s in range(0, len(support), block):
+        ia = support[s : s + block]
+        k_blk = off[(ia[:, None] - support[None, :]) % n]
+        total += float(w[s : s + block] @ (k_blk @ w))
+    return total + diagonal, diagonal

@@ -13,8 +13,9 @@ import json
 import numpy as np
 import pytest
 
-from circle_potential import acceptance
+from circle_potential import PreconditionError, acceptance
 from circle_potential.acceptance import criterion_names, json_bytes, run_all
+from circle_potential.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,17 @@ def test_report_reproducible_across_runs():
     a = run_all(grid_n=256)
     b = run_all(grid_n=256)
     assert json_bytes(a) == json_bytes(b)
+
+
+def test_grid_below_128_is_rejected(capsys):
+    """At 64 cells two criteria cannot be evaluated, so the battery
+    refuses the grid (exit 2) instead of reporting a failure (exit 1)."""
+    with pytest.raises(PreconditionError):
+        run_all(grid_n=64)
+    assert main(["selftest", "--grid-n", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ">= 128" in captured.err
 
 
 def test_fault_injection_is_detected():

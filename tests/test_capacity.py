@@ -302,7 +302,7 @@ def test_l2_density_matches_direct_loop(n, rng):
     kappa = kernel_column(n, 0.75)
     G = autocorr_column(n, 0.75)[(idx[:, None] - idx[None, :]) % n]
     lam = rng.uniform(0.0, 2.0, size=len(idx))
-    f = _finish_l2(e, 0.5, kappa, G, lam, 0.0, 0).minimizer
+    f = _finish_l2(e, 0.5, 0.75, G, lam, 0.0, 0).minimizer
     ref = oracles.l2_density_direct(np.asarray(kappa), idx, lam)
     assert np.max(np.abs(f - ref)) <= 1e-12 * np.max(np.abs(ref))
 

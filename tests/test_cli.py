@@ -399,7 +399,7 @@ _UNIQUENESS = ["series", "uniqueness", "--grid-n", "64", "--spec"]
         ],
         _ENERGY + ["--out", "TMP/missing/samples.csv"],
         ["selftest", "--only", "determinism", "--seed", "-1", "--grid-n", "128"],
-        ["selftest", "--only", "", "--grid-n", "64"],
+        ["selftest", "--only", "", "--grid-n", "128"],
     ],
     ids=[
         "arc-i-bad-json", "cantor-host-bad-json", "set-arc-center-text",

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -6,9 +11,12 @@ import pytest
 import oracles
 from circle_potential import (
     Arc,
+    ArcFamily,
     BoundarySamples,
+    CircleGrid,
     DiscreteMeasure,
     FULL_CIRCLE,
+    GridSet,
     PreconditionError,
     ResolutionError,
     SingularityError,
@@ -22,9 +30,10 @@ from circle_potential import (
     mu_energy,
     random_trig_polynomial,
 )
+from circle_potential._threads import _BLAS_VARS
 from circle_potential.energy import (
     FourierCoeffs,
-    _chord_power_table,
+    _chord_power_table_base,
     energy_report,
     kernel_column,
     kernel_fault,
@@ -55,7 +64,7 @@ def test_kernel_domain_validation():
 
 def test_chord_power_table_structure():
     n, alpha = 128, 0.5
-    pw = _chord_power_table(n, alpha)
+    pw = _chord_power_table_base(n, alpha)
     assert pw[0] == 0.0
     m = np.arange(1, n)
     expected = (2.0 * np.abs(np.sin(np.pi * m / n))) ** (-(1.0 + alpha))
@@ -91,9 +100,24 @@ def test_samples_validation(grid64):
     assert np.all(s.values == 2.0 + 1j)
 
 
-def test_constant_has_zero_energy(grid256):
+def test_constant_has_zero_energy(grid256, rng):
+    """A function constant on I u J has energy exactly 0.0, also when it
+    varies elsewhere and I u J holds a cell count whose mean of the
+    constant is inexact."""
     f = BoundarySamples.constant(grid256, 3.7 - 0.2j)
     assert dirichlet_energy_global(f, 0.5) == 0.0
+    cases = (
+        (Arc(-1.0, 0.3), Arc(0.1, 1.2)),
+        (Arc.centered(0.4, 0.37), Arc.centered(0.4, 0.37)),
+        (Arc.centered(math.pi, 0.9), Arc(2.0, 2.9)),
+        (ArcFamily((Arc.centered(-2.0, 0.5), Arc.centered(1.0, 0.3))), Arc(-0.4, 0.2)),
+    )
+    for arc_i, arc_j in cases:
+        vals = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        vals[grid256.mask_of(arc_i) | grid256.mask_of(arc_j)] = 3.7 - 0.2j
+        g = BoundarySamples(grid256, vals)
+        for alpha in (0.25, 1.0):
+            assert dirichlet_energy_local(g, arc_i, arc_j, alpha) == 0.0
 
 
 def test_monomial_energy_matches_quadrature(grid1024):
@@ -146,8 +170,8 @@ def test_exact_diagonalization_for_polynomials(grid1024, rng):
 
 def test_seminorm_shift_and_rotation_invariance(grid256, rng):
     """Adding a constant cannot change any energy; rotating the samples
-    by whole cells leaves the double sum identical because kernel tables
-    are indexed by index differences only."""
+    by whole cells permutes the same double sum, because kernel tables
+    are indexed by index differences only, so it agrees to roundoff."""
     alpha = 0.5
     for _ in range(10):
         f, _ = random_trig_polynomial(grid256, 6, rng)
@@ -197,7 +221,7 @@ def test_local_energy_monotone_in_domains(grid256, rng):
 
 
 def test_local_energy_matches_brute_force(grid64, rng):
-    """Blocked accumulation must agree with the naive O(n^2) loop."""
+    """The FFT route must agree with the naive O(n^2) loop."""
     f, _ = random_trig_polynomial(grid64, 3, rng)
     alpha = 0.75
     arc = Arc(-2.0, 1.0)
@@ -296,13 +320,23 @@ def test_measure_fourier_energy_requires_mass(grid64):
 
 
 def test_kernel_fault_hook_scales_energy(grid256):
+    """The fault hook scales every energy, also when the table spectrum
+    was cached by a clean call first."""
     f = monomial(grid256, 2)
+    arc = Arc.centered(0.5, 1.3)
+    mu = DiscreteMeasure.on_set(GridSet.from_arcs(grid256, arc))
     base = dirichlet_energy_global(f, 0.5)
+    local = dirichlet_energy_local(f, arc, arc, 0.5)
+    energy = mu_energy(mu, 0.5)
     clean_entry = kernel_column(256, 0.5)[1]
     with kernel_fault(0.5):
         assert abs(dirichlet_energy_global(f, 0.5) - 1.5 * base) <= 1e-12 * base
+        assert abs(dirichlet_energy_local(f, arc, arc, 0.5) - 1.5 * local) <= 1e-12 * local
+        assert abs(mu_energy(mu, 0.5) - 1.5 * energy) <= 1e-12 * energy
         assert abs(kernel_column(256, 0.5)[1] - 1.5 * clean_entry) < 1e-15
     assert dirichlet_energy_global(f, 0.5) == base
+    assert dirichlet_energy_local(f, arc, arc, 0.5) == local
+    assert mu_energy(mu, 0.5) == energy
 
 
 def test_energy_report_shape(grid256):
@@ -319,3 +353,90 @@ def test_random_polynomial_reproducible(grid64):
     f2, c2 = random_trig_polynomial(grid64, 3, np.random.default_rng(5))
     assert np.array_equal(f1.values, f2.values)
     assert c1 == c2
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_fft_route_matches_direct_sums(n, alpha):
+    """Localized energies and measure energies agree with the blocked
+    direct sums to 1e-12 relative: full circle, 8-cell, long and
+    wrapping arcs, arc families whose window is under and over half the
+    circle, and a +50 offset; measure energies (kernel exponent
+    1 - alpha) on random sparse supports and point masses."""
+    grid = CircleGrid(n)
+    rng = np.random.default_rng(n)
+    h = 2.0 * math.pi / n
+    eight = Arc(grid.angles[n // 3] - h / 2.0, grid.angles[n // 3 + 7] + h / 2.0)
+    long_arc = Arc.centered(-0.5, 4.0)
+    wrap = Arc.centered(math.pi, 1.2)
+    near = ArcFamily((Arc.centered(0.0, 0.6), Arc.centered(0.9, 0.4)))
+    far = ArcFamily((Arc.centered(-1.6, 0.5), Arc.centered(1.6, 0.5)))
+    pairs = (
+        (FULL_CIRCLE, FULL_CIRCLE), (eight, eight), (eight, long_arc), (long_arc, long_arc),
+        (wrap, wrap), (wrap, eight), (near, near), (far, far), (near, far), (far, wrap),
+    )
+    assert len(grid.indices_of(eight)) == 8
+    pw = _chord_power_table_base(n, alpha)
+    f, _ = random_trig_polynomial(grid, 6, rng)
+    for offset in (0.0, 50.0):
+        g = BoundarySamples(grid, f.values + offset)
+        for arc_i, arc_j in pairs:
+            got = dirichlet_energy_local(g, arc_i, arc_j, alpha)
+            want = oracles.pair_sum_direct(
+                g.values, grid.indices_of(arc_i), grid.indices_of(arc_j), pw, n
+            ) / n**2
+            assert abs(got - want) <= 1e-12 * want, (arc_i, arc_j, offset)
+
+    exponent = 1.0 - alpha
+    kappa = np.asarray(kernel_column(n, exponent))
+    measures = [DiscreteMeasure.from_weights(grid, {k: 1.0}) for k in (int(rng.integers(n)), n - 1)]
+    for density in (0.02, 0.3, 1.0):
+        w = rng.uniform(size=n) * (rng.uniform(size=n) < density)
+        w[int(rng.integers(n))] = 1.0
+        measures.append(DiscreteMeasure(grid, w / w.sum()))
+    for mu in measures:
+        want, diagonal = oracles.mu_energy_direct(mu.weights, kappa)
+        rep = mu_energy_report(mu, exponent)
+        assert abs(mu_energy(mu, exponent) - want) <= 1e-12 * want
+        assert rep["value"] == mu_energy(mu, exponent)
+        assert rep["diagnostics"]["diagonal_estimate"] == diagonal
+
+
+def test_energies_independent_of_thread_count():
+    """Global and localized energies and measure energies serialize to
+    the same bytes with one and with two BLAS threads."""
+    script = textwrap.dedent(
+        """
+        import json, math
+        import numpy as np
+        from circle_potential import (
+            Arc, ArcFamily, CircleGrid, DiscreteMeasure, GridSet, FULL_CIRCLE,
+            dirichlet_energy_global, dirichlet_energy_local, mu_energy,
+            random_trig_polynomial,
+        )
+
+        grid = CircleGrid(4096)
+        f, _ = random_trig_polynomial(grid, 12, np.random.default_rng(7))
+        fam = ArcFamily((Arc.centered(-1.0, 0.8), Arc.centered(2.0, 1.5)))
+        out = [dirichlet_energy_global(f, a) for a in (0.25, 0.5, 1.0)]
+        for arc_i, arc_j in ((Arc.centered(0.3, 0.2), Arc.centered(0.4, 0.1)),
+                             (Arc.centered(math.pi, 2.5), fam), (fam, FULL_CIRCLE)):
+            out.append(dirichlet_energy_local(f, arc_i, arc_j, 0.75))
+        w = np.random.default_rng(8).uniform(size=4096)
+        out.append(mu_energy(DiscreteMeasure(grid, w / w.sum()), 0.5))
+        out.append(mu_energy(DiscreteMeasure.on_set(GridSet.from_arcs(grid, fam)), 0.0))
+        print(json.dumps(out))
+        """
+    )
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(base, CIRCLE_POTENTIAL_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert len(json.loads(outputs[0])) == 8
+    assert outputs[0] == outputs[1]
