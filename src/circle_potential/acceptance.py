@@ -37,6 +37,7 @@ from .circle import RESOLUTION_CELLS, Arc, ArcFamily, CircleGrid, GridSet
 from .energy import (
     BoundarySamples,
     DiscreteMeasure,
+    _circulant_block,
     dirichlet_energy_global,
     dirichlet_energy_local,
     energy_weight,
@@ -389,14 +390,13 @@ def small_instance_oracle(ctx: AcceptanceContext) -> CriterionResult:
     n = 64
     grid = CircleGrid(n)
     rng = ctx.rng(8)
-    table = kernel_column(n, 0.5)
     worst = 0.0
     rows = []
     for size in range(1, 7):
         idx = np.sort(rng.choice(n, size=size, replace=False))
         e = GridSet.from_indices(grid, idx)
         est = classical_capacity(e, 0.5, ctx.solver)
-        K = table[(idx[:, None] - idx[None, :]) % n]
+        K = _circulant_block("kernel", n, 0.5, idx)
         brute = 1.0 / _lattice_min_energy(K, 48)
         rel = abs(est.value - brute) / brute
         worst = max(worst, rel)

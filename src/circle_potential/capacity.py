@@ -12,19 +12,18 @@ Two capacities of a grid set E, both with the normalized arc measure:
   convolution k_{1-alpha/2} * f >= 1 on E }. The discrete dual is a
   bound-constrained concave quadratic
       max_{lam >= 0}  sum(lam) - lam^T G lam / (4N),
-  where G is the restricted table of ``energy.autocorr_column``, the
-  circular autocorrelation of the kernel column. The primal density is
+  where G restricts the "autocorr" table of ``energy``, the circular
+  autocorrelation of the kernel column. The primal density is
   recovered as f = (1/2) K^T lam and reported as the minimizer.
 
 After normalization both are one problem: find x >= 0 with M x >= rhs
 on E and equality on the support of x. The classical problem is
 M = K, rhs = 1, with weights w = x / sum(x) and minimal energy
 1 / sum(x); the L2 dual is M = G, rhs = 2N, with lam = x. One driver
-solves both. Descent steps locate the support: Frank-Wolfe or projected
-gradient on the simplex for the classical capacity, projected gradient
-on lam >= 0 for the L2 dual. One active-set polish then solves
-M_AA x = rhs by a direct solve, drops cells with x <= 0 and adds cells
-whose residual r = rhs - M x exceeds tolerance * max(rhs, sum(x)). Its
+solves both by an active-set polish (Lawson-Hanson style), first on
+every cell of E, as Riesz equilibrium measures charge the whole set:
+solve M_AA x = rhs directly, drop cells with x <= 0, add cells whose
+residual r = rhs - M x exceeds tolerance * max(rhs, sum(x)). Its
 certificate, reported as kkt_residual, is
 
     max( max |r| on the support, max(r, 0) off it ) / max(rhs, sum(x)).
@@ -32,14 +31,21 @@ certificate, reported as kkt_residual, is
 For the classical capacity this is the gap between the equilibrium
 potential and its level 1 / sum(x), relative to max(1, level). For the
 L2 dual sum(lam) = 2 C_{alpha,2} stays below 2N, so the scale is 2N and
-the certificate is the dual gradient 1 - (G lam) / (2N). Descent steps
-and polish solves both count toward max_iterations; a solver that runs
-out of iterations, or stalls with neither a descent step nor a polish
+the certificate is the dual gradient 1 - (G lam) / (2N).
+
+Only a polish that fails or misses the tolerance is followed by descent
+steps to relocate the support: Frank-Wolfe or projected gradient on the
+simplex (classical), projected gradient on lam >= 0 (L2), the latter
+two stepping by 1 / (largest row sum of M), a bound on its largest
+eigenvalue as the tables are nonnegative. Descent steps and polish
+solves both count toward max_iterations; a solver that runs out of
+iterations, or stalls with neither a descent step nor a polish
 solution, raises ConvergenceError carrying its best estimate.
 
-Both kernel matrices are pure lookups into difference-indexed tables,
-so rotating E by a whole number of cells permutes the same matrix and
-leaves the computed values unchanged up to roundoff.
+No kernel matrix is formed but the block M_AA of each direct solve:
+products with K or G are FFT convolutions (``energy._circulant_apply``)
+and a Frank-Wolfe column is a table lookup, all indexed by cell
+difference, so rotating E by whole cells changes results by roundoff.
 
 Kernel exponent bookkeeping: for a divergence-test parameter beta, the
 classical capacity uses kernel exponent 1 - beta while the L2 capacity
@@ -49,14 +55,16 @@ single source for this mapping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
+from scipy import linalg
 
 from .circle import GridSet
 from .errors import ConvergenceError, PreconditionError
-from .energy import _circulant_apply, autocorr_column, kernel_column
+from .energy import _circulant_apply, _circulant_block, kernel_column
 
 _STEP_RULES = ("frank_wolfe", "projected_gradient")
 
@@ -82,8 +90,8 @@ class SolverConfig:
     step_rule: str = "frank_wolfe"
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise PreconditionError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise PreconditionError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise PreconditionError("max_iterations must be >= 1")
         if self.step_rule not in _STEP_RULES:
@@ -149,48 +157,33 @@ def _empty_estimate(method: str, alpha: float, n: int, energy_or_norm: float) ->
     )
 
 
-def _restricted(table: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    return table[(idx[:, None] - idx[None, :]) % n]
-
-
-def _power_lambda_max(mat: np.ndarray, iters: int = 40) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration
-    with a fixed deterministic start."""
-    k = mat.shape[0]
-    v = np.full(k, 1.0 / math.sqrt(k))
-    lam = 0.0
-    for _ in range(iters):
-        w = mat @ v
-        lam = float(v @ w)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-    return max(lam, float(v @ (mat @ v)))
-
-
 # ---------------------------------------------------------------------------
 # shared solver: active-set polish, projected gradient, outer driver
 # ---------------------------------------------------------------------------
 
 
-def _kkt_polish(M: np.ndarray, rhs: float, active: np.ndarray, tol: float, rounds: int = 200):
+def _kkt_polish(op: tuple, rhs: float, active: np.ndarray, tol: float, rounds: int = 200):
     """Active-set solve of x >= 0, M x >= rhs, with equality on the support.
 
-    Solves M_AA x = rhs on the active cells. Cells with nonpositive
-    solution are dropped; off-active cells whose residual
-    r = rhs - M x exceeds tol * max(rhs, sum(x)) are added; repeat until
-    clean or the round budget is exhausted. Returns
-    (x, sum(x), residual, solves) with x over the local index range and
-    residual the certificate of the module docstring; None when a solve
-    fails (singular system) or every cell is dropped.
+    M is ``op = (table, n, exponent, cells)`` of ``energy``'s operator
+    and block builder. Solves M_AA x = rhs on the active cells, drops
+    cells with nonpositive solution and adds off-active cells whose
+    residual r = rhs - M x exceeds tol * max(rhs, sum(x)), until clean or
+    out of rounds. Returns (x, residual, solves), x over the local index
+    range and residual the module docstring's certificate;
+    None when a solve fails (singular system) or every cell is dropped.
     """
-    k = M.shape[0]
+    table, n, exponent, cells = op
+    k = len(cells)
     act = active if active.size else np.arange(k)
     solves = 0
     for _ in range(rounds):
         try:
-            x_act = np.linalg.solve(M[np.ix_(act, act)], np.full(len(act), rhs))
+            # Bunch-Kaufman on the symmetric block, factored in place: its
+            # transpose is the same matrix in LAPACK's column-major order
+            x_act = linalg.solve(_circulant_block(table, n, exponent, cells[act]).T,
+                                 np.full(len(act), rhs), assume_a="sym",
+                                 overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
             return None
         solves += 1
@@ -200,18 +193,17 @@ def _kkt_polish(M: np.ndarray, rhs: float, active: np.ndarray, tol: float, round
                 return None
             act = act[keep]
             continue
-        total = float(x_act.sum())
-        scale = max(rhs, total)
+        scale = max(rhs, float(np.sum(x_act)))
         x = np.zeros(k)
         x[act] = x_act
-        r = rhs - M @ x
+        r = rhs - _circulant_apply(*op, x)
         off = np.ones(k, dtype=bool)
         off[act] = False
         viol = np.nonzero(off & (r > tol * scale))[0]
         if viol.size == 0:
             on_res = float(np.max(np.abs(r[act])))
             off_res = float(np.max(r[off], initial=0.0))
-            return x, total, max(on_res, off_res) / scale, solves
+            return x, max(on_res, off_res) / scale, solves
         act = np.union1d(act, viol)
     return None
 
@@ -231,44 +223,44 @@ def _projected_gradient(x: np.ndarray, budget: int, step: float, grad, project):
     return x, steps
 
 
-def _solve(name: str, M: np.ndarray, rhs: float, x: np.ndarray, descend, finish,
+def _solve(name: str, op: tuple, rhs: float, x: np.ndarray, descend, finish,
            support_floor: float, cfg: SolverConfig) -> CapacityEstimate:
     """Outer driver shared by both capacities.
 
-    Each round runs ``descend(x, budget) -> (x, steps)``, polishes the
-    support {x > support_floor * max(x)} and returns
-    ``finish(x, sum(x), residual, iterations)`` of the polish solution
-    once its residual meets the tolerance; the round budget grows
-    fourfold. A round with no descent step and no polish solution could
-    only repeat itself, so it raises ConvergenceError, as does running
-    out of iterations. The error carries the last polished estimate, or
-    else ``finish(x, None, None, iterations)`` of the descent iterate.
+    Round 0 polishes every cell of ``op``. Each later round runs
+    ``descend(x, budget) -> (x, steps)`` from the given x on and polishes
+    the support {x > support_floor * max(x)}; budgets grow fourfold from
+    200. The first polish solution that meets the tolerance is returned
+    as ``finish(x, residual, iterations)``. A later round with no descent
+    step and no polish solution could only repeat itself, so it raises
+    ConvergenceError, as does running out of iterations. The error
+    carries the last polished estimate, or else ``finish(x, None,
+    iterations)`` of the descent iterate.
     """
+    k = len(x)
     total_steps = 0
     budget = 200
     best = None
+    support, steps = np.arange(k), None  # round 0 takes no descent step
     while True:
-        steps = 0
-        remaining = cfg.max_iterations - total_steps
-        if remaining > 0:
-            x, steps = descend(x, min(budget, remaining))
-            total_steps += steps
-        support = np.nonzero(x > support_floor * float(x.max()))[0]
-        polished = _kkt_polish(M, rhs, support, cfg.tolerance)
+        polished = _kkt_polish(op, rhs, support, cfg.tolerance)
         if polished is not None:
-            sol, total, residual, solves = polished
+            sol, residual, solves = polished
             total_steps += solves
-            best = finish(sol, total, residual, total_steps)
+            best = finish(sol, residual, total_steps)
             if residual <= cfg.tolerance:
                 return best
         stalled = steps == 0 and polished is None
         if stalled or total_steps >= cfg.max_iterations:
             if best is None:
-                best = finish(x, None, None, total_steps)
+                best = finish(x, None, total_steps)
             raise ConvergenceError(
                 f"{name} capacity solver did not reach tolerance {cfg.tolerance}",
                 best_estimate=best,
             )
+        x, steps = descend(x, min(budget, cfg.max_iterations - total_steps))
+        total_steps += steps
+        support = np.nonzero(x > support_floor * float(x.max()))[0]
         budget *= 4
 
 
@@ -277,27 +269,28 @@ def _solve(name: str, M: np.ndarray, rhs: float, x: np.ndarray, descend, finish,
 # ---------------------------------------------------------------------------
 
 
-def _frank_wolfe_steps(K: np.ndarray, w: np.ndarray, budget: int, gap_tol: float):
+def _frank_wolfe_steps(apply, column, w: np.ndarray, budget: int, gap_tol: float):
     """Run up to ``budget`` Frank-Wolfe steps with exact line search on the
-    quadratic; returns the updated iterate and the number of steps taken."""
-    kw = K @ w
-    e_val = float(w @ kw)
+    quadratic, ``apply(w)`` being K w and ``column(v)`` the column K[:, v];
+    returns the updated iterate and the number of steps taken."""
+    kw = apply(w)
+    e_val = float(np.sum(w * kw))
     steps = 0
     for _ in range(budget):
         v = int(np.argmin(kw))
         gap = 2.0 * (e_val - float(kw[v]))
         if gap <= gap_tol * max(1.0, abs(e_val)):
             break
-        col = K[:, v]
+        col = column(v)
         a = e_val - float(kw[v])
-        b = e_val - 2.0 * float(kw[v]) + float(K[v, v])
+        b = e_val - 2.0 * float(kw[v]) + float(col[v])
         gamma = 1.0 if b <= 0.0 else min(1.0, max(0.0, a / b))
         if gamma == 0.0:
             break
         w *= 1.0 - gamma
         w[v] += gamma
         kw = (1.0 - gamma) * kw + gamma * col
-        e_val = float(w @ kw)
+        e_val = float(np.sum(w * kw))
         steps += 1
     return w, steps
 
@@ -315,25 +308,33 @@ def classical_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None
     n = e.grid.n_points
     if e.is_empty():
         return _empty_estimate("classical", alpha, n, math.inf)
-    K = _restricted(kernel_column(n, alpha), e.indices, n)
-    k = K.shape[0]
+    cells = e.indices
+    op = ("kernel", n, alpha, cells)
+    apply = partial(_circulant_apply, *op)
 
     if cfg.step_rule == "frank_wolfe":
+        kappa = kernel_column(n, alpha)
+
+        def column(v):
+            return kappa[np.abs(cells - cells[v])]
+
         def descend(w, budget):
-            return _frank_wolfe_steps(K, w, budget, cfg.tolerance)
+            return _frank_wolfe_steps(apply, column, w, budget, cfg.tolerance)
     else:
-        lam_max = _power_lambda_max(K)
-        step = 1.0 / (2.0 * lam_max) if lam_max > 0 else 1.0
+        top = float(np.max(apply(np.ones(len(cells)))))  # largest row sum
+        step = 0.5 / top if top > 0.0 else 1.0
 
         def descend(w, budget):
-            return _projected_gradient(w, budget, step, lambda v: 2.0 * (K @ v), project_simplex)
+            return _projected_gradient(w, budget, step, lambda v: 2.0 * apply(v), project_simplex)
 
-    def finish(x, total, residual, iterations):
-        if total is None:  # a descent iterate, already on the simplex
-            return _finish_classical(e, alpha, x, float(x @ (K @ x)), math.inf, iterations)
+    def finish(x, residual, iterations):
+        if residual is None:  # a descent iterate, already on the simplex
+            return _finish_classical(e, alpha, x, float(np.sum(x * apply(x))), math.inf, iterations)
+        total = float(np.sum(x))
         return _finish_classical(e, alpha, x / total, 1.0 / total, residual, iterations)
 
-    return _solve("classical", K, 1.0, np.full(k, 1.0 / k), descend, finish, 1e-12, cfg)
+    w0 = np.full(len(cells), 1.0 / len(cells))
+    return _solve("classical", op, 1.0, w0, descend, finish, 1e-12, cfg)
 
 
 def _finish_classical(e, alpha, w_loc, energy_val, residual, iterations):
@@ -380,30 +381,29 @@ def l2_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None) -> Ca
     if e.is_empty():
         return _empty_estimate("l2", alpha, n, 0.0)
     exponent = kernel_exponents(alpha).l2_convolution
-    kappa = kernel_column(n, exponent)
-    G = _restricted(autocorr_column(n, exponent), e.indices, n)
-    k = G.shape[0]
-
-    step = (2.0 * n) / float(np.max(np.abs(np.fft.rfft(kappa))) ** 2)
+    cells = e.indices
+    op = ("autocorr", n, exponent, cells)
+    apply = partial(_circulant_apply, *op)
+    rows = apply(np.ones(len(cells)))  # the largest bounds lambda_max
+    step = (2.0 * n) / float(np.max(rows))
 
     def descend(lam, budget):
         return _projected_gradient(
-            lam, budget, step, lambda v: (G @ v) / (2.0 * n) - 1.0, lambda v: np.maximum(0.0, v)
+            lam, budget, step, lambda v: apply(v) / (2.0 * n) - 1.0, lambda v: np.maximum(0.0, v)
         )
 
-    def finish(lam, total, residual, iterations):
-        if total is None:  # a descent iterate: report its largest dual gradient
-            residual = float(np.max(np.abs(1.0 - (G @ lam) / (2.0 * n))))
-        return _finish_l2(e, alpha, exponent, G, lam, residual, iterations)
-
-    row_scale = float(np.mean(G.sum(axis=1)))
-    lam0 = np.full(k, 2.0 * n / row_scale if row_scale > 0 else 1.0)
-    return _solve("l2", G, 2.0 * n, lam0, descend, finish, 0.0, cfg)
+    lam0 = np.full(len(cells), 2.0 * n / float(np.mean(rows)))
+    finish = partial(_finish_l2, e, alpha, exponent)
+    return _solve("l2", op, 2.0 * n, lam0, descend, finish, 0.0, cfg)
 
 
-def _finish_l2(e, alpha, exponent, G, lam, residual, iterations):
+def _finish_l2(e, alpha, exponent, lam, residual, iterations):
+    """Estimate from lam; residual None reports max |1 - (G lam) / (2N)|."""
     n = e.grid.n_points
-    value = float(lam.sum() - lam @ (G @ lam) / (4.0 * n))
+    g_lam = _circulant_apply("autocorr", n, exponent, e.indices, lam)
+    if residual is None:
+        residual = float(np.max(np.abs(1.0 - g_lam / (2.0 * n))))
+    value = float(np.sum(lam) - np.sum(lam * g_lam) / (4.0 * n))
     # f = (1/2) K^T lam; the kernel is even, so this is a convolution
     lam_full = np.zeros(n)
     lam_full[e.indices] = lam
@@ -441,13 +441,7 @@ class ComparabilityReport:
     grid_n: int
 
     def to_json(self) -> dict:
-        return {
-            "c_classical": self.c_classical,
-            "c_l2": self.c_l2,
-            "ratio": self.ratio,
-            "beta": self.beta,
-            "grid_n": self.grid_n,
-        }
+        return asdict(self)
 
 
 def comparability_report(e: GridSet, beta: float, cfg: SolverConfig | None = None) -> ComparabilityReport:

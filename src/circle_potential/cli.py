@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -102,16 +102,7 @@ class Config:
         return CircleGrid(self.grid_n)
 
     def to_json(self) -> dict:
-        return {
-            "grid_n": self.grid_n,
-            "fourier_m": self.fourier_m,
-            "seed": self.seed,
-            "solver": {
-                "tolerance": self.solver.tolerance,
-                "max_iterations": self.solver.max_iterations,
-                "step_rule": self.solver.step_rule,
-            },
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +322,9 @@ def _write_samples_csv(path: str, f: BoundarySamples) -> None:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    # non-finite floats become null, so stdout is strict (RFC 8259) JSON
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    print(json.dumps(strict, sort_keys=True, indent=2, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +490,7 @@ def _cmd_selftest(args, cfg: Config) -> int:
     for item in report["criteria"]:
         status = "PASS" if item["passed"] else "FAIL"
         print(f"{status} {item['name']}", file=sys.stderr)
-    print(json.dumps(report, sort_keys=True, indent=2))
+    _emit(report)
     return EXIT_OK if report["all_passed"] else 1
 
 

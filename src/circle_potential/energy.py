@@ -20,7 +20,8 @@ Quantities computed here, all with the normalized arc measure |dz|/2pi:
 Every double sum is a circulant quadratic form: a table indexed by
 (i - j) mod N between cell values. ``_circulant_apply`` is the one place
 a table meets a vector, by single-threaded FFT with numpy's pairwise
-sums around it, so results are byte-reproducible for given inputs.
+sums around it, so results are byte-reproducible for given inputs;
+``_circulant_block`` builds dense blocks of the same matrices.
 """
 
 from __future__ import annotations
@@ -87,9 +88,10 @@ def kernel_k(alpha: float, chord: float) -> float:
 @lru_cache(maxsize=64)
 def _chord_power_table_base(n: int, alpha: float) -> np.ndarray:
     """pw[m] = (2 sin(pi m / n))^(-(1+alpha)), indexed by the cell difference
-    m = (i - j) mod n; pw[0] = 0 is the midpoint rule's diagonal exclusion."""
+    m = (i - j) mod n; pw[0] = 0 is the midpoint rule's diagonal exclusion.
+    The chord is taken at min(m, n - m), so the table is exactly even."""
     m = np.arange(n)
-    chord = 2.0 * np.abs(np.sin(np.pi * m / n))
+    chord = 2.0 * np.sin(np.pi * np.minimum(m, n - m) / n)
     pw = np.zeros(n)
     pw[1:] = chord[1:] ** (-(1.0 + alpha))
     pw.setflags(write=False)
@@ -104,9 +106,9 @@ def _kernel_column_base(n: int, exponent: float) -> np.ndarray:
         kappa[0] = 2 * integral_0^1 (1 - x) k(2 sin(h x / 2)) dx,  h = 2 pi / n,
 
     the mean of the kernel over a cell-width gap (integrable for
-    exponent < 1)."""
+    exponent < 1). Exactly even, like the chord power table."""
     m = np.arange(n)
-    chord = 2.0 * np.abs(np.sin(np.pi * m / n))
+    chord = 2.0 * np.sin(np.pi * np.minimum(m, n - m) / n)
     kappa = np.zeros(n)
     h = TWO_PI / n
     if exponent == 0.0:
@@ -123,8 +125,8 @@ def _kernel_column_base(n: int, exponent: float) -> np.ndarray:
 
 def kernel_column(n: int, exponent: float) -> np.ndarray:
     """Difference-indexed kernel table for an N-cell grid (see
-    ``_kernel_column_base``); every kernel matrix used by the capacity
-    solvers is a lookup kappa[(i - j) mod n] into this table."""
+    ``_kernel_column_base``); the classical capacity's kernel matrix is
+    the lookup kappa[(i - j) mod n] into this table."""
     if not 0.0 <= exponent < 1.0:
         raise PreconditionError(f"kernel exponent must be in [0, 1), got {exponent}")
     return _faulted(_kernel_column_base(int(n), float(exponent)))
@@ -132,28 +134,27 @@ def kernel_column(n: int, exponent: float) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _autocorr_base(n: int, exponent: float) -> np.ndarray:
+    """A[m] = sum_j kappa[j] kappa[(j - m) mod n], kappa the kernel column:
+    the Gram column of convolution by the kernel (the L2 dual matrix),
+    folded at min(m, n - m) so that it is exactly even."""
     spec = np.fft.rfft(_kernel_column_base(n, exponent))
     out = np.fft.irfft(spec * np.conj(spec), n)
+    m = np.arange(n)
+    out = out[np.minimum(m, n - m)]
     out.setflags(write=False)
     return out
 
 
-def autocorr_column(n: int, exponent: float) -> np.ndarray:
-    """A[m] = sum_j kappa[j] kappa[(j - m) mod n] for kappa =
-    ``kernel_column(n, exponent)``: the Gram column of convolution by the
-    kernel, so the L2 dual matrix is the lookup A[(i - k) mod n]. Under
-    the kernel fault hook it scales by (1 + fault)^2, as kappa does by
-    (1 + fault)."""
-    if not 0.0 <= exponent < 1.0:
-        raise PreconditionError(f"kernel exponent must be in [0, 1), got {exponent}")
-    return _faulted(_autocorr_base(int(n), float(exponent)), 2)
+# Table name -> (cached even base table, power of (1 + fault) it carries).
+_TABLES = {"chord": (_chord_power_table_base, 1), "kernel": (_kernel_column_base, 1),
+           "autocorr": (_autocorr_base, 2)}
 
 
 @lru_cache(maxsize=256)
 def _spectrum_base(table: str, n: int, exponent: float, m: int) -> np.ndarray:
     """Real spectrum of the windowed table t[min(d, m - d)], d < m, for t
-    the even "chord" power table or "kernel" column of an n-cell grid."""
-    t = (_chord_power_table_base if table == "chord" else _kernel_column_base)(n, exponent)
+    one of the even ``_TABLES`` of an n-cell grid."""
+    t = _TABLES[table][0](n, exponent)
     d = np.arange(m)
     spec = np.fft.rfft(t[np.minimum(d, m - d)]).real
     spec.setflags(write=False)
@@ -174,8 +175,19 @@ def _circulant_apply(table: str, n: int, exponent: float, cells: np.ndarray, x: 
     pos = (cells - start) % n
     buf = np.zeros(x.shape[:-1] + (m,))
     buf[..., pos] = x
-    spec = _faulted(_spectrum_base(table, n, float(exponent), m))
+    spec = _faulted(_spectrum_base(table, n, float(exponent), m), _TABLES[table][1])
     return np.fft.irfft(np.fft.rfft(buf) * spec, m)[..., pos]
+
+
+def _circulant_block(table: str, n: int, exponent: float, cells: np.ndarray) -> np.ndarray:
+    """The dense block t[|cells[a] - cells[b]|] of the matrix that
+    ``_circulant_apply`` applies. The tables are even, so this needs no
+    modulo; int32 differences keep the k x k temporary half its size."""
+    base, power = _TABLES[table]
+    c = np.asarray(cells, dtype=np.int32)
+    d = c[:, None] - c[None, :]
+    np.abs(d, out=d)
+    return _faulted(base(n, float(exponent)), power)[d]
 
 
 @dataclass(frozen=True)

@@ -116,3 +116,34 @@ def mu_energy_direct(weights: np.ndarray, kappa: np.ndarray) -> tuple[float, flo
         k_blk = off[(ia[:, None] - support[None, :]) % n]
         total += float(w[s : s + block] @ (k_blk @ w))
     return total + diagonal, diagonal
+
+
+def autocorr_direct(kappa: np.ndarray) -> np.ndarray:
+    """A[m] = sum_j kappa[j] kappa[(j - m) mod n], one dot product per m."""
+    return np.array([float(kappa @ np.roll(kappa, m)) for m in range(len(kappa))])
+
+
+def restricted_dense(table: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """The dense k x k matrix table[(i - j) mod n] over the cells idx, as
+    the capacity solvers formed it before they became matrix-free."""
+    return np.asarray(table)[(idx[:, None] - idx[None, :]) % n]
+
+
+def capacity_dense(M: np.ndarray, rhs: float, rounds: int = 50) -> np.ndarray:
+    """x >= 0 with M x >= rhs and equality on the support of x, by direct
+    np.linalg.solve on an active set that starts at every cell, drops
+    cells with x <= 0 and adds cells where M x falls short of rhs."""
+    k = len(M)
+    act = np.arange(k)
+    for _ in range(rounds):
+        x_act = np.linalg.solve(M[np.ix_(act, act)], np.full(len(act), rhs))
+        if np.any(x_act <= 0.0):
+            act = act[x_act > 0.0]
+            continue
+        x = np.zeros(k)
+        x[act] = x_act
+        short = np.setdiff1d(np.nonzero(M @ x < rhs * (1.0 - 1e-12))[0], act)
+        if short.size == 0:
+            return x
+        act = np.union1d(act, short)
+    raise RuntimeError("dense active set did not settle")

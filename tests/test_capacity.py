@@ -24,8 +24,11 @@ from circle_potential import (
     l2_capacity,
     mu_energy,
 )
+from circle_potential import capacity
+from circle_potential._threads import _BLAS_VARS
 from circle_potential.capacity import _finish_l2, potential_on_set, project_simplex
-from circle_potential.energy import autocorr_column, kernel_column, kernel_fault
+from circle_potential.energy import kernel_column, kernel_fault
+from circle_potential.uniqueness import CantorSpec, PowerChoice, cantor_grid_set
 
 
 def test_kernel_exponent_mapping():
@@ -300,9 +303,8 @@ def test_l2_density_matches_direct_loop(n, rng):
     )
     idx = e.indices
     kappa = kernel_column(n, 0.75)
-    G = autocorr_column(n, 0.75)[(idx[:, None] - idx[None, :]) % n]
     lam = rng.uniform(0.0, 2.0, size=len(idx))
-    f = _finish_l2(e, 0.5, 0.75, G, lam, 0.0, 0).minimizer
+    f = _finish_l2(e, 0.5, 0.75, lam, 0.0, 0).minimizer
     ref = oracles.l2_density_direct(np.asarray(kappa), idx, lam)
     assert np.max(np.abs(f - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -339,3 +341,107 @@ def test_kernel_fault_scales_both_capacities(grid256, solver, scale):
         l2_fault = l2_capacity(e, 0.5, solver).value
     assert abs(c_fault - c_base / (1.0 + scale)) <= 1e-6 * c_fault
     assert abs(l2_fault - l2_base / (1.0 + scale) ** 2) <= 1e-6 * l2_fault
+
+
+def _agreement_sets(grid):
+    return {
+        "full": GridSet.full(grid),
+        "half": GridSet.from_arcs(grid, Arc(-math.pi / 2.0, math.pi / 2.0), mode="cover"),
+        "two-arcs": GridSet.from_arcs(grid, Arc(0.3, 1.7)).union(
+            GridSet.from_arcs(grid, Arc(-2.4, -1.9))
+        ),
+        "cantor-4": cantor_grid_set(CantorSpec(rule=PowerChoice(0.5), depth=4, offset=3), grid),
+    }
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_capacities_match_dense_route(n, solver):
+    """The matrix-free solvers agree to 1e-9 relative with a direct dense
+    solve on the k x k restricted matrices: classical capacity sum(x) for
+    K x = 1, L2 capacity sum(lam) - lam^T G lam / (4N) for G lam = 2N."""
+    for name, e in _agreement_sets(CircleGrid(n)).items():
+        idx = e.indices
+        for exponent in (0.0, 0.25, 0.5):
+            K = oracles.restricted_dense(kernel_column(n, exponent), idx, n)
+            want = float(np.sum(oracles.capacity_dense(K, 1.0)))
+            got = classical_capacity(e, exponent, solver).value
+            assert abs(got - want) <= 1e-9 * want, (name, exponent, got, want)
+        for alpha in (0.5, 1.0):
+            kappa = np.asarray(kernel_column(n, kernel_exponents(alpha).l2_convolution))
+            G = oracles.restricted_dense(oracles.autocorr_direct(kappa), idx, n)
+            lam = oracles.capacity_dense(G, 2.0 * n)
+            want = float(np.sum(lam) - lam @ (G @ lam) / (4.0 * n))
+            got = l2_capacity(e, alpha, solver).value
+            assert abs(got - want) <= 1e-9 * want, (name, alpha, got, want)
+
+
+def test_half_circle_certifies_on_first_solve(grid256, solver):
+    """Equilibrium measures charge the whole set, so the first polish,
+    over every cell, certifies: one solve and no descent step."""
+    e = GridSet.from_arcs(grid256, Arc(-math.pi / 2.0, math.pi / 2.0), mode="cover")
+    for est in (classical_capacity(e, 0.5, solver), l2_capacity(e, 0.5, solver)):
+        assert est.iterations == 1
+        assert est.kkt_residual <= solver.tolerance
+
+
+@pytest.mark.parametrize(
+    "solve, rule",
+    [
+        (classical_capacity, "frank_wolfe"),
+        (classical_capacity, "projected_gradient"),
+        (l2_capacity, "projected_gradient"),
+    ],
+)
+def test_descent_fallback_reaches_tolerance(monkeypatch, grid256, solve, rule):
+    """When the first polish yields nothing, descent steps and the next
+    polish still reach tolerance and the same value."""
+    e = GridSet.from_arcs(grid256, Arc(0.3, 1.7)).union(
+        GridSet.from_arcs(grid256, Arc(-2.4, -1.9))
+    )
+    cfg = SolverConfig(step_rule=rule)
+    want = solve(e, 0.5, cfg).value
+    polish = capacity._kkt_polish
+    calls = []
+
+    def first_fails(*args, **kwargs):
+        calls.append(None)
+        return None if len(calls) == 1 else polish(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "_kkt_polish", first_fails)
+    est = solve(e, 0.5, cfg)
+    assert len(calls) >= 2
+    assert est.iterations > 2
+    assert est.kkt_residual <= cfg.tolerance
+    assert abs(est.value - want) <= 1e-9 * want
+
+
+def test_capacities_independent_of_thread_count():
+    """Capacity JSON and minimizer bytes are the same with one and with
+    two BLAS threads."""
+    script = textwrap.dedent(
+        """
+        import hashlib, json
+        from circle_potential import Arc, CircleGrid, GridSet, classical_capacity, l2_capacity
+
+        grid = CircleGrid(4096)
+        out = []
+        for est in (
+            classical_capacity(GridSet.full(grid), 0.5),
+            l2_capacity(GridSet.from_arcs(grid, Arc(-1.5, 1.5)), 0.5),
+        ):
+            out.append([est.to_json(), hashlib.sha256(est.minimizer.tobytes()).hexdigest()])
+        print(json.dumps(out, sort_keys=True))
+        """
+    )
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(base, CIRCLE_POTENTIAL_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, timeout=300, env=env
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert len(json.loads(outputs[0])) == 2
+    assert outputs[0] == outputs[1]

@@ -329,6 +329,39 @@ def test_zero_flag_values_are_rejected(capsys, flag):
     assert "error" in err
 
 
+def test_infinite_tolerance_is_rejected(capsys):
+    """An infinite tolerance would count any polish as certified."""
+    code, out, err = run_cli(
+        capsys, "capacity", "--method", "classical", "--alpha", "0.5",
+        "--set", "half", "--grid-n", "256", "--tolerance", "inf",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_non_finite_values_print_as_null(capsys):
+    """stdout is strict JSON: the empty set's infinite minimal energy and
+    the ratio of two zero capacities print as null."""
+    empty = '{"arcs": []}'
+    code, out, _ = run_cli(
+        capsys, "capacity", "--method", "classical", "--alpha", "0.5",
+        "--set", empty, "--grid-n", "64",
+    )
+    assert code == 0
+    assert json.loads(out, parse_constant=_reject_constant)["estimate"]["energy_or_norm"] is None
+    code, out, _ = run_cli(
+        capsys, "capacity", "--method", "compare", "--alpha", "0.5",
+        "--set", empty, "--grid-n", "64",
+    )
+    assert code == 0
+    assert json.loads(out, parse_constant=_reject_constant)["comparability"]["ratio"] is None
+
+
 def test_no_convergence_exit_3(capsys):
     code, _, err = run_cli(
         capsys, "capacity", "--method", "classical", "--alpha", "0.5",

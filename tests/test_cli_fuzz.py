@@ -4,7 +4,7 @@ Argument vectors are drawn per subcommand. Each value is usually valid
 and otherwise a near miss or junk, so runs reach the library as well as
 the argument readers. Every run must end with a documented exit code
 (0, 2, 3 or 64), nothing on stderr may be a traceback, and stdout is
-empty or one JSON document. The work per example stays small: 64-cell
+empty or one strict (RFC 8259) JSON document: no NaN or Infinity. The work per example stays small: 64-cell
 grids (512 for ``extend``, whose reflected arcs need it; 128 for the
 selftest, whose criteria need it), a solver budget of at most 500
 iterations, and small series lengths, Cantor depths and sweeps.
@@ -202,6 +202,10 @@ def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -220,4 +224,4 @@ def test_cli_exit_codes_without_traceback(out_dir, argv):
     assert code in (0, 2, 3, 64), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     if out:
-        json.loads(out)
+        json.loads(out, parse_constant=_reject_constant)

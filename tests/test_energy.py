@@ -32,8 +32,10 @@ from circle_potential import (
 )
 from circle_potential._threads import _BLAS_VARS
 from circle_potential.energy import (
+    _TABLES,
     FourierCoeffs,
     _chord_power_table_base,
+    _circulant_block,
     energy_report,
     kernel_column,
     kernel_fault,
@@ -70,6 +72,16 @@ def test_chord_power_table_structure():
     expected = (2.0 * np.abs(np.sin(np.pi * m / n))) ** (-(1.0 + alpha))
     assert np.allclose(pw[1:], expected, rtol=1e-14)
     assert np.allclose(pw[1:], pw[1:][::-1], rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_block_builder_matches_dense_lookup(n, rng):
+    """The block t[|a - b|] equals the lookup t[(a - b) mod n] exactly,
+    wrapped cell pairs included: every table is exactly even."""
+    cells = np.union1d(rng.choice(n, size=40, replace=False), [0, 1, n - 2, n - 1])
+    for table, exponent in (("chord", 0.5), ("kernel", 0.0), ("kernel", 0.75), ("autocorr", 0.75)):
+        dense = oracles.restricted_dense(_TABLES[table][0](n, exponent), cells, n)
+        assert np.array_equal(_circulant_block(table, n, exponent, cells), dense)
 
 
 def test_kernel_column_cell_average_diagonal():
