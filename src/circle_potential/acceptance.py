@@ -618,8 +618,9 @@ def run_all(
     """Run the acceptance criteria and return the JSON-able report.
 
     kernel_fault_scale corrupts the kernel tables through the test hook
-    (nonzero values are expected to produce named failures); ``only``
-    restricts to a subset of criterion names.
+    (nonzero values are expected to produce named failures; one that is
+    not finite and > -1 raises PreconditionError); ``only`` restricts to
+    a subset of criterion names.
     """
     ctx = AcceptanceContext(grid_n=grid_n, seed=seed, solver=solver or SolverConfig())
     selected = [fn for fn in CRITERIA if only is None or fn.__name__ in only]

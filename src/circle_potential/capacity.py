@@ -22,7 +22,7 @@ M = K, rhs = 1, with weights w = x / sum(x) and minimal energy
 1 / sum(x); the L2 dual is M = G, rhs = 2N, with lam = x. One driver
 solves both by an active-set polish (Lawson-Hanson style), first on
 every cell of E, as Riesz equilibrium measures charge the whole set:
-solve M_AA x = rhs directly, drop cells with x <= 0, add cells whose
+solve M_AA x = rhs, drop cells with x <= 0, add cells whose
 residual r = rhs - M x exceeds tolerance * max(rhs, sum(x)). Its
 certificate, reported as kkt_residual, is
 
@@ -42,10 +42,14 @@ solves both count toward max_iterations; a solver that runs out of
 iterations, or stalls with neither a descent step nor a polish
 solution, raises ConvergenceError carrying its best estimate.
 
-No kernel matrix is formed but the block M_AA of each direct solve:
-products with K or G are FFT convolutions (``energy._circulant_apply``)
-and a Frank-Wolfe column is a table lookup, all indexed by cell
-difference, so rotating E by whole cells changes results by roundoff.
+Every block M_AA is symmetric positive definite (the full circulants
+are, and principal blocks inherit it). Active sets of up to _CG_CELLS
+cells are solved by a dense factorization of the block, the only kernel
+matrix ever formed; larger ones by conjugate gradients, whose products
+with M_AA, like every other product with K or G, are FFT convolutions
+(``energy._circulant_apply``). A Frank-Wolfe column is a table lookup.
+All of these are indexed by cell difference, so rotating E by whole
+cells changes results by roundoff.
 
 Kernel exponent bookkeeping: for a divergence-test parameter beta, the
 classical capacity uses kernel exponent 1 - beta while the L2 capacity
@@ -162,29 +166,79 @@ def _empty_estimate(method: str, alpha: float, n: int, energy_or_norm: float) ->
 # ---------------------------------------------------------------------------
 
 
+# Active sets of more cells than this are solved by conjugate gradients,
+# smaller ones by a dense factorization of the block, which is faster
+# there (crossover measured on one thread; table in CHANGES.md).
+_CG_CELLS = 768
+# Conjugate gradients stop at ||r|| <= _CG_RTOL ||b||, far inside the KKT
+# tolerance. The cap is about eight times the most iterations measured:
+# about 640, on a half circle of 65536 cells at exponent 0 or L2 alpha 1.
+_CG_RTOL = 1e-13
+_CG_MAX_ITERATIONS = 5000
+
+
+def _conjugate_gradient(apply, b: np.ndarray):
+    """Plain conjugate gradients for A x = b from x = 0, ``apply(p)`` being
+    A p; None on nonpositive curvature or at the iteration cap."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rr = float(np.sum(r * r))
+    stop = _CG_RTOL**2 * rr
+    for _ in range(_CG_MAX_ITERATIONS):
+        ap = apply(p)
+        curvature = float(np.sum(p * ap))
+        if not curvature > 0.0:
+            return None
+        step = rr / curvature
+        x += step * p
+        r -= step * ap
+        rr_next = float(np.sum(r * r))
+        if rr_next <= stop:
+            return x
+        p = r + (rr_next / rr) * p
+        rr = rr_next
+    return None
+
+
+def _block_solve(table: str, n: int, exponent: float, cells: np.ndarray, rhs: float):
+    """x with M_AA x = rhs on ``cells``, or None when the solve fails. Up
+    to _CG_CELLS cells the block is formed and factored; above, conjugate
+    gradients apply M_AA by ``energy._circulant_apply``, so no k x k
+    array exists."""
+    b = np.full(len(cells), rhs)
+    if len(cells) > _CG_CELLS:
+        return _conjugate_gradient(partial(_circulant_apply, table, n, exponent, cells), b)
+    try:
+        # Bunch-Kaufman on the symmetric block, factored in place: its
+        # transpose is the same matrix in LAPACK's column-major order
+        return linalg.solve(_circulant_block(table, n, exponent, cells).T, b,
+                            assume_a="sym", overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _kkt_polish(op: tuple, rhs: float, active: np.ndarray, tol: float, rounds: int = 200):
     """Active-set solve of x >= 0, M x >= rhs, with equality on the support.
 
-    M is ``op = (table, n, exponent, cells)`` of ``energy``'s operator
-    and block builder. Solves M_AA x = rhs on the active cells, drops
-    cells with nonpositive solution and adds off-active cells whose
-    residual r = rhs - M x exceeds tol * max(rhs, sum(x)), until clean or
-    out of rounds. Returns (x, residual, solves), x over the local index
-    range and residual the module docstring's certificate;
-    None when a solve fails (singular system) or every cell is dropped.
+    M is ``op = (table, n, exponent, cells)`` of ``energy``'s operator.
+    Solves M_AA x = rhs on the active cells (``_block_solve``: dense up
+    to _CG_CELLS cells, conjugate gradients above), drops cells with
+    nonpositive solution and adds off-active cells whose residual
+    r = rhs - M x, formed with x over every cell, exceeds
+    tol * max(rhs, sum(x)), until clean or out of rounds. Returns
+    (x, residual, solves), x over the local index range and residual the
+    module docstring's certificate; None when a solve fails (singular
+    block, or conjugate gradients meet nonpositive curvature or their
+    iteration cap) or every cell is dropped.
     """
     table, n, exponent, cells = op
     k = len(cells)
     act = active if active.size else np.arange(k)
     solves = 0
     for _ in range(rounds):
-        try:
-            # Bunch-Kaufman on the symmetric block, factored in place: its
-            # transpose is the same matrix in LAPACK's column-major order
-            x_act = linalg.solve(_circulant_block(table, n, exponent, cells[act]).T,
-                                 np.full(len(act), rhs), assume_a="sym",
-                                 overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError:
+        x_act = _block_solve(table, n, exponent, cells[act], rhs)
+        if x_act is None:
             return None
         solves += 1
         if np.any(x_act <= 0.0):

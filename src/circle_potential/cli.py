@@ -613,7 +613,8 @@ def build_parser() -> UsageParser:
     p.set_defaults(handler=_cmd_cantor)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
-    p.add_argument("--kernel-fault", type=float, default=0.0, help="fault-injection hook")
+    p.add_argument("--kernel-fault", type=float, default=0.0,
+                   help="fault-injection hook: scale kernel tables by 1 + s, s > -1")
     p.add_argument("--only", default=None, help="comma-separated criterion names")
     _add_common(p)
     p.set_defaults(handler=_cmd_selftest)

@@ -47,8 +47,13 @@ _KERNEL_FAULT = 0.0
 
 @contextmanager
 def kernel_fault(scale: float):
-    """Temporarily perturb kernel tables by a relative factor (test hook)."""
+    """Temporarily perturb kernel tables by a relative factor (test hook).
+
+    The scale must be finite and > -1: at -1 every table vanishes, and
+    below it every table changes sign."""
     global _KERNEL_FAULT
+    if not -1.0 < scale < math.inf:
+        raise PreconditionError(f"kernel fault scale must be finite and > -1, got {scale}")
     old = _KERNEL_FAULT
     _KERNEL_FAULT = float(scale)
     try:

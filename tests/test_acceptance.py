@@ -131,6 +131,20 @@ def test_grid_below_128_is_rejected(capsys):
     assert ">= 128" in captured.err
 
 
+@pytest.mark.parametrize("scale", ["-1", "-2.5", "nan", "inf", "-inf"])
+def test_invalid_kernel_fault_is_rejected(capsys, scale):
+    """A fault scale of -1 zeroes every kernel table and a smaller one
+    flips their sign; such scales and non-finite ones are refused
+    (exit 2) instead of ending in a traceback."""
+    with pytest.raises(PreconditionError):
+        run_all(grid_n=128, kernel_fault_scale=float(scale), only=["seminorm_invariances"])
+    assert main(["selftest", f"--kernel-fault={scale}", "--grid-n", "128"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "kernel fault scale" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_fault_injection_is_detected():
     """Corrupting the kernel tables by 50% must flip the quadrature
     cross-check to FAIL while the internally consistent invariance

@@ -344,7 +344,7 @@ def test_kernel_fault_scales_both_capacities(grid256, solver, scale):
 
 
 def _agreement_sets(grid):
-    return {
+    sets = {
         "full": GridSet.full(grid),
         "half": GridSet.from_arcs(grid, Arc(-math.pi / 2.0, math.pi / 2.0), mode="cover"),
         "two-arcs": GridSet.from_arcs(grid, Arc(0.3, 1.7)).union(
@@ -352,14 +352,30 @@ def _agreement_sets(grid):
         ),
         "cantor-4": cantor_grid_set(CantorSpec(rule=PowerChoice(0.5), depth=4, offset=3), grid),
     }
+    # an arc and scattered cells on each side of the dense/CG crossover
+    k = capacity._CG_CELLS
+    if grid.n_points > k + 1:
+        scattered = np.random.default_rng(7).permutation(grid.n_points)
+        for side, size in (("below", k), ("above", k + 1)):
+            sets[f"arc-{side}"] = GridSet.from_indices(grid, np.arange(size) + 100)
+            sets[f"scattered-{side}"] = GridSet.from_indices(grid, scattered[:size])
+    return sets
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
-def test_capacities_match_dense_route(n, solver):
+def test_capacities_match_dense_route(n, solver, monkeypatch):
     """The matrix-free solvers agree to 1e-9 relative with a direct dense
     solve on the k x k restricted matrices: classical capacity sum(x) for
-    K x = 1, L2 capacity sum(lam) - lam^T G lam / (4N) for G lam = 2N."""
+    K x = 1, L2 capacity sum(lam) - lam^T G lam / (4N) for G lam = 2N.
+    Sets just above the crossover are solved by conjugate gradients,
+    sets at it by the dense block."""
+    cg_sizes = []
+    cg = capacity._conjugate_gradient
+    monkeypatch.setattr(
+        capacity, "_conjugate_gradient", lambda apply, b: cg_sizes.append(len(b)) or cg(apply, b)
+    )
     for name, e in _agreement_sets(CircleGrid(n)).items():
+        cg_sizes.clear()
         idx = e.indices
         for exponent in (0.0, 0.25, 0.5):
             K = oracles.restricted_dense(kernel_column(n, exponent), idx, n)
@@ -373,6 +389,10 @@ def test_capacities_match_dense_route(n, solver):
             want = float(np.sum(lam) - lam @ (G @ lam) / (4.0 * n))
             got = l2_capacity(e, alpha, solver).value
             assert abs(got - want) <= 1e-9 * want, (name, alpha, got, want)
+        if name.endswith("-below"):
+            assert cg_sizes == [], name
+        if name.endswith("-above"):
+            assert capacity._CG_CELLS + 1 in cg_sizes, name
 
 
 def test_half_circle_certifies_on_first_solve(grid256, solver):
@@ -417,17 +437,22 @@ def test_descent_fallback_reaches_tolerance(monkeypatch, grid256, solve, rule):
 
 def test_capacities_independent_of_thread_count():
     """Capacity JSON and minimizer bytes are the same with one and with
-    two BLAS threads."""
+    two BLAS threads, on both sides of the dense/CG crossover and up to
+    the 8192-cell full circle."""
     script = textwrap.dedent(
         """
         import hashlib, json
+        import numpy as np
         from circle_potential import Arc, CircleGrid, GridSet, classical_capacity, l2_capacity
 
-        grid = CircleGrid(4096)
+        grid, large = CircleGrid(4096), CircleGrid(8192)
         out = []
         for est in (
             classical_capacity(GridSet.full(grid), 0.5),
             l2_capacity(GridSet.from_arcs(grid, Arc(-1.5, 1.5)), 0.5),
+            classical_capacity(GridSet.from_arcs(grid, Arc(0.2, 1.2)), 0.0),
+            classical_capacity(GridSet.full(large), 0.5),
+            l2_capacity(GridSet.from_indices(large, np.arange(7500)), 1.0),
         ):
             out.append([est.to_json(), hashlib.sha256(est.minimizer.tobytes()).hexdigest()])
         print(json.dumps(out, sort_keys=True))
@@ -443,5 +468,69 @@ def test_capacities_independent_of_thread_count():
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
-    assert len(json.loads(outputs[0])) == 2
+    assert len(json.loads(outputs[0])) == 5
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "solve, rule",
+    [
+        (classical_capacity, "frank_wolfe"),
+        (classical_capacity, "projected_gradient"),
+        (l2_capacity, "projected_gradient"),
+    ],
+)
+def test_conjugate_gradient_failure_falls_back(monkeypatch, grid256, solve, rule):
+    """A conjugate-gradient solve that gives up fails the polish like a
+    singular dense solve: descent then takes over and reaches the same
+    value, and a solver whose every solve gives up still stops, with
+    ConvergenceError on max_iterations."""
+    monkeypatch.setattr(capacity, "_CG_CELLS", 8)  # conjugate gradients on every polish
+    e = GridSet.from_arcs(grid256, Arc(0.3, 1.7)).union(
+        GridSet.from_arcs(grid256, Arc(-2.4, -1.9))
+    )
+    cfg = SolverConfig(step_rule=rule)
+    want = solve(e, 0.5, cfg)
+    assert want.iterations == 1
+
+    cg = capacity._conjugate_gradient
+    calls = []
+
+    def first_gives_up(apply, b):
+        calls.append(None)
+        return None if len(calls) == 1 else cg(apply, b)
+
+    monkeypatch.setattr(capacity, "_conjugate_gradient", first_gives_up)
+    est = solve(e, 0.5, cfg)
+    assert len(calls) >= 2
+    assert est.iterations > 2
+    assert est.kkt_residual <= cfg.tolerance
+    assert abs(est.value - want.value) <= 1e-9 * want.value
+
+    monkeypatch.setattr(capacity, "_conjugate_gradient", cg)
+    monkeypatch.setattr(capacity, "_CG_MAX_ITERATIONS", 0)
+    with pytest.raises(ConvergenceError) as info:
+        solve(e, 0.5, SolverConfig(step_rule=rule, max_iterations=300))
+    assert info.value.best_estimate.iterations == 300
+    assert info.value.best_estimate.value > 0.0
+
+
+def test_capacities_at_65536_cells():
+    """At N = 65536 the full circle's equilibrium measure is uniform, so
+    its classical capacity is N / sum(kernel column); a half circle
+    (conjugate gradients) and a depth-6 Cantor set (dense block)
+    certify on their first solve."""
+    n = 65536
+    grid = CircleGrid(n)
+    for exponent in (0.0, 0.5):
+        want = n / float(np.sum(kernel_column(n, exponent)))
+        est = classical_capacity(GridSet.full(grid), exponent)
+        assert est.iterations == 1
+        assert abs(est.value - want) <= 1e-12 * want, (exponent, est.value, want)
+    half = GridSet.from_arcs(grid, Arc(-math.pi / 2.0, math.pi / 2.0), mode="cover")
+    cantor = cantor_grid_set(CantorSpec(rule=PowerChoice(0.5), depth=6, offset=3), grid)
+    for e in (half, cantor):
+        for est in (classical_capacity(e, 0.5), l2_capacity(e, 1.0)):
+            assert est.iterations == 1, (e.count, est.method)
+            assert est.kkt_residual <= SolverConfig().tolerance
+            assert est.value > 0.0

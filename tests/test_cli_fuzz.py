@@ -25,6 +25,7 @@ from circle_potential.cli import main  # noqa: E402
 
 JUNK = st.text(alphabet='{}[]":,.=-_0123456789eaxnrt ', max_size=16)
 BAD_NUMBERS = ["-1", "0", "1.5", "nan", "inf", "1e400", "x", ""]
+FAULTS = ["0", "-1", "-1.5", "-1e400", "nan", "inf", "-inf", "x"]
 
 
 def mix(valid, bad=()):
@@ -188,11 +189,16 @@ ARGV = st.one_of(
     # budget legitimately fails a criterion, exit 1) and runs at 128
     # cells, the smallest grid at which every criterion passes. The
     # lattice oracle does not depend on the grid and has its own test.
-    st.lists(
-        mix([n for n in criterion_names() if n != "small_instance_oracle"], ["", "nope"]),
-        min_size=1,
-        max_size=3,
-    ).map(lambda names: ["selftest", "--only", ",".join(names), "--grid-n", "128"]),
+    # A kernel fault is 0 or invalid, as a valid nonzero one also fails
+    # a criterion.
+    st.tuples(
+        st.lists(
+            mix([n for n in criterion_names() if n != "small_instance_oracle"], ["", "nope"]),
+            min_size=1,
+            max_size=3,
+        ),
+        st.just([]) | st.sampled_from(FAULTS).map(lambda v: [f"--kernel-fault={v}"]),
+    ).map(lambda p: ["selftest", "--only", ",".join(p[0]), *p[1], "--grid-n", "128"]),
     st.lists(JUNK, max_size=4),
 )
 
