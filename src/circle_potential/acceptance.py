@@ -19,7 +19,6 @@ tolerance. No criterion records timing, so reports are byte-reproducible.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -357,29 +356,47 @@ def comparability_stability(ctx: AcceptanceContext) -> CriterionResult:
     )
 
 
-#: Lattice points scored per einsum call in the oracle (a memory knob).
-_LATTICE_CHUNK = 500_000
+def _compositions(total: int, parts: int) -> list[np.ndarray]:
+    """For every s <= total, the compositions of s into ``parts``
+    nonnegative parts as the rows of a small-int array, in lexicographic
+    order. Built a part at a time: the compositions of s into p + 1 parts
+    are those with first part 0, then those of s - 1 with the first part
+    raised by one."""
+    dtype = np.min_scalar_type(total)
+    level = [np.zeros((1 if s == 0 else 0, 0), dtype=dtype) for s in range(total + 1)]
+    for p in range(parts):
+        nxt = []
+        for s in range(total + 1):
+            head = len(level[s])
+            block = np.zeros((head + (len(nxt[-1]) if s else 0), p + 1), dtype=dtype)
+            block[:head, 1:] = level[s]
+            if s:
+                block[head:] = nxt[-1]
+                block[head:, 0] += 1
+            nxt.append(block)
+        level = nxt
+    return level
 
 
 def _lattice_min_energy(K: np.ndarray, subdivisions: int) -> float:
     """Exhaustive minimum of w^T K w over the lattice of probability
     vectors with denominators ``subdivisions`` (small instances only).
 
-    The lattice is enumerated by stars and bars: each choice of c - 1
-    bar positions among ``subdivisions + c - 1`` slots is one
-    composition of ``subdivisions`` into c parts, taken in
-    lexicographic order and scored in fixed chunks.
+    The lattice points are the compositions of ``subdivisions`` into c
+    parts, scored in one chunk per value f of the first part: the rows
+    [f, r] for r a composition of ``subdivisions - f`` into c - 1 parts.
     """
     c = K.shape[0]
-    slots = subdivisions + c - 1
-    bars = itertools.combinations(range(slots), c - 1)
-    total = math.comb(slots, c - 1)
+    rest = _compositions(subdivisions, c - 1)
     best = math.inf
-    for start in range(0, total, _LATTICE_CHUNK):
-        rows = min(_LATTICE_CHUNK, total - start)
-        flat = itertools.chain.from_iterable(itertools.islice(bars, rows))
-        chunk = np.fromiter(flat, dtype=np.int32, count=rows * (c - 1)).reshape(rows, c - 1)
-        w = (np.diff(chunk, prepend=np.int32(-1), append=np.int32(slots)) - 1) / subdivisions
+    for f in range(subdivisions + 1):
+        tail = rest[subdivisions - f]
+        if not len(tail):
+            continue
+        w = np.empty((len(tail), c))
+        w[:, 0] = f
+        w[:, 1:] = tail
+        w /= subdivisions
         best = min(best, float(np.einsum("ij,jk,ik->i", w, K, w).min()))
     return best
 

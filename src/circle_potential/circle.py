@@ -15,7 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
 
@@ -123,64 +123,131 @@ def _dilation_covers(big: Arc, small: Arc, factor: float = 3.0) -> bool:
     return gap + small.length / 2.0 <= half + ANGLE_TOL
 
 
-@dataclass(frozen=True)
+def _normalized_angles(x: np.ndarray) -> np.ndarray:
+    """``normalize_angle`` over an array, bit for bit: values already in
+    [-pi, pi) are kept and only the others go through the scalar rule."""
+    out = np.array(x, dtype=float)
+    far = np.flatnonzero(~((out >= -math.pi) & (out < math.pi)))
+    out[far] = [normalize_angle(v) for v in out[far].tolist()]
+    return out
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class ArcFamily:
     """An ordered collection of arcs, optionally validated as disjoint.
 
-    The full circle is represented by the module constant
-    ``FULL_CIRCLE`` (an ArcFamily with the ``full`` flag set); ordinary
+    The arcs are held as read-only float arrays: ``starts`` and ``ends``,
+    normalized as Arc normalizes them, and ``lengths``, the same floats
+    as ``Arc.length``. ``arcs`` and iteration build the Arc objects only
+    when they are asked for. The full circle is represented by the module
+    constant ``FULL_CIRCLE`` (the ``full`` flag set, no arcs); ordinary
     families never contain it.
     """
 
-    arcs: tuple[Arc, ...]
-    pairwise_disjoint: bool = False
-    full: bool = field(default=False)
+    starts: np.ndarray
+    ends: np.ndarray
+    lengths: np.ndarray
+    pairwise_disjoint: bool
+    full: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple(self.arcs))
-        if self.full and self.arcs:
+    def __init__(self, arcs: Iterable[Arc] = (), pairwise_disjoint: bool = False,
+                 full: bool = False):
+        arcs = tuple(arcs)
+        if full and arcs:
             raise PreconditionError("full-circle family carries no explicit arcs")
+        self._set_arrays([a.start for a in arcs], [a.end for a in arcs], pairwise_disjoint, full)
+        self.__dict__["arcs"] = arcs  # the cached_property's slot: no second copy
+
+    @classmethod
+    def from_endpoints(cls, starts, ends, pairwise_disjoint: bool = False) -> "ArcFamily":
+        """The family of arcs (starts[i], ends[i]), checked and normalized
+        as Arc checks each one, without building Arc objects."""
+        fam = cls.__new__(cls)
+        fam._set_arrays(starts, ends, pairwise_disjoint, False)
+        return fam
+
+    def _set_arrays(self, starts, ends, pairwise_disjoint: bool, full: bool):
+        starts = np.asarray(starts, dtype=float)
+        ends = np.asarray(ends, dtype=float)
+        if starts.ndim != 1 or starts.shape != ends.shape:
+            raise PreconditionError("arc endpoints must be two 1-d arrays of one length")
+        bad = np.flatnonzero(~(np.isfinite(starts) & np.isfinite(ends)))
+        if bad.size:
+            i = bad[0]
+            raise PreconditionError(
+                f"arc endpoints must be finite, got {float(starts[i])}, {float(ends[i])}"
+            )
+        starts, ends = _normalized_angles(starts), _normalized_angles(ends)
+        lengths = np.remainder(ends - starts, TWO_PI)  # Arc.length, bit for bit
+        bad = np.flatnonzero(lengths <= 0.0)
+        if bad.size:
+            i = bad[0]
+            raise PreconditionError(
+                "arc must have positive length strictly below 2*pi "
+                f"(got start={float(starts[i])}, end={float(ends[i])})"
+            )
+        for value in (starts, ends, lengths):
+            value.setflags(write=False)
+        self.__dict__.update(starts=starts, ends=ends, lengths=lengths,
+                             pairwise_disjoint=bool(pairwise_disjoint), full=bool(full))
         if self.pairwise_disjoint and not self.full:
-            self._validate_disjoint()
+            self.require_disjoint()
         total = self.total_length
         if total > TWO_PI + 1e-9:
             raise PreconditionError(
                 f"total arc length {total} exceeds the circumference"
             )
 
-    def _validate_disjoint(self):
-        n = len(self.arcs)
+    def require_disjoint(self):
+        """Raise PreconditionError unless the open arcs are pairwise
+        disjoint (a shared endpoint is not an overlap): sorted by start,
+        each arc must end no later than the next one starts."""
+        n = len(self)
         if n < 2:
             return
-        order = sorted(range(n), key=lambda k: self.arcs[k].start)
-        for pos in range(n):
-            a = self.arcs[order[pos]]
-            b = self.arcs[order[(pos + 1) % n]]
-            gap = (b.start - a.start) % TWO_PI
-            if pos == n - 1 and gap == 0.0:
-                gap = TWO_PI
-            if gap < a.length:
-                raise PreconditionError(
-                    f"arcs {order[pos]} and {order[(pos + 1) % n]} overlap"
-                )
+        order = np.argsort(self.starts, kind="stable")
+        s = self.starts[order]
+        gaps = np.remainder(np.roll(s, -1) - s, TWO_PI)
+        overlap = np.flatnonzero(gaps < self.lengths[order])
+        if overlap.size:
+            pos = int(overlap[0])
+            raise PreconditionError(f"arcs {order[pos]} and {order[(pos + 1) % n]} overlap")
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        return tuple(map(Arc, self.starts.tolist(), self.ends.tolist()))
 
     @property
     def total_length(self) -> float:
         if self.full:
             return TWO_PI
-        return float(sum(a.length for a in self.arcs))
+        # cumsum adds left to right, giving the float of Python's sum over
+        # Arc.length; np.sum would add pairwise
+        return float(np.cumsum(self.lengths)[-1]) if len(self) else 0.0
 
     def __len__(self) -> int:
-        return len(self.arcs)
+        return len(self.starts)
 
     def __iter__(self):
         return iter(self.arcs)
+
+    def __eq__(self, other):
+        if not isinstance(other, ArcFamily):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self):
+        return self.arcs, self.pairwise_disjoint, self.full
 
     def to_json(self) -> dict:
         if self.full:
             return {"arcs": [], "disjoint": True, "full": True}
         return {
-            "arcs": [a.to_json() for a in self.arcs],
+            "arcs": [{"start": a, "end": b}
+                     for a, b in zip(self.starts.tolist(), self.ends.tolist())],
             "disjoint": self.pairwise_disjoint,
         }
 
@@ -193,7 +260,7 @@ class ArcFamily:
 
 
 #: The full circle, distinct from any Arc.
-FULL_CIRCLE = ArcFamily(arcs=(), pairwise_disjoint=True, full=True)
+FULL_CIRCLE = ArcFamily(pairwise_disjoint=True, full=True)
 
 #: Targets accepted by grid selection helpers.
 CircleSet = Union[Arc, ArcFamily]
@@ -280,15 +347,19 @@ class CircleGrid:
             raise PreconditionError(f"unknown selection mode {mode!r}")
         if isinstance(target, ArcFamily) and target.full:
             return np.ones(self.n_points, dtype=bool)
+        if isinstance(target, Arc):
+            spans = ((target.start, target.length),)
+        else:
+            spans = zip(target.starts.tolist(), target.lengths.tolist())
         half = self.cell_width / 2.0
         mask = np.zeros(self.n_points, dtype=bool)
-        for arc in target.arcs if isinstance(target, ArcFamily) else (target,):
-            rel = self.angles - arc.start  # both in [-pi, pi): same as % 2pi, cheaper
+        for start, length in spans:
+            rel = self.angles - start  # both in [-pi, pi): same as % 2pi, cheaper
             rel += TWO_PI * (rel < 0.0)
             if mode == "centers":
-                mask |= (rel > 0.0) & (rel < arc.length)
+                mask |= (rel > 0.0) & (rel < length)
             else:
-                mask |= (rel <= arc.length + half) | (rel >= TWO_PI - half)
+                mask |= (rel <= length + half) | (rel >= TWO_PI - half)
         return mask
 
     def indices_of(self, target: CircleSet, mode: str = "centers") -> np.ndarray:

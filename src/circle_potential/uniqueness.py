@@ -209,17 +209,12 @@ def cantor_build(spec: CantorSpec) -> ArcFamily:
             "stage length underflows to zero", stage=spec.depth
         )
     host_start = -math.pi if spec.host is None else float(spec.host.start)
-    lefts = [(spec.host_length - lengths[0]) / 2.0]
+    lefts = np.array([(spec.host_length - lengths[0]) / 2.0])
     for k in range(spec.depth):
         shift = lengths[k] - lengths[k + 1]
-        nxt = []
-        for x in lefts:
-            nxt.append(x)
-            nxt.append(x + shift)
-        lefts = nxt
-    final = lengths[spec.depth]
-    arcs = tuple(Arc(host_start + x, host_start + x + final) for x in lefts)
-    return ArcFamily(arcs)
+        lefts = np.stack([lefts, lefts + shift], axis=1).ravel()
+    starts = host_start + lefts
+    return ArcFamily.from_endpoints(starts, starts + lengths[spec.depth])
 
 
 def cantor_grid_set(spec: CantorSpec, grid: CircleGrid) -> GridSet:
@@ -411,24 +406,27 @@ def cantor_capacity_series(rule: LengthRule, s: float, n_terms: int) -> SeriesDi
     )
 
 
-def _by_decreasing_length(arcs: Sequence[Arc]) -> list[int]:
-    return sorted(range(len(arcs)), key=lambda i: (-arcs[i].length, float(arcs[i].start)))
+def _by_decreasing_length(fam: ArcFamily) -> np.ndarray:
+    """Arc indices by decreasing length, ties by increasing start; stable,
+    as a sort on the key (-length, start) is."""
+    return np.lexsort((fam.starts, -fam.lengths))
 
 
 def carleson_sum(fam: ArcFamily, n_terms: int | None = None) -> SeriesDiagnostic:
-    """Partial sums of |I| log |I| over the family, longest arc first
-    (lengths in radians, natural log)."""
+    """Partial sums of |I| log |I| over a family of disjoint arcs, longest
+    arc first (lengths in radians, natural log). Overlapping arcs raise
+    PreconditionError."""
     if fam.full:
         raise PreconditionError("the full circle has no complementary arc structure")
-    arcs = list(fam)
-    if not arcs:
+    if not len(fam):
         raise PreconditionError("empty arc family")
-    order = _by_decreasing_length(arcs)
+    fam.require_disjoint()
+    order = _by_decreasing_length(fam)
     if n_terms is not None:
         order = order[: max(0, n_terms)]
-        if not order:
+        if not order.size:
             raise PreconditionError("n_terms must be >= 1")
-    lengths = np.array([arcs[i].length for i in order])
+    lengths = fam.lengths[order]
     terms = lengths * np.log(lengths)
     sums = np.cumsum(terms)
     trend, fit = classify_trend(sums, 1)
@@ -443,8 +441,9 @@ def uniqueness_series(
     cfg: SolverConfig | None = None,
     n_terms: int | None = None,
 ) -> SeriesDiagnostic:
-    """Partial sums of |I_n| log(|I_n|^{1+alpha-beta} / C(E_n)) with C the
-    classical capacity at kernel exponent 1 - beta of E_n = E cap I_n.
+    """Partial sums of |I_n| log(|I_n|^{1+alpha-beta} / C(E_n)) over
+    disjoint arcs I_n, with C the classical capacity at kernel exponent
+    1 - beta of E_n = E cap I_n. Overlapping arcs raise PreconditionError.
 
     Terms are processed longest arc first. A zero computed capacity
     (including empty parts) makes its term -inf; the trend is then
@@ -455,23 +454,23 @@ def uniqueness_series(
         raise PreconditionError(
             f"need 0 < beta <= alpha <= 1, got beta={beta}, alpha={alpha}"
         )
-    arc_list = list(arcs)
-    if len(e_parts) != len(arc_list):
+    if len(e_parts) != len(arcs):
         raise PreconditionError(
-            f"{len(e_parts)} set parts for {len(arc_list)} arcs"
+            f"{len(e_parts)} set parts for {len(arcs)} arcs"
         )
-    if not arc_list:
+    if not len(arcs):
         raise PreconditionError("empty arc family")
+    arcs.require_disjoint()
     grid = e_parts[0].grid
     for k, part in enumerate(e_parts):
         if part.grid.n_points != grid.n_points:
             raise PreconditionError("set parts live on different grids")
-        hull = GridSet.from_arcs(grid, arc_list[k], mode="cover")
+        hull = GridSet.from_arcs(grid, arcs.arcs[k], mode="cover")
         if not part.is_subset_of(hull):
             raise PreconditionError(
                 f"set part {k} is not contained in the covered cells of its arc"
             )
-    order = _by_decreasing_length(arc_list)
+    order = _by_decreasing_length(arcs).tolist()
     if n_terms is not None:
         if n_terms < 1:
             raise PreconditionError("n_terms must be >= 1")
@@ -481,7 +480,7 @@ def uniqueness_series(
     terms = []
     notes: list[str] = []
     for rank, i in enumerate(order, start=1):
-        length = arc_list[i].length
+        length = float(arcs.lengths[i])
         cap = classical_capacity(e_parts[i], exponent, cfg).value
         if cap > 0.0:
             term = length * ((1.0 + alpha - beta) * math.log(length) - math.log(cap))
@@ -519,10 +518,9 @@ def log_reciprocal_arcs(n_max: int) -> ArcFamily:
     sum drifts to -inf like -log log N."""
     if n_max < 2:
         raise PreconditionError(f"n_max must be >= 2, got {n_max}")
-    arcs = tuple(
-        Arc(1.0 / math.log(n + 1), 1.0 / math.log(n)) for n in range(2, n_max + 1)
-    )
-    return ArcFamily(arcs)
+    # math.log, not np.log: the two differ in the last bit for a few n
+    inv = 1.0 / np.fromiter(map(math.log, range(2, n_max + 2)), dtype=float, count=n_max)
+    return ArcFamily.from_endpoints(inv[1:], inv[:-1])
 
 
 def geometric_arcs(ratio: float, count: int, start: float = 0.0) -> ArcFamily:
@@ -539,10 +537,15 @@ def geometric_arcs(ratio: float, count: int, start: float = 0.0) -> ArcFamily:
     if total >= TWO_PI:
         raise PreconditionError("arcs would wrap around the circle")
     tail = np.concatenate([np.cumsum(lengths[::-1])[::-1], [0.0]])
-    arcs = tuple(
-        Arc(start + tail[i + 1], start + tail[i]) for i in range(count)
-    )
-    return ArcFamily(arcs)
+    starts, ends = start + tail[1:], start + tail[:-1]
+    lost = np.flatnonzero(ends == starts)
+    if lost.size:
+        n = int(lost[0]) + 1
+        raise PreconditionError(
+            f"geometric arc {n} (length {ratio}**{n} = {lengths[n - 1]:.3g}) underflows: "
+            f"it vanishes in floating point next to angle {start}; use fewer than {n} arcs"
+        )
+    return ArcFamily.from_endpoints(starts, ends)
 
 
 def cantor_parts_in_arcs(

@@ -2,7 +2,8 @@
 
 Everything here is computed by routes that do not share code with the
 package internals: closed forms, scipy quadrature called directly on
-the defining integrals, and high-precision series tails. The frozen
+the defining integrals, high-precision series tails, and the per-Arc
+routes that array-backed arc families replaced. The frozen
 digits were produced by those same routes at high resolution and are
 pinned so that a regression in the library cannot silently move the
 targets.
@@ -12,6 +13,8 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from circle_potential import Arc
 
 # Mean of the chord kernel (2 sin(t/2))^{-1/2} over the circle; also the
 # energy of the uniform probability measure for that kernel. Computed by
@@ -147,3 +150,42 @@ def capacity_dense(M: np.ndarray, rhs: float, rounds: int = 50) -> np.ndarray:
             return x
         act = np.union1d(act, short)
     raise RuntimeError("dense active set did not settle")
+
+
+def log_reciprocal_arcs_direct(n_max: int) -> tuple:
+    """The arcs (1/log(n+1), 1/log n), n = 2..n_max, one Arc at a time, as
+    ``log_reciprocal_arcs`` built them before families held arrays."""
+    return tuple(Arc(1.0 / math.log(n + 1), 1.0 / math.log(n)) for n in range(2, n_max + 1))
+
+
+def geometric_arcs_direct(ratio: float, count: int, start: float = 0.0) -> tuple:
+    """Arc i runs from start + tail[i + 1] to start + tail[i], tail[i] the
+    sum of the lengths ratio^(i+1)..ratio^count; one Arc at a time."""
+    lengths = ratio ** np.arange(1, count + 1)
+    tail = np.concatenate([np.cumsum(lengths[::-1])[::-1], [0.0]])
+    return tuple(Arc(start + tail[i + 1], start + tail[i]) for i in range(count))
+
+
+def cantor_arcs_direct(spec) -> tuple:
+    """The final-stage arcs of a CantorSpec by a list doubled per stage,
+    one Arc at a time."""
+    lengths = [spec.stage_length(k) for k in range(spec.depth + 1)]
+    host_start = -math.pi if spec.host is None else float(spec.host.start)
+    lefts = [(spec.host_length - lengths[0]) / 2.0]
+    for k in range(spec.depth):
+        shift = lengths[k] - lengths[k + 1]
+        lefts = [y for x in lefts for y in (x, x + shift)]
+    return tuple(Arc(host_start + x, host_start + x + lengths[-1]) for x in lefts)
+
+
+def decreasing_length_order(arcs) -> list[int]:
+    """Arc indices by a Python sort on (-length, start)."""
+    return sorted(range(len(arcs)), key=lambda i: (-arcs[i].length, float(arcs[i].start)))
+
+
+def carleson_partial_sums_direct(arcs) -> np.ndarray:
+    """Partial sums of |I| log |I| over Arc objects, longest first (the
+    order of ``decreasing_length_order``), read through ``Arc.length``."""
+    order = decreasing_length_order(arcs)
+    lengths = np.array([arcs[i].length for i in order])
+    return np.cumsum(lengths * np.log(lengths))

@@ -170,14 +170,12 @@ def _product_lattice_min(K, subdivisions):
     return float(np.einsum("ij,jk,ik->i", w, K, w).min())
 
 
-@pytest.mark.parametrize("chunk", [500_000, 4])
-def test_lattice_oracle_matches_product_enumeration(monkeypatch, chunk):
-    """The stars-and-bars enumeration visits the same lattice as a
-    brute product filter, for one to three cells and every subdivision
-    up to 8, also when it is split into chunks of four points."""
-    monkeypatch.setattr(acceptance, "_LATTICE_CHUNK", chunk)
+def test_lattice_oracle_matches_product_enumeration():
+    """The compositions built a part at a time visit the same lattice as
+    a brute product filter, for one to six cells and every subdivision
+    up to 8, and score it to the same float."""
     rng = np.random.default_rng(3)
-    for c in (1, 2, 3):
+    for c in range(1, 7):
         a = rng.standard_normal((c, c))
         K = a @ a.T + 0.1 * np.eye(c)
         for subdivisions in range(1, 9):

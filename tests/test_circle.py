@@ -110,6 +110,8 @@ def test_family_total_length_and_full_constant():
 def test_family_disjoint_validation():
     with pytest.raises(PreconditionError):
         ArcFamily((Arc(0.0, 1.0), Arc(0.5, 1.5)), pairwise_disjoint=True)
+    with pytest.raises(PreconditionError, match="arcs 0 and 2 overlap"):  # not adjacent as given
+        ArcFamily((Arc(0.0, 1.0), Arc(5.0, 5.5), Arc(0.5, 1.5)), pairwise_disjoint=True)
     # shared endpoint is fine for open arcs
     ArcFamily((Arc(0.0, 1.0), Arc(1.0, 2.0)), pairwise_disjoint=True)
 

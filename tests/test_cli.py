@@ -210,6 +210,24 @@ def test_series_carleson_log_reciprocal(capsys):
     assert series["fit"]["model"] == "loglog"
 
 
+@pytest.mark.parametrize(
+    "arcs, message",
+    [
+        ('{"arcs":[{"center":0,"length":0.5},{"center":0.2,"length":0.5}]}', "overlap"),
+        ("geometric,ratio=0.5,count=2000", "underflows"),
+    ],
+    ids=["overlapping", "underflow"],
+)
+def test_series_carleson_refuses_bad_families(capsys, arcs, message):
+    """Overlapping arcs and arc lengths that underflow are named
+    precondition errors (exit 2), not a sum or a zero-length arc."""
+    code, out, err = run_cli(capsys, "series", "carleson", "--arcs", arcs)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_series_uniqueness_spec_file(capsys, tmp_path):
     spec = tmp_path / "assembly.json"
     spec.write_text(

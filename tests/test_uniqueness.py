@@ -26,7 +26,7 @@ from circle_potential import (
     log_reciprocal_arcs,
     uniqueness_series,
 )
-from circle_potential.uniqueness import cantor_parts_in_arcs
+from circle_potential.uniqueness import _by_decreasing_length, cantor_parts_in_arcs
 
 LN2 = math.log(2.0)
 
@@ -276,6 +276,60 @@ def test_carleson_order_is_by_length(rng):
     assert np.allclose(diag.partial_sums, base.partial_sums, rtol=0, atol=0)
 
 
+def _shuffled(arcs):
+    arcs = list(arcs)
+    np.random.default_rng(11).shuffle(arcs)
+    return None, tuple(arcs)
+
+
+_CANTOR = CantorSpec(rule=PowerChoice(0.5), depth=6, host=Arc.centered(2.9, 2.0), offset=3,
+                     scale_to_host=True)
+# case -> (family built from arrays, or None for from_endpoints; the same
+# arcs built one Arc at a time)
+_ARC_ROUTE_CASES = {
+    "log-reciprocal": lambda: (log_reciprocal_arcs(100_001),
+                               oracles.log_reciprocal_arcs_direct(100_001)),
+    "geometric": lambda: (geometric_arcs(0.5, 300), oracles.geometric_arcs_direct(0.5, 300)),
+    "shuffled": lambda: _shuffled(oracles.geometric_arcs_direct(0.5, 40)),
+    # two length classes, each exactly tied
+    "tied": lambda: _shuffled(
+        Arc(0.25 * k, 0.25 * k + (0.125 if k % 2 else 0.0625)) for k in range(-12, 12)
+    ),
+    "cantor": lambda: (cantor_build(_CANTOR), oracles.cantor_arcs_direct(_CANTOR)),
+}
+
+
+@pytest.mark.parametrize("case", list(_ARC_ROUTE_CASES))
+def test_array_route_matches_arc_route(case):
+    """Families held as endpoint arrays give the term order, partial
+    sums, trend and fit of the per-Arc route byte for byte, and the Arcs
+    they build on demand equal those the per-Arc constructors built."""
+    fam, arcs = _ARC_ROUTE_CASES[case]()
+    if fam is None:
+        fam = ArcFamily.from_endpoints([a.start for a in arcs], [a.end for a in arcs])
+    assert fam.arcs == arcs
+    assert fam.lengths.tolist() == [a.length for a in arcs]
+    assert fam.total_length == sum(a.length for a in arcs)
+    assert _by_decreasing_length(fam).tolist() == oracles.decreasing_length_order(arcs)
+    want = oracles.carleson_partial_sums_direct(arcs)
+    diag = carleson_sum(fam)
+    assert diag.partial_sums.tobytes() == want.tobytes()
+    assert (diag.trend, diag.fit) == classify_trend(want, 1)
+
+
+def test_series_reject_overlapping_arcs(grid256, solver):
+    """Both arc series run over disjoint arcs: overlapping ones are
+    refused even when the family was not built with pairwise_disjoint."""
+    a, b = Arc.centered(0.0, 0.5), Arc.centered(0.2, 0.5)
+    fam = ArcFamily((a, b))
+    parts = [GridSet.from_arcs(grid256, x, mode="cover") for x in (a, b)]
+    with pytest.raises(PreconditionError, match="overlap"):
+        carleson_sum(fam)
+    with pytest.raises(PreconditionError, match="overlap"):
+        uniqueness_series(parts, fam, 0.8, 0.8, solver)
+    carleson_sum(ArcFamily((Arc(0.0, 0.5), Arc(0.5, 1.0))))  # shared endpoint
+
+
 def test_carleson_single_unit_arc_trivially_converges():
     # a single arc of length 1 contributes 1 * log 1 = 0
     diag = carleson_sum(ArcFamily((Arc(0.0, 1.0),)))
@@ -334,6 +388,16 @@ def test_geometric_arcs_validation():
         geometric_arcs(1.2, 5)
     with pytest.raises(PreconditionError):
         geometric_arcs(0.5, 0)
+
+
+def test_geometric_arcs_underflow_is_named():
+    """0.5**n is zero from n = 1075 on, and 0.37**37 vanishes next to
+    angle 3: both are refused by name, not as a zero-length arc."""
+    with pytest.raises(PreconditionError, match="arc 1075 .* underflows"):
+        geometric_arcs(0.5, 2000)
+    with pytest.raises(PreconditionError, match="arc 37 .* underflows"):
+        geometric_arcs(0.37, 60, start=3.0)
+    assert len(geometric_arcs(0.5, 1074)) == 1074
 
 
 def test_uniqueness_series_equal_arcs_linear(grid256, solver):
