@@ -170,11 +170,12 @@ def _product_lattice_min(K, subdivisions):
     return float(np.einsum("ij,jk,ik->i", w, K, w).min())
 
 
-def test_lattice_oracle_matches_product_enumeration():
+@pytest.mark.parametrize("seed", [500_000, 4])
+def test_lattice_oracle_matches_product_enumeration(seed):
     """The compositions built a part at a time visit the same lattice as
     a brute product filter, for one to six cells and every subdivision
-    up to 8, and score it to the same float."""
-    rng = np.random.default_rng(3)
+    up to 8, and score it to the same float, on two random kernel sets."""
+    rng = np.random.default_rng(seed)
     for c in range(1, 7):
         a = rng.standard_normal((c, c))
         K = a @ a.T + 0.1 * np.eye(c)
