@@ -159,11 +159,11 @@ class ArcFamily:
         self.__dict__["arcs"] = arcs  # the cached_property's slot: no second copy
 
     @classmethod
-    def from_endpoints(cls, starts, ends, pairwise_disjoint: bool = False) -> "ArcFamily":
+    def from_endpoints(cls, starts, ends) -> "ArcFamily":
         """The family of arcs (starts[i], ends[i]), checked and normalized
         as Arc checks each one, without building Arc objects."""
         fam = cls.__new__(cls)
-        fam._set_arrays(starts, ends, pairwise_disjoint, False)
+        fam._set_arrays(starts, ends, False, False)
         return fam
 
     def _set_arrays(self, starts, ends, pairwise_disjoint: bool, full: bool):
@@ -200,18 +200,24 @@ class ArcFamily:
 
     def require_disjoint(self):
         """Raise PreconditionError unless the open arcs are pairwise
-        disjoint (a shared endpoint is not an overlap): sorted by start,
-        each arc must end no later than the next one starts."""
+        disjoint (a shared endpoint, equal within ANGLE_TOL, is not an
+        overlap): sorted by start, each arc must end no later than the
+        next one starts."""
         n = len(self)
         if n < 2:
             return
         order = np.argsort(self.starts, kind="stable")
         s = self.starts[order]
         gaps = np.remainder(np.roll(s, -1) - s, TWO_PI)
-        overlap = np.flatnonzero(gaps < self.lengths[order])
+        overlap = np.flatnonzero(gaps < self.lengths[order] - ANGLE_TOL)
         if overlap.size:
             pos = int(overlap[0])
             raise PreconditionError(f"arcs {order[pos]} and {order[(pos + 1) % n]} overlap")
+
+    def by_decreasing_length(self) -> np.ndarray:
+        """Arc indices by decreasing length, ties by increasing start;
+        stable, as a sort on the key (-length, start) is."""
+        return np.lexsort((self.starts, -self.lengths))
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
@@ -221,8 +227,8 @@ class ArcFamily:
     def total_length(self) -> float:
         if self.full:
             return TWO_PI
-        # cumsum adds left to right, giving the float of Python's sum over
-        # Arc.length; np.sum would add pairwise
+        # cumsum adds left to right (np.sum would add pairwise), so the
+        # total does not depend on the Python or NumPy version
         return float(np.cumsum(self.lengths)[-1]) if len(self) else 0.0
 
     def __len__(self) -> int:
@@ -278,9 +284,8 @@ def vitali_disjoint_subfamily(fam: ArcFamily) -> ArcFamily:
     """
     if fam.full:
         return fam
-    order = sorted(fam.arcs, key=lambda a: (-a.length, a.start))
     kept: list[Arc] = []
-    for cand in order:
+    for cand in map(fam.arcs.__getitem__, fam.by_decreasing_length().tolist()):
         if all(_open_disjoint(cand, k) for k in kept):
             kept.append(cand)
     kept.sort(key=lambda a: a.start)

@@ -406,12 +406,6 @@ def cantor_capacity_series(rule: LengthRule, s: float, n_terms: int) -> SeriesDi
     )
 
 
-def _by_decreasing_length(fam: ArcFamily) -> np.ndarray:
-    """Arc indices by decreasing length, ties by increasing start; stable,
-    as a sort on the key (-length, start) is."""
-    return np.lexsort((fam.starts, -fam.lengths))
-
-
 def carleson_sum(fam: ArcFamily, n_terms: int | None = None) -> SeriesDiagnostic:
     """Partial sums of |I| log |I| over a family of disjoint arcs, longest
     arc first (lengths in radians, natural log). Overlapping arcs raise
@@ -421,7 +415,7 @@ def carleson_sum(fam: ArcFamily, n_terms: int | None = None) -> SeriesDiagnostic
     if not len(fam):
         raise PreconditionError("empty arc family")
     fam.require_disjoint()
-    order = _by_decreasing_length(fam)
+    order = fam.by_decreasing_length()
     if n_terms is not None:
         order = order[: max(0, n_terms)]
         if not order.size:
@@ -470,7 +464,7 @@ def uniqueness_series(
             raise PreconditionError(
                 f"set part {k} is not contained in the covered cells of its arc"
             )
-    order = _by_decreasing_length(arcs).tolist()
+    order = arcs.by_decreasing_length().tolist()
     if n_terms is not None:
         if n_terms < 1:
             raise PreconditionError("n_terms must be >= 1")

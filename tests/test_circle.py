@@ -114,6 +114,10 @@ def test_family_disjoint_validation():
         ArcFamily((Arc(0.0, 1.0), Arc(5.0, 5.5), Arc(0.5, 1.5)), pairwise_disjoint=True)
     # shared endpoint is fine for open arcs
     ArcFamily((Arc(0.0, 1.0), Arc(1.0, 2.0)), pairwise_disjoint=True)
+    # ... and so is one equal within ANGLE_TOL, but not a wider overlap
+    ArcFamily((Arc(0.0, 1.0), Arc(1.0 - 1e-13, 2.0)), pairwise_disjoint=True)
+    with pytest.raises(PreconditionError, match="overlap"):
+        ArcFamily((Arc(0.0, 1.0), Arc(1.0 - 1e-11, 2.0)), pairwise_disjoint=True)
 
 
 def test_family_overflow_rejected():

@@ -228,6 +228,16 @@ def test_series_carleson_refuses_bad_families(capsys, arcs, message):
     assert "Traceback" not in err
 
 
+def test_series_carleson_accepts_abutting_centered_arcs(capsys):
+    """Arcs given by center and length that are meant to meet end to end
+    share an endpoint within rounding: a sum, not an overlap."""
+    payload = run_json(
+        capsys, "series", "carleson", "--arcs",
+        '{"arcs":[{"center":0.1,"length":0.2},{"center":0.3,"length":0.2}]}',
+    )
+    assert abs(payload["series"]["final_sum"] - 2 * 0.2 * math.log(0.2)) < 1e-12
+
+
 def test_series_uniqueness_spec_file(capsys, tmp_path):
     spec = tmp_path / "assembly.json"
     spec.write_text(

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from circle_potential import (
     log_reciprocal_arcs,
     uniqueness_series,
 )
-from circle_potential.uniqueness import _by_decreasing_length, cantor_parts_in_arcs
+from circle_potential.uniqueness import cantor_parts_in_arcs
 
 LN2 = math.log(2.0)
 
@@ -309,8 +311,9 @@ def test_array_route_matches_arc_route(case):
         fam = ArcFamily.from_endpoints([a.start for a in arcs], [a.end for a in arcs])
     assert fam.arcs == arcs
     assert fam.lengths.tolist() == [a.length for a in arcs]
-    assert fam.total_length == sum(a.length for a in arcs)
-    assert _by_decreasing_length(fam).tolist() == oracles.decreasing_length_order(arcs)
+    # left to right: Python 3.12's sum() compensates, so it is no reference
+    assert fam.total_length == functools.reduce(operator.add, (a.length for a in arcs), 0.0)
+    assert fam.by_decreasing_length().tolist() == oracles.decreasing_length_order(arcs)
     want = oracles.carleson_partial_sums_direct(arcs)
     diag = carleson_sum(fam)
     assert diag.partial_sums.tobytes() == want.tobytes()
@@ -328,6 +331,10 @@ def test_series_reject_overlapping_arcs(grid256, solver):
     with pytest.raises(PreconditionError, match="overlap"):
         uniqueness_series(parts, fam, 0.8, 0.8, solver)
     carleson_sum(ArcFamily((Arc(0.0, 0.5), Arc(0.5, 1.0))))  # shared endpoint
+    # meant to abut, but rounding in Arc.centered overlaps them by one ulp
+    abutting = ArcFamily((Arc.centered(0.1, 0.2), Arc.centered(0.3, 0.2)))
+    assert abutting.starts[1] < abutting.ends[0]
+    carleson_sum(abutting)
 
 
 def test_carleson_single_unit_arc_trivially_converges():
