@@ -5,7 +5,8 @@ poincare-check, series, cantor, selftest. Results go to standard output
 as JSON (keys sorted, so identical command + config + seed reproduces
 byte-identical output); plot-ready CSV goes to the --out path when one
 is given. Exit codes: 0 success, 2 precondition/setup errors, 3 solver
-non-convergence, 64 usage.
+non-convergence, 64 usage, 141 (128 + SIGPIPE) when the reader of
+standard output closes it early.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -65,6 +67,7 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 128 + 13  # the shell's status for a SIGPIPE death
 
 
 class UsageParser(argparse.ArgumentParser):
@@ -632,7 +635,14 @@ def main(argv=None) -> int:
                 args.n = 20_000
             if args.kind == "uniqueness" and args.spec is None:
                 parser.error("series uniqueness needs --spec")
-        return args.handler(args, cfg)
+        code = args.handler(args, cfg)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at /dev/null so the final
+        # flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -166,12 +166,15 @@ def _spectrum_base(table: str, n: int, exponent: float, m: int) -> np.ndarray:
     return spec
 
 
-def _circulant_apply(table: str, n: int, exponent: float, cells: np.ndarray, x: np.ndarray):
+def _circulant_apply(table: str, n: int, exponent: float, cells: np.ndarray, x: np.ndarray,
+                     inverse: bool = False):
     """y[..., a] = sum_b t[(cells[a] - cells[b]) mod n] x[..., b] over sorted
     distinct ``cells``, t the table of ``_spectrum_base``, by FFT over the
     shortest cyclic window of L cells holding them: circular convolution
     of length m, the next power of two >= 2L - 1, is the linear one, or
-    of length n when m would not be shorter."""
+    of length n when m would not be shorter. With ``inverse`` the padded
+    x is divided by that length-m circulant's spectrum instead, which
+    restricted to ``cells`` is the conjugate-gradient preconditioner."""
     gaps = np.diff(cells, prepend=cells[-1] - n)  # cyclic gap before each cell
     k = int(np.argmax(gaps))
     start, m = int(cells[k]), 1 << (2 * (n - int(gaps[k]))).bit_length()
@@ -181,7 +184,8 @@ def _circulant_apply(table: str, n: int, exponent: float, cells: np.ndarray, x: 
     buf = np.zeros(x.shape[:-1] + (m,))
     buf[..., pos] = x
     spec = _faulted(_spectrum_base(table, n, float(exponent), m), _TABLES[table][1])
-    return np.fft.irfft(np.fft.rfft(buf) * spec, m)[..., pos]
+    ft = np.fft.rfft(buf)
+    return np.fft.irfft(ft / spec if inverse else ft * spec, m)[..., pos]
 
 
 def _circulant_block(table: str, n: int, exponent: float, cells: np.ndarray) -> np.ndarray:

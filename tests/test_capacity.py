@@ -372,7 +372,9 @@ def test_capacities_match_dense_route(n, solver, monkeypatch):
     cg_sizes = []
     cg = capacity._conjugate_gradient
     monkeypatch.setattr(
-        capacity, "_conjugate_gradient", lambda apply, b: cg_sizes.append(len(b)) or cg(apply, b)
+        capacity,
+        "_conjugate_gradient",
+        lambda apply, precondition, b: cg_sizes.append(len(b)) or cg(apply, precondition, b),
     )
     for name, e in _agreement_sets(CircleGrid(n)).items():
         cg_sizes.clear()
@@ -450,7 +452,7 @@ def test_capacities_independent_of_thread_count():
         for est in (
             classical_capacity(GridSet.full(grid), 0.5),
             l2_capacity(GridSet.from_arcs(grid, Arc(-1.5, 1.5)), 0.5),
-            classical_capacity(GridSet.from_arcs(grid, Arc(0.2, 1.2)), 0.0),
+            classical_capacity(GridSet.from_arcs(grid, Arc(0.2, 0.9)), 0.0),
             classical_capacity(GridSet.full(large), 0.5),
             l2_capacity(GridSet.from_indices(large, np.arange(7500)), 1.0),
         ):
@@ -496,9 +498,9 @@ def test_conjugate_gradient_failure_falls_back(monkeypatch, grid256, solve, rule
     cg = capacity._conjugate_gradient
     calls = []
 
-    def first_gives_up(apply, b):
+    def first_gives_up(apply, precondition, b):
         calls.append(None)
-        return None if len(calls) == 1 else cg(apply, b)
+        return None if len(calls) == 1 else cg(apply, precondition, b)
 
     monkeypatch.setattr(capacity, "_conjugate_gradient", first_gives_up)
     est = solve(e, 0.5, cfg)
@@ -513,6 +515,48 @@ def test_conjugate_gradient_failure_falls_back(monkeypatch, grid256, solve, rule
         solve(e, 0.5, SolverConfig(step_rule=rule, max_iterations=300))
     assert info.value.best_estimate.iterations == 300
     assert info.value.best_estimate.value > 0.0
+
+
+@pytest.mark.parametrize("solve, alpha", [(classical_capacity, 0.0), (l2_capacity, 1.0)])
+def test_conjugate_gradient_is_preconditioned(monkeypatch, solve, alpha):
+    """With the window's circulant as preconditioner, one polish of a half
+    circle or a two-arc union at N = 8192 takes 7-13 operator products;
+    unpreconditioned conjugate gradients took 209-238."""
+    grid = CircleGrid(8192)
+    sets = {
+        "half": GridSet.from_arcs(grid, Arc(-math.pi / 2.0, math.pi / 2.0), mode="cover"),
+        "two-arcs": GridSet.from_arcs(grid, Arc(0.3, 1.7)).union(
+            GridSet.from_arcs(grid, Arc(-2.4, -1.9))
+        ),
+    }
+    cg = capacity._conjugate_gradient
+    products = []
+
+    def counting(apply, precondition, b):
+        def counted(p):
+            products.append(None)
+            return apply(p)
+
+        return cg(counted, precondition, b)
+
+    monkeypatch.setattr(capacity, "_conjugate_gradient", counting)
+    for name, e in sets.items():
+        products.clear()
+        est = solve(e, alpha)
+        assert est.iterations == 1, name
+        assert 1 <= len(products) <= 40, (name, len(products))
+
+
+def test_conjugate_gradient_refuses_indefinite_preconditioner(rng):
+    """A preconditioner with r^T P^-1 r <= 0 ends the solve with None, like
+    nonpositive curvature; an SPD one solves the system."""
+    q = rng.standard_normal((6, 6))
+    a = q @ q.T + 6.0 * np.eye(6)
+    b = rng.standard_normal(6)
+    x = capacity._conjugate_gradient(lambda p: a @ p, lambda r: r / np.diag(a), b)
+    assert np.allclose(a @ x, b, rtol=0.0, atol=1e-12 * np.linalg.norm(b))
+    assert capacity._conjugate_gradient(lambda p: a @ p, lambda r: -r, b) is None
+    assert capacity._conjugate_gradient(lambda p: a @ p, np.zeros_like, b) is None
 
 
 def test_capacities_at_65536_cells():

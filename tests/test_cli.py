@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -480,3 +483,21 @@ def test_malformed_specs_exit_2(capsys, tmp_path, argv):
     assert out == "" or isinstance(json.loads(out), dict)
     assert "error" in err
     assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that closes the pipe early (``| head -c 10``) ends the CLI
+    with status 141 (128 + SIGPIPE) and nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "circle_potential.cli", "cantor", "--rule", "power:beta=0.5",
+         "--depth", "12", "--offset", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141, err
+    assert "Traceback" not in err
+    assert err == ""

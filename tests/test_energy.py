@@ -36,6 +36,7 @@ from circle_potential.energy import (
     FourierCoeffs,
     _chord_power_table_base,
     _circulant_block,
+    _spectrum_base,
     energy_report,
     kernel_column,
     kernel_fault,
@@ -82,6 +83,21 @@ def test_block_builder_matches_dense_lookup(n, rng):
     for table, exponent in (("chord", 0.5), ("kernel", 0.0), ("kernel", 0.75), ("autocorr", 0.75)):
         dense = oracles.restricted_dense(_TABLES[table][0](n, exponent), cells, n)
         assert np.array_equal(_circulant_block(table, n, exponent, cells), dense)
+
+
+@pytest.mark.parametrize("n", [16, 64, 1024, 4096, 65536])
+def test_window_spectra_are_positive(n):
+    """Every windowed circulant is positive definite, so its inverse, the
+    conjugate-gradient preconditioner, is too. The smallest value is
+    about 0.0085 (kernel exponent 0.01, m = 4), so the test compares
+    with 0 exactly."""
+    windows = [1 << j for j in range(n.bit_length())]
+    for table, exponents in (("kernel", (0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.99)),
+                             ("autocorr", (0.5, 0.625, 0.75, 0.99))):
+        for exponent in exponents:
+            for m in windows:
+                low = float(np.min(_spectrum_base(table, n, exponent, m)))
+                assert low > 0.0, (table, exponent, m, low)
 
 
 def test_kernel_column_cell_average_diagonal():
