@@ -380,24 +380,80 @@ def _compositions(total: int, parts: int) -> list[np.ndarray]:
 
 def _lattice_min_energy(K: np.ndarray, subdivisions: int) -> float:
     """Exhaustive minimum of w^T K w over the lattice of probability
-    vectors with denominators ``subdivisions`` (small instances only).
+    vectors with denominators S = ``subdivisions`` (small instances only).
 
-    The lattice points are the compositions of ``subdivisions`` into c
-    parts, scored in one chunk per value f of the first part: the rows
-    [f, r] for r a composition of ``subdivisions - f`` into c - 1 parts.
+    Every lattice point p / S is scored, in O(1) per point. A point is a
+    prefix of c - 2 parts summing to s (from ``_compositions``) followed
+    by the split (t, R - t) of the remainder R = S - s over the last two
+    cells a and b. With x the prefix / S, P = x^T K x over the prefix,
+    L = K x its couplings (c - 2 elementwise column passes) and r = R / S,
+    the energy of the split is alpha + beta t + gamma t^2 with
+
+        alpha = P + r (2 L_b + K_bb r),
+        beta  = (2 (L_a - L_b) + 2 r (K_ab - K_bb)) / S,
+        gamma = (K_aa + K_bb - 2 K_ab) / S^2,
+
+    gamma being the same for every prefix, so each s is one broadcast
+    over (R + 1, prefixes). No convexity is assumed. The points scoring
+    within 4 (c^2 + 18 c + 57) 2^-53 max|K| of the least score, a margin
+    that bounds the rounding of this score and of the einsum (derived
+    below), are rescored by ``einsum("ij,jk,ik->i")`` on w = p / S, and
+    the least of those values is returned.
     """
     c = K.shape[0]
-    rest = _compositions(subdivisions, c - 1)
+    if c == 1:
+        return float(K[0, 0])
+    S = subdivisions
+    a, b = c - 2, c - 1
+    # With u = 2^-53, gamma_n = n u / (1 - n u) and M = max |K_jk|:
+    # - einsum: each term w_j K_jk w_k carries two roundings of w = p / S
+    #   and two products, and the sum of c^2 terms at most c^2 - 1
+    #   additions, so |einsum - q| <= gamma_{c^2+3} sum |terms| <=
+    #   gamma_{c^2+3} M, q being the exact p^T K p / S^2 and sum(w) = 1;
+    # - the split score: every monomial of its expansion passes through at
+    #   most 2c + 6 roundings, and with y = t / S <= 1 their absolute sum
+    #   is at most M (1 + 2y)^2 <= 9 M, so |score - q| <= 9 gamma_{2c+6} M.
+    # The einsum minimizer then scores at most 2 (gamma_{c^2+3} +
+    # 9 gamma_{2c+6}) M above the least score; the margin doubles that
+    # to cover 1 / (1 - n u) and the rounding of best + margin.
+    margin = 4.0 * (c * c + 3 + 9 * (2 * c + 6)) * 2.0**-53 * float(np.max(np.abs(K)))
+    gamma = (K[a, a] + K[b, b] - 2.0 * K[a, b]) / S**2
     best = math.inf
-    for f in range(subdivisions + 1):
-        tail = rest[subdivisions - f]
-        if not len(tail):
+    near = []  # (points, scores) within margin of the running best
+    for s, prefix in enumerate(_compositions(S, c - 2)):
+        if not len(prefix):
             continue
-        w = np.empty((len(tail), c))
-        w[:, 0] = f
-        w[:, 1:] = tail
-        w /= subdivisions
-        best = min(best, float(np.einsum("ij,jk,ik->i", w, K, w).min()))
+        x = np.ascontiguousarray(prefix.T) / S  # one row per prefix part
+        L = np.zeros((c, len(prefix)))
+        for j in range(c - 2):
+            L += K[j, :, None] * x[j]
+        r = (S - s) / S
+        alpha = np.sum(x * L[:a], axis=0) + r * (2.0 * L[b] + K[b, b] * r)
+        beta = (2.0 * (L[a] - L[b]) + 2.0 * r * (K[a, b] - K[b, b])) / S
+        t = np.arange(S - s + 1.0)[:, None]
+        scores = beta + gamma * t  # alpha + t (beta + gamma t), one row per t
+        scores *= t
+        scores += alpha
+        lowest = float(scores.min())
+        best = min(best, lowest)
+        if lowest > best + margin:
+            continue
+        ts, rows = np.nonzero(scores <= best + margin)
+        points = np.empty((len(rows), c), dtype=np.int64)
+        points[:, :a] = prefix[rows]
+        points[:, a] = ts
+        points[:, b] = S - s - ts
+        near.append((points, scores[ts, rows]))
+    points = np.concatenate([p[v <= best + margin] for p, v in near])
+    # einsum can round a row differently with the operand's length (at
+    # c = 2, one- and two-row operands against longer ones), so rescore in
+    # chunks of one first part, the shape of the chunked einsum route
+    # (tests/oracles.py: at c = 2 each chunk is one row)
+    w = points / S
+    best = math.inf
+    for f in np.unique(points[:, 0]):
+        chunk = w[points[:, 0] == f]
+        best = min(best, float(np.einsum("ij,jk,ik->i", chunk, K, chunk).min()))
     return best
 
 

@@ -50,11 +50,12 @@ with M_AA, like every other product with K or G, are FFT convolutions
 (``energy._circulant_apply``). They are preconditioned by the circulant
 that the same FFT window embeds M_AA in (T. Chan 1988; R. Chan & Ng
 1996): its inverse, applied to the zero-padded vector and restricted to
-A, is exact on the full circle and takes arcs and pairs of arcs to
-5-15 iterations and depth-4 Cantor sets to at most 29 at every N
-measured (up to 65536), against 33-640 unpreconditioned. A Frank-Wolfe
-column is a table lookup. All of these are indexed by cell difference,
-so rotating E by whole cells changes results by roundoff.
+A, is exact on the full circle, which it solves without iterating, and
+takes arcs and pairs of arcs to 5-15 iterations and depth-4 Cantor sets
+to at most 29 at every N measured (up to 65536), against 33-640
+unpreconditioned. A Frank-Wolfe column is a table lookup. All of these
+are indexed by cell difference, so rotating E by whole cells changes
+results by roundoff.
 
 Kernel exponent bookkeeping: for a divergence-test parameter beta, the
 classical capacity uses kernel exponent 1 - beta while the L2 capacity
@@ -215,10 +216,13 @@ def _block_solve(table: str, n: int, exponent: float, cells: np.ndarray, rhs: fl
     """x with M_AA x = rhs on ``cells``, or None when the solve fails. Up
     to _CG_CELLS cells the block is formed and factored; above, conjugate
     gradients apply M_AA and the preconditioner by
-    ``energy._circulant_apply``, so no k x k array exists."""
+    ``energy._circulant_apply``, so no k x k array exists, and on all n
+    cells the preconditioner alone solves the system."""
     b = np.full(len(cells), rhs)
     if len(cells) > _CG_CELLS:
         op = (table, n, exponent, cells)
+        if len(cells) == n:  # the preconditioner's circulant is M_AA itself
+            return _circulant_apply(*op, b, inverse=True)
         return _conjugate_gradient(partial(_circulant_apply, *op),
                                    partial(_circulant_apply, *op, inverse=True), b)
     try:

@@ -2,11 +2,13 @@
 
 Everything here is computed by routes that do not share code with the
 package internals: closed forms, scipy quadrature called directly on
-the defining integrals, high-precision series tails, and the per-Arc
-routes that array-backed arc families replaced. The frozen
-digits were produced by those same routes at high resolution and are
-pinned so that a regression in the library cannot silently move the
-targets.
+the defining integrals, high-precision series tails, the per-Arc
+routes that array-backed arc families replaced, and the chunked-einsum
+lattice minimum that the split scorer of ``acceptance`` replaced (it
+shares only the enumeration ``_compositions``, which a product filter
+checks in test_acceptance.py). The frozen digits were produced by those
+same routes at high resolution and are pinned so that a regression in
+the library cannot silently move the targets.
 """
 
 import math
@@ -15,6 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from circle_potential import Arc
+from circle_potential.acceptance import _compositions
 
 # Mean of the chord kernel (2 sin(t/2))^{-1/2} over the circle; also the
 # energy of the uniform probability measure for that kernel. Computed by
@@ -189,3 +192,26 @@ def carleson_partial_sums_direct(arcs) -> np.ndarray:
     order = decreasing_length_order(arcs)
     lengths = np.array([arcs[i].length for i in order])
     return np.cumsum(lengths * np.log(lengths))
+
+
+def lattice_min_einsum(K: np.ndarray, subdivisions: int) -> float:
+    """Exhaustive minimum of w^T K w over the lattice of probability
+    vectors with denominators ``subdivisions`` (small instances only).
+
+    The lattice points are the compositions of ``subdivisions`` into c
+    parts, scored in one chunk per value f of the first part: the rows
+    [f, r] for r a composition of ``subdivisions - f`` into c - 1 parts.
+    """
+    c = K.shape[0]
+    rest = _compositions(subdivisions, c - 1)
+    best = math.inf
+    for f in range(subdivisions + 1):
+        tail = rest[subdivisions - f]
+        if not len(tail):
+            continue
+        w = np.empty((len(tail), c))
+        w[:, 0] = f
+        w[:, 1:] = tail
+        w /= subdivisions
+        best = min(best, float(np.einsum("ij,jk,ik->i", w, K, w).min()))
+    return best

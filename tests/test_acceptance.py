@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from circle_potential import PreconditionError, acceptance
-from circle_potential.acceptance import criterion_names, json_bytes, run_all
+from circle_potential.acceptance import AcceptanceContext, criterion_names, json_bytes, run_all
 from circle_potential.cli import main
+from circle_potential.energy import _circulant_block
+from oracles import lattice_min_einsum
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +189,40 @@ def test_lattice_oracle_matches_product_enumeration(seed):
 def test_lattice_oracle_single_cell_is_the_unit_weight():
     """With one cell the lattice is the single point w = [1]."""
     assert acceptance._lattice_min_energy(np.array([[2.5]]), 48) == 2.5
+
+
+def test_lattice_oracle_matches_einsum_route():
+    """The split scorer returns the chunked einsum route's float, bit for
+    bit, at 48 subdivisions: on the gate's own kernels (the sets that
+    small_instance_oracle draws, one to six cells, for three seeds) and
+    on random SPD kernels of one to six cells."""
+    for seed in (AcceptanceContext().seed, 1, 7):
+        rng = AcceptanceContext(seed=seed).rng(8)
+        for size in range(1, 7):
+            idx = np.sort(rng.choice(64, size=size, replace=False))
+            K = _circulant_block("kernel", 64, 0.5, idx)
+            assert acceptance._lattice_min_energy(K, 48) == lattice_min_einsum(K, 48), (seed, size)
+    rng = np.random.default_rng(11)
+    for c in range(1, 7):
+        a = rng.standard_normal((c, c))
+        K = a @ a.T + 0.1 * np.eye(c)
+        assert acceptance._lattice_min_energy(K, 48) == lattice_min_einsum(K, 48), c
+
+
+@pytest.mark.parametrize("c", [2, 3, 4])
+def test_lattice_oracle_exact_ties(c):
+    """With K = ones every lattice point scores 1 in exact arithmetic, so
+    every point is rescored; the result lies within the documented
+    rounding margin 4 (c^2 + 18 c + 57) 2^-53 max|K| of the einsum route
+    and of 1. Rescored in chunks of one first part, the chunks are then
+    the einsum route's own operands, so its float is met exactly too; a
+    zero margin would miss it at S = 48, one rescoring batch at c = 2,
+    S = 7."""
+    K = np.ones((c, c))
+    margin = 4.0 * (c * c + 18 * c + 57) * 2.0**-53
+    for subdivisions in (7, 8, 48):
+        got = acceptance._lattice_min_energy(K, subdivisions)
+        want = lattice_min_einsum(K, subdivisions)
+        assert abs(got - want) <= margin, subdivisions
+        assert abs(got - 1.0) <= margin, subdivisions
+        assert got == want, subdivisions

@@ -547,6 +547,20 @@ def test_conjugate_gradient_is_preconditioned(monkeypatch, solve, alpha):
         assert 1 <= len(products) <= 40, (name, len(products))
 
 
+def test_full_circle_polish_skips_conjugate_gradient(monkeypatch):
+    """On all n cells the window circulant is M itself, so the polish
+    solves by the preconditioner alone, certified by the full residual."""
+    calls = []
+    monkeypatch.setattr(capacity, "_conjugate_gradient", lambda *args: calls.append(args))
+    full = GridSet.full(CircleGrid(4096))
+    for est in (classical_capacity(full, 0.5), l2_capacity(full, 1.0)):
+        assert est.iterations == 1, est.method
+        assert est.kkt_residual <= 1e-14, (est.method, est.kkt_residual)
+    want = 4096 / float(np.sum(kernel_column(4096, 0.5)))
+    assert abs(classical_capacity(full, 0.5).value - want) <= 1e-12 * want
+    assert not calls
+
+
 def test_conjugate_gradient_refuses_indefinite_preconditioner(rng):
     """A preconditioner with r^T P^-1 r <= 0 ends the solve with None, like
     nonpositive curvature; an SPD one solves the system."""
