@@ -507,12 +507,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="seed for builtin random inputs")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--tolerance", type=float, default=None, help="solver stationarity tolerance")
-    p.add_argument("--max-iterations", type=int, default=None, help="solver iteration budget")
     p.add_argument(
-        "--step-rule",
-        choices=("frank_wolfe", "projected_gradient"),
-        default=None,
-        help="classical-capacity iteration rule",
+        "--max-iterations", type=int, default=None, help="capacity solver budget, in polish solves"
     )
     p.add_argument("--out", default=None, help="CSV output path")
 
@@ -531,7 +527,6 @@ def _config_from_args(args) -> Config:
                 max_iterations=_field(
                     solver_raw, "max_iterations", int, cfg.solver.max_iterations
                 ),
-                step_rule=_field(solver_raw, "step_rule", str, cfg.solver.step_rule),
             ),
         )
 
@@ -544,7 +539,6 @@ def _config_from_args(args) -> Config:
     solver = SolverConfig(
         tolerance=pick("tolerance", cfg.solver.tolerance),
         max_iterations=pick("max_iterations", cfg.solver.max_iterations),
-        step_rule=pick("step_rule", cfg.solver.step_rule),
     )
     fourier_m = cfg.fourier_m if grid_n == cfg.grid_n else None
     return Config(grid_n=grid_n, fourier_m=fourier_m, seed=seed, solver=solver)

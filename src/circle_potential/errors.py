@@ -39,9 +39,11 @@ class ConstructionError(PreconditionError):
 
 
 class ConvergenceError(CirclePotentialError):
-    """A solver exhausted its iteration budget.
+    """A solver could not certify its result: a solve failed, the
+    iteration budget ran out, or the certificate missed the tolerance.
 
-    Carries the best iterate found so callers can inspect it.
+    ``best_estimate`` is the best uncertified estimate found, for callers
+    to inspect, or None when the solver produced none.
     """
 
     def __init__(self, message: str, best_estimate=None):

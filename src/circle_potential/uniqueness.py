@@ -200,9 +200,21 @@ class CantorSpec:
         return math.exp(self.stage_log_length(k))
 
 
+# The final stage holds 2^depth arcs, built as arrays of that length
+# stage by stage: depth 20 (about a million arcs) peaks near 140 MB and
+# depth 22 already took 313 MB, so deeper sets are refused up front
+# instead of growing until the allocator gives up.
+MAX_CANTOR_DEPTH = 20
+
+
 def cantor_build(spec: CantorSpec) -> ArcFamily:
     """The 2^depth arcs of the final construction stage, ordered left to
-    right within the host."""
+    right within the host; depths over MAX_CANTOR_DEPTH are refused."""
+    if spec.depth > MAX_CANTOR_DEPTH:
+        raise PreconditionError(
+            f"depth {spec.depth} exceeds {MAX_CANTOR_DEPTH}: the final stage "
+            f"would hold 2^{spec.depth} arcs"
+        )
     lengths = [spec.stage_length(k) for k in range(spec.depth + 1)]
     if lengths[-1] <= 0.0:
         raise ConstructionError(

@@ -155,6 +155,19 @@ def capacity_dense(M: np.ndarray, rhs: float, rounds: int = 50) -> np.ndarray:
     raise RuntimeError("dense active set did not settle")
 
 
+def capacity_value_dense(kappa: np.ndarray, idx: np.ndarray, method: str) -> float:
+    """Capacity of the cells idx of an n-cell grid with kernel column kappa,
+    by ``capacity_dense`` on the k x k restricted matrices: sum(x) for
+    K x = 1 ("classical"), sum(lam) - lam^T G lam / (4n) for G lam = 2n,
+    G from the autocorrelation of kappa ("l2")."""
+    n = len(kappa)
+    if method == "classical":
+        return float(np.sum(capacity_dense(restricted_dense(kappa, idx, n), 1.0)))
+    G = restricted_dense(autocorr_direct(kappa), idx, n)
+    lam = capacity_dense(G, 2.0 * n)
+    return float(np.sum(lam) - lam @ (G @ lam) / (4.0 * n))
+
+
 def log_reciprocal_arcs_direct(n_max: int) -> tuple:
     """The arcs (1/log(n+1), 1/log n), n = 2..n_max, one Arc at a time, as
     ``log_reciprocal_arcs`` built them before families held arrays."""

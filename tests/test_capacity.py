@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from circle_potential import (
 )
 from circle_potential import capacity
 from circle_potential._threads import _BLAS_VARS
-from circle_potential.capacity import _finish_l2, potential_on_set, project_simplex
+from circle_potential.capacity import _finish_l2, potential_on_set
 from circle_potential.energy import kernel_column, kernel_fault
 from circle_potential.uniqueness import CantorSpec, PowerChoice, cantor_grid_set
 
@@ -49,25 +50,15 @@ def test_kernel_exponent_validation():
 def test_solver_config_validation():
     with pytest.raises(PreconditionError):
         SolverConfig(step_rule="newton")
+    # a retired step rule is still accepted, but selects and records nothing
+    assert asdict(SolverConfig(step_rule="projected_gradient")) == asdict(SolverConfig())
+    assert asdict(SolverConfig()) == {"tolerance": 1e-8, "max_iterations": 50_000}
     with pytest.raises(PreconditionError):
         SolverConfig(tolerance=0.0)
     with pytest.raises(PreconditionError):
         SolverConfig(tolerance=math.nan)
     with pytest.raises(PreconditionError):
         SolverConfig(max_iterations=0)
-
-
-def test_project_simplex_properties(rng):
-    for _ in range(50):
-        v = rng.normal(size=int(rng.integers(1, 30)))
-        w = project_simplex(v)
-        assert np.all(w >= 0.0)
-        assert abs(w.sum() - 1.0) < 1e-12
-        # projection is idempotent on its image
-        assert np.allclose(project_simplex(w), w, atol=1e-12)
-    # a simplex point projects to itself
-    p = np.array([0.2, 0.5, 0.3])
-    assert np.allclose(project_simplex(p), p, atol=1e-15)
 
 
 def test_classical_full_circle_pin(grid1024, solver):
@@ -101,15 +92,6 @@ def test_classical_kkt_certificate(grid256, solver):
     level = 1.0 / est.value
     support = w[idx] > 1e-12
     assert np.max(np.abs(pot[support] - level)) <= 1e-6 * level
-
-
-def test_classical_step_rules_agree(grid256, rng):
-    e = GridSet.from_arcs(grid256, Arc(0.3, 1.7)).union(
-        GridSet.from_arcs(grid256, Arc(-2.4, -1.9))
-    )
-    fw = classical_capacity(e, 0.5, SolverConfig(step_rule="frank_wolfe"))
-    pg = classical_capacity(e, 0.5, SolverConfig(step_rule="projected_gradient"))
-    assert abs(fw.value - pg.value) <= 1e-6 * fw.value
 
 
 def test_classical_monotone_under_inclusion(grid256, solver, rng):
@@ -257,42 +239,84 @@ def test_capacity_deterministic_across_runs(grid256, solver):
     assert c.value == d.value
 
 
+def _run_isolated(script):
+    """Run a script in a fresh interpreter with a timeout, so a solver
+    that hangs fails the test instead of stalling pytest; returns stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_stalled_solver_raises_instead_of_hanging():
-    """With the active-set polish disabled, a Frank-Wolfe run that is
-    already stationary takes no descent step; the solver must give up
-    with ConvergenceError rather than repeat the same round forever.
-    Runs in a subprocess so a hang fails the test instead of pytest."""
-    script = textwrap.dedent(
-        """
+    """A polish whose solves all fail has nothing behind it: each solver
+    raises ConvergenceError without an estimate after one attempt instead
+    of trying again."""
+    script = """
         import circle_potential.capacity as cap
         from circle_potential import (
             CircleGrid, ConvergenceError, GridSet, SolverConfig,
             classical_capacity, l2_capacity,
         )
 
-        cap._kkt_polish = lambda *args, **kwargs: None
+        calls = []
+        cap._block_solve = lambda *args: calls.append(args)  # every solve fails
         e = GridSet.full(CircleGrid(64))
-        for solve, rule in (
-            (classical_capacity, "frank_wolfe"),
-            (classical_capacity, "projected_gradient"),
-            (l2_capacity, "frank_wolfe"),
-        ):
+        for solve in (classical_capacity, l2_capacity):
+            calls.clear()
             try:
-                solve(e, 0.5, SolverConfig(max_iterations=1000, step_rule=rule))
+                solve(e, 0.5, SolverConfig(max_iterations=1000))
             except ConvergenceError as exc:
-                assert exc.best_estimate.value > 0.0
-                assert exc.best_estimate.iterations <= 1000
+                assert exc.best_estimate is None
+                assert len(calls) == 1, len(calls)
             else:
-                raise SystemExit(f"{solve.__name__} {rule}: no ConvergenceError")
+                raise SystemExit(f"{solve.__name__}: no ConvergenceError")
         print("ok")
         """
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+    assert _run_isolated(script) == "ok"
+
+
+def test_cycling_polish_stops_at_max_iterations():
+    """A solve that turns one cell negative whenever it is active makes
+    the polish drop and re-add that cell forever; max_iterations stops it
+    after exactly that many solves with ConvergenceError, carrying the
+    estimate of the last solve with every entry positive."""
+    script = """
+        import circle_potential.capacity as cap
+        from circle_potential import (
+            Arc, CircleGrid, ConvergenceError, GridSet, SolverConfig,
+            classical_capacity, l2_capacity,
+        )
+
+        e = GridSet.from_arcs(CircleGrid(256), Arc(0.3, 1.7))
+        cell = int(e.indices[e.count // 2])
+        block = cap._block_solve
+        calls = []
+
+        def cycling(table, n, exponent, cells, rhs):
+            calls.append(cell in cells)
+            x = block(table, n, exponent, cells, rhs)
+            x[cells == cell] = -1.0
+            return x
+
+        cap._block_solve = cycling
+        for solve in (classical_capacity, l2_capacity):
+            calls.clear()
+            try:
+                solve(e, 0.5, SolverConfig(max_iterations=7))
+            except ConvergenceError as exc:
+                best = exc.best_estimate
+                assert calls == [True, False] * 3 + [True], calls
+                assert best.iterations == 7
+                assert best.value > 0.0 and best.kkt_residual > 1e-8
+            else:
+                raise SystemExit(f"{solve.__name__}: no ConvergenceError")
+        print("ok")
+        """
+    assert _run_isolated(script) == "ok"
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
@@ -365,10 +389,9 @@ def _agreement_sets(grid):
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_capacities_match_dense_route(n, solver, monkeypatch):
     """The matrix-free solvers agree to 1e-9 relative with a direct dense
-    solve on the k x k restricted matrices: classical capacity sum(x) for
-    K x = 1, L2 capacity sum(lam) - lam^T G lam / (4N) for G lam = 2N.
-    Sets just above the crossover are solved by conjugate gradients,
-    sets at it by the dense block."""
+    solve (``oracles.capacity_value_dense``). Sets just above the
+    crossover are solved by conjugate gradients, sets at it by the dense
+    block."""
     cg_sizes = []
     cg = capacity._conjugate_gradient
     monkeypatch.setattr(
@@ -380,15 +403,13 @@ def test_capacities_match_dense_route(n, solver, monkeypatch):
         cg_sizes.clear()
         idx = e.indices
         for exponent in (0.0, 0.25, 0.5):
-            K = oracles.restricted_dense(kernel_column(n, exponent), idx, n)
-            want = float(np.sum(oracles.capacity_dense(K, 1.0)))
+            kappa = np.asarray(kernel_column(n, exponent))
+            want = oracles.capacity_value_dense(kappa, idx, "classical")
             got = classical_capacity(e, exponent, solver).value
             assert abs(got - want) <= 1e-9 * want, (name, exponent, got, want)
         for alpha in (0.5, 1.0):
             kappa = np.asarray(kernel_column(n, kernel_exponents(alpha).l2_convolution))
-            G = oracles.restricted_dense(oracles.autocorr_direct(kappa), idx, n)
-            lam = oracles.capacity_dense(G, 2.0 * n)
-            want = float(np.sum(lam) - lam @ (G @ lam) / (4.0 * n))
+            want = oracles.capacity_value_dense(kappa, idx, "l2")
             got = l2_capacity(e, alpha, solver).value
             assert abs(got - want) <= 1e-9 * want, (name, alpha, got, want)
         if name.endswith("-below"):
@@ -398,12 +419,16 @@ def test_capacities_match_dense_route(n, solver, monkeypatch):
 
 
 def test_half_circle_certifies_on_first_solve(grid256, solver):
-    """Equilibrium measures charge the whole set, so the first polish,
-    over every cell, certifies: one solve and no descent step."""
+    """Equilibrium measures charge the whole set, so the polish, started
+    on every cell, certifies on its first solve."""
     e = GridSet.from_arcs(grid256, Arc(-math.pi / 2.0, math.pi / 2.0), mode="cover")
     for est in (classical_capacity(e, 0.5, solver), l2_capacity(e, 0.5, solver)):
         assert est.iterations == 1
         assert est.kkt_residual <= solver.tolerance
+
+
+def _two_arcs(grid):
+    return GridSet.from_arcs(grid, Arc(0.3, 1.7)).union(GridSet.from_arcs(grid, Arc(-2.4, -1.9)))
 
 
 @pytest.mark.parametrize(
@@ -415,26 +440,53 @@ def test_half_circle_certifies_on_first_solve(grid256, solver):
     ],
 )
 def test_descent_fallback_reaches_tolerance(monkeypatch, grid256, solve, rule):
-    """When the first polish yields nothing, descent steps and the next
-    polish still reach tolerance and the same value."""
-    e = GridSet.from_arcs(grid256, Arc(0.3, 1.7)).union(
-        GridSet.from_arcs(grid256, Arc(-2.4, -1.9))
-    )
+    """No descent stands behind the polish: whichever retired step rule
+    the config names, the estimate is the default one, and a first solve
+    that fails ends the solver with ConvergenceError and no estimate."""
+    e = _two_arcs(grid256)
     cfg = SolverConfig(step_rule=rule)
-    want = solve(e, 0.5, cfg).value
-    polish = capacity._kkt_polish
+    want, got = solve(e, 0.5), solve(e, 0.5, cfg)
+    assert got.to_json() == want.to_json()
+    assert np.array_equal(got.minimizer, want.minimizer)
+
+    block = capacity._block_solve
     calls = []
 
-    def first_fails(*args, **kwargs):
+    def first_fails(*args):
         calls.append(None)
-        return None if len(calls) == 1 else polish(*args, **kwargs)
+        return None if len(calls) == 1 else block(*args)
 
-    monkeypatch.setattr(capacity, "_kkt_polish", first_fails)
-    est = solve(e, 0.5, cfg)
-    assert len(calls) >= 2
-    assert est.iterations > 2
-    assert est.kkt_residual <= cfg.tolerance
-    assert abs(est.value - want) <= 1e-9 * want
+    monkeypatch.setattr(capacity, "_block_solve", first_fails)
+    with pytest.raises(ConvergenceError) as info:
+        solve(e, 0.5, cfg)
+    assert info.value.best_estimate is None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("solve", [classical_capacity, l2_capacity])
+def test_polish_drops_and_readds_a_cell(monkeypatch, grid256, solver, solve):
+    """A first solve with one entry negated makes the polish drop that
+    cell; the residual of the next solve adds it back, and the third
+    solve certifies the unperturbed value."""
+    e = _two_arcs(grid256)
+    want = solve(e, 0.5, solver)
+    j = e.count // 2
+    block = capacity._block_solve
+    active = []
+
+    def first_negated(table, n, exponent, cells, rhs):
+        x = block(table, n, exponent, cells, rhs)
+        if not active:
+            x[j] = -x[j]
+        active.append(cells)
+        return x
+
+    monkeypatch.setattr(capacity, "_block_solve", first_negated)
+    est = solve(e, 0.5, solver)
+    assert [e.indices[j] in cells for cells in active] == [True, False, True]
+    assert est.iterations == 3
+    assert est.kkt_residual <= solver.tolerance
+    assert abs(est.value - want.value) <= 1e-12 * want.value
 
 
 def test_capacities_independent_of_thread_count():
@@ -484,13 +536,12 @@ def test_capacities_independent_of_thread_count():
 )
 def test_conjugate_gradient_failure_falls_back(monkeypatch, grid256, solve, rule):
     """A conjugate-gradient solve that gives up fails the polish like a
-    singular dense solve: descent then takes over and reaches the same
-    value, and a solver whose every solve gives up still stops, with
-    ConvergenceError on max_iterations."""
+    singular dense solve, and nothing falls back: given up on the first
+    solve, ConvergenceError carries no estimate; given up after a solve
+    with every entry positive, it carries that solve's uncertified
+    estimate."""
     monkeypatch.setattr(capacity, "_CG_CELLS", 8)  # conjugate gradients on every polish
-    e = GridSet.from_arcs(grid256, Arc(0.3, 1.7)).union(
-        GridSet.from_arcs(grid256, Arc(-2.4, -1.9))
-    )
+    e = _two_arcs(grid256)
     cfg = SolverConfig(step_rule=rule)
     want = solve(e, 0.5, cfg)
     assert want.iterations == 1
@@ -503,18 +554,33 @@ def test_conjugate_gradient_failure_falls_back(monkeypatch, grid256, solve, rule
         return None if len(calls) == 1 else cg(apply, precondition, b)
 
     monkeypatch.setattr(capacity, "_conjugate_gradient", first_gives_up)
-    est = solve(e, 0.5, cfg)
-    assert len(calls) >= 2
-    assert est.iterations > 2
-    assert est.kkt_residual <= cfg.tolerance
-    assert abs(est.value - want.value) <= 1e-9 * want.value
-
-    monkeypatch.setattr(capacity, "_conjugate_gradient", cg)
-    monkeypatch.setattr(capacity, "_CG_MAX_ITERATIONS", 0)
     with pytest.raises(ConvergenceError) as info:
-        solve(e, 0.5, SolverConfig(step_rule=rule, max_iterations=300))
-    assert info.value.best_estimate.iterations == 300
-    assert info.value.best_estimate.value > 0.0
+        solve(e, 0.5, cfg)
+    assert info.value.best_estimate is None
+    assert len(calls) == 1
+
+    # drop a cell on the first solve, so the second re-adds it and the
+    # third, which gives up, leaves the second's estimate
+    j = e.count // 2
+    calls.clear()
+
+    def third_gives_up(apply, precondition, b):
+        calls.append(None)
+        if len(calls) == 3:
+            return None
+        x = cg(apply, precondition, b)
+        if len(calls) == 1:
+            x[j] = -x[j]
+        return x
+
+    monkeypatch.setattr(capacity, "_conjugate_gradient", third_gives_up)
+    with pytest.raises(ConvergenceError) as info:
+        solve(e, 0.5, cfg)
+    best = info.value.best_estimate
+    assert len(calls) == 3
+    assert best.iterations == 2
+    assert best.kkt_residual > cfg.tolerance
+    assert 0.0 < best.value <= want.value  # the capacity of E less one cell
 
 
 @pytest.mark.parametrize("solve, alpha", [(classical_capacity, 0.0), (l2_capacity, 1.0)])

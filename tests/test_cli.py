@@ -299,6 +299,13 @@ def test_cantor_default_offset_rejected(capsys):
     assert "error" in err
 
 
+def test_cantor_depth_over_bound_exits_2(capsys):
+    code, out, err = run_cli(capsys, "cantor", "--rule", "ratio:r=0.4", "--depth", "40")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_selftest_single_criterion(capsys):
     code, out, err = run_cli(
         capsys, "selftest", "--only", "determinism", "--grid-n", "256",
@@ -405,23 +412,26 @@ def test_no_convergence_exit_3(capsys):
 
 def test_config_file_and_flag_override(capsys, tmp_path):
     cfg = tmp_path / "config.json"
-    cfg.write_text(
-        json.dumps(
-            {"grid_n": 128, "seed": 7, "solver": {"step_rule": "projected_gradient"}}
-        )
-    )
+    cfg.write_text(json.dumps({"grid_n": 128, "seed": 7, "solver": {"max_iterations": 777}}))
     payload = run_json(
         capsys, "energy", "--fn", "builtin:monomial,n=1", "--alpha", "0.5",
         "--config", str(cfg),
     )
     assert payload["config"]["grid_n"] == 128
     assert payload["config"]["seed"] == 7
-    assert payload["config"]["solver"]["step_rule"] == "projected_gradient"
+    assert payload["config"]["solver"] == {"tolerance": 1e-8, "max_iterations": 777}
     payload = run_json(
         capsys, "energy", "--fn", "builtin:monomial,n=1", "--alpha", "0.5",
         "--config", str(cfg), "--grid-n", "256",
     )
     assert payload["config"]["grid_n"] == 256
+    # a config written for the retired step rules still runs
+    cfg.write_text(json.dumps({"grid_n": 128, "solver": {"step_rule": "projected_gradient"}}))
+    code, _, err = run_cli(
+        capsys, "capacity", "--method", "classical", "--alpha", "0.5", "--set", "half",
+        "--config", str(cfg),
+    )
+    assert code == 0, err
 
 
 def test_cli_output_reproducible(capsys):

@@ -102,7 +102,6 @@ COMMON = {
          '{"seed": -3}', "[1, 2]", "no-such-file.json"],
     ),
     "--tolerance": mix(["1e-8", "1e-6"], ["0", "-1", "nan", "x", "1e-30"]),
-    "--step-rule": mix(["frank_wolfe", "projected_gradient"], ["newton"]),
 }
 OUT = st.sampled_from(["OUT_DIR/out.csv", "OUT_DIR/missing/out.csv", "OUT_DIR"])
 FLAG = st.just(None)
@@ -182,7 +181,7 @@ ARGV = st.one_of(
     ),
     command(
         "cantor", "64",
-        {"--rule": RULE, "--depth": mix(["0", "2", "5"], ["-1", "x"])},
+        {"--rule": RULE, "--depth": mix(["0", "2", "5"], ["-1", "x", "40"])},
         {"--offset": mix(["3", "4"], ["-1", "0", "x"]), "--host": ARC, "--scale-to-host": FLAG},
     ),
     # The selftest takes no solver options (a loose tolerance or a tiny

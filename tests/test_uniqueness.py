@@ -79,6 +79,16 @@ def test_power_rule_default_offset_is_inadmissible():
     assert info.value.stage == 2
 
 
+def test_cantor_build_refuses_depth_over_bound():
+    """The final stage has 2^depth arcs; depth 21 and beyond are refused
+    before any array is built, so a typo such as depth 40 cannot exhaust
+    memory."""
+    for depth in (21, 40):
+        spec = CantorSpec(rule=RatioRule(0.4, l0=1.0), depth=depth)
+        with pytest.raises(PreconditionError, match="exceeds 20"):
+            cantor_build(spec)
+
+
 def test_power_rule_offset_three_is_admissible():
     spec = CantorSpec(rule=PowerChoice(0.5), depth=5, offset=3)
     fam = cantor_build(spec)
