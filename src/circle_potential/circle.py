@@ -345,30 +345,109 @@ class CircleGrid:
         set (used for localized energies). mode="cover": cells whose
         closed cell intersects the closure of the set (used for capacity
         targets; biases the represented set slightly outward).
+
+        The cells one arc selects form a cyclic run. The run is found in
+        O(1) from the arc's endpoints and its two ends are settled by the
+        same float test a scan of every cell center would make, so a mask
+        costs O(N + selected cells) for an arc or a family, not O(arcs * N).
         """
+        spans = self._spans(target, mode)
+        if spans is None:
+            return np.ones(self.n_points, dtype=bool)
+        n = self.n_points
+        mask = np.zeros(n, dtype=bool)
+        for start, length in spans:
+            run = self._run(start, length, mode)
+            if run is None:
+                mask |= self._scan(start, length, mode)
+                continue
+            first, count = run
+            mask[first:first + count] = True
+            mask[:max(first + count - n, 0)] = True
+        return mask
+
+    def indices_of(self, target: CircleSet, mode: str = "centers") -> np.ndarray:
+        spans = self._spans(target, mode)
+        if spans is None:
+            return np.arange(self.n_points)
+        run = self._run(target.start, target.length, mode) if isinstance(target, Arc) else None
+        if run is None:
+            return np.flatnonzero(self.mask_of(target, mode))
+        first, count = run
+        n = self.n_points
+        if first + count <= n:
+            return np.arange(first, first + count)
+        return np.concatenate((np.arange(first + count - n), np.arange(first, n)))
+
+    def _spans(self, target: CircleSet, mode: str):
+        """(start, length) of each arc of ``target``; None for the full circle."""
         if not isinstance(target, (Arc, ArcFamily)):
             raise PreconditionError(f"unsupported set type {type(target)!r}")
         if mode not in ("centers", "cover"):
             raise PreconditionError(f"unknown selection mode {mode!r}")
-        if isinstance(target, ArcFamily) and target.full:
-            return np.ones(self.n_points, dtype=bool)
         if isinstance(target, Arc):
-            spans = ((target.start, target.length),)
-        else:
-            spans = zip(target.starts.tolist(), target.lengths.tolist())
-        half = self.cell_width / 2.0
-        mask = np.zeros(self.n_points, dtype=bool)
-        for start, length in spans:
-            rel = self.angles - start  # both in [-pi, pi): same as % 2pi, cheaper
-            rel += TWO_PI * (rel < 0.0)
-            if mode == "centers":
-                mask |= (rel > 0.0) & (rel < length)
-            else:
-                mask |= (rel <= length + half) | (rel >= TWO_PI - half)
-        return mask
+            return ((target.start, target.length),)
+        if target.full:
+            return None
+        return zip(target.starts.tolist(), target.lengths.tolist())
 
-    def indices_of(self, target: CircleSet, mode: str = "centers") -> np.ndarray:
-        return np.nonzero(self.mask_of(target, mode))[0]
+    def _scan(self, start: float, length: float, mode: str) -> np.ndarray:
+        """The mask of one arc by testing every cell center."""
+        rel = self.angles - start  # both in [-pi, pi): same as % 2pi, cheaper
+        rel += TWO_PI * (rel < 0.0)
+        if mode == "centers":
+            return (rel > 0.0) & (rel < length)
+        half = self.cell_width / 2.0
+        return (rel <= length + half) | (rel >= TWO_PI - half)
+
+    def _run(self, start: float, length: float, mode: str) -> tuple[int, int] | None:
+        """The cells ``_scan`` selects for one arc as a cyclic run
+        (first, count), or None when the run reaches all N cells.
+
+        From j0, the first center at or after ``start``, the scan's
+        offset rel grows with each step counterclockwise, so each test
+        selects a prefix or a suffix of that cyclic order. Each end is
+        estimated from the cell width and settled by the scan's own test.
+        """
+        n = self.n_points
+        h = self.cell_width
+
+        def angle(j):  # the float of self.angles[j]
+            return -math.pi + TWO_PI * j / n
+
+        def rel(i):  # the scan's offset of the i-th cell from j0
+            j = j0 + i
+            r = angle(j - n if j >= n else j) - start
+            return r + TWO_PI if r < 0.0 else r
+
+        def prefix(inside, guess):  # the count of leading cells with inside(rel)
+            i = min(max(guess, 0), n)
+            while i > 0 and not inside(rel(i - 1)):
+                i -= 1
+            while i < n and inside(rel(i)):
+                i += 1
+            return i
+
+        j0 = min(max(math.ceil((start + math.pi) / h), 0), n)
+        while j0 > 0 and angle(j0 - 1) >= start:
+            j0 -= 1
+        while j0 < n and angle(j0) < start:
+            j0 += 1
+        j0 %= n
+        r0 = rel(0)
+        if mode == "centers":
+            skip = 0 if r0 > 0.0 else 1  # a center on ``start`` is not inside
+            stop = prefix(lambda r: r < length, math.ceil((length - r0) / h))
+            if stop == n:
+                return None
+            return (j0 + skip) % n, max(stop - skip, 0)
+        half = h / 2.0
+        top, bottom = length + half, TWO_PI - half
+        stop = prefix(lambda r: r <= top, math.floor((top - r0) / h) + 1)
+        tail = prefix(lambda r: r < bottom, math.ceil((bottom - r0) / h))
+        if stop >= tail:
+            return None
+        return (j0 + tail) % n, n - tail + stop
 
     def resolved_cells(self, target: CircleSet, what: str) -> np.ndarray:
         """Center-mode indices of ``target``; fewer than RESOLUTION_CELLS

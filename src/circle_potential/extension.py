@@ -101,10 +101,10 @@ def extend(f: BoundarySamples, setup: ExtensionSetup) -> BoundarySamples:
     idx_l = grid.resolved_cells(setup.arc_l, "reflected arc L")
     idx_r = grid.resolved_cells(setup.arc_r, "reflected arc R")
     # I is centered at 0, so its cells are in increasing angle order.
-    mask_i = grid.mask_of(setup.arc_i)
-    xp, fp = grid.angles[mask_i], f.values[mask_i]
+    idx_i = grid.indices_of(setup.arc_i)
+    xp, fp = grid.angles[idx_i], f.values[idx_i]
     out = np.zeros(grid.n_points, dtype=np.complex128)
-    out[mask_i] = fp
+    out[idx_i] = fp
     for idx in (idx_l, idx_r):
         pre = setup.preimage(grid.angles[idx])
         out[idx] = np.interp(pre, xp, fp.real) + 1j * np.interp(pre, xp, fp.imag)
@@ -192,10 +192,10 @@ def test_function_F(
     J; nonnegative, supported in I_gamma, and equal to 1 wherever f~
     vanishes inside I."""
     grid = f_tilde.grid
-    mask_j = grid.mask_of(setup.arc_j)
-    if not mask_j.any():
+    idx_j = grid.indices_of(setup.arc_j)
+    if not idx_j.size:
         raise ResolutionError("J contains no grid cells")
-    m = float(np.mean(np.abs(f_tilde.values[mask_j])))
+    m = float(np.mean(np.abs(f_tilde.values[idx_j])))
     if m == 0.0:
         raise DegenerateInputError("f~ vanishes identically on J; the mean m is zero")
     vals = phi.values.real * np.abs(1.0 - np.abs(f_tilde.values) / m)

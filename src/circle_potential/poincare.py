@@ -104,7 +104,6 @@ def poincare_check(
         )
 
     grid = f.grid
-    mask_i = grid.mask_of(arc)
     energy = dirichlet_energy_local(f, arc, arc, alpha)
     cap = l2_capacity(e_in_i, beta, cfg).value
     scale = arc.length ** (alpha - beta)
@@ -112,7 +111,7 @@ def poincare_check(
         lhs = 0.0
         ratio = 0.0
     else:
-        lhs = float(np.mean(np.abs(f.values[mask_i]))) ** 2
+        lhs = float(np.mean(np.abs(f.values[grid.indices_of(arc)]))) ** 2
         ratio = lhs * cap / (scale * energy)
     return PoincareReport(
         lhs=lhs,

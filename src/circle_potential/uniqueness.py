@@ -78,6 +78,13 @@ class PowerChoice:
             raise PreconditionError(f"power rule is defined for n >= 1, got {n}")
         return (-n * LN2 + math.log(n)) / (1.0 - self.beta)
 
+    def log_lengths(self, ns: np.ndarray) -> np.ndarray:
+        """``log_length`` at each index of ``ns``, float for float."""
+        bad = ns[ns < 1]
+        if bad.size:
+            raise PreconditionError(f"power rule is defined for n >= 1, got {bad[0]}")
+        return (-ns * LN2 + _math_logs(ns)) / (1.0 - self.beta)
+
     def describe(self) -> str:
         return f"power:beta={self.beta}"
 
@@ -100,6 +107,13 @@ class RatioRule:
         if n < 0:
             raise PreconditionError(f"ratio rule is defined for n >= 0, got {n}")
         return math.log(self.l0) + n * math.log(self.ratio)
+
+    def log_lengths(self, ns: np.ndarray) -> np.ndarray:
+        """``log_length`` at each index of ``ns``, float for float."""
+        bad = ns[ns < 0]
+        if bad.size:
+            raise PreconditionError(f"ratio rule is defined for n >= 0, got {bad[0]}")
+        return math.log(self.l0) + ns * math.log(self.ratio)
 
     def describe(self) -> str:
         return f"ratio:r={self.ratio},l0={self.l0}"
@@ -127,11 +141,25 @@ class TableRule:
             )
         return math.log(self.lengths[n])
 
+    def log_lengths(self, ns: np.ndarray) -> np.ndarray:
+        """``log_length`` at each index of ``ns``, float for float."""
+        bad = ns[(ns < 0) | (ns >= len(self.lengths))]
+        if bad.size:
+            raise PreconditionError(
+                f"table rule is defined for 0 <= n < {len(self.lengths)}, got {bad[0]}"
+            )
+        return _math_logs(np.asarray(self.lengths)[ns])
+
     def describe(self) -> str:
         return f"table:k={len(self.lengths)}"
 
 
 LengthRule = PowerChoice | RatioRule | TableRule
+
+
+def _math_logs(x: np.ndarray) -> np.ndarray:
+    """math.log at each entry (np.log can differ from it in the last bit)."""
+    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +433,7 @@ def cantor_capacity_series(rule: LengthRule, s: float, n_terms: int) -> SeriesDi
     if n_terms < start:
         raise PreconditionError(f"need at least {start} terms, got {n_terms}")
     ns = np.arange(start, n_terms + 1)
-    log_l = np.array([rule.log_length(int(n)) for n in ns])
+    log_l = rule.log_lengths(ns)
     terms = np.exp(-ns * LN2 - s * log_l)
     sums = np.cumsum(terms)
     trend, fit = classify_trend(sums, start)

@@ -3,10 +3,12 @@
 Everything here is computed by routes that do not share code with the
 package internals: closed forms, scipy quadrature called directly on
 the defining integrals, high-precision series tails, the per-Arc
-routes that array-backed arc families replaced, and the chunked-einsum
+routes that array-backed arc families replaced, the chunked-einsum
 lattice minimum that the split scorer of ``acceptance`` replaced (it
 shares only the enumeration ``_compositions``, which a product filter
-checks in test_acceptance.py). The frozen digits were produced by those
+checks in test_acceptance.py), and the grid-wide routes that the
+run-based cell selection and the span-sized local energy replaced
+(they share only the windowed spectrum tables of ``energy``). The frozen digits were produced by those
 same routes at high resolution and are pinned so that a regression in
 the library cannot silently move the targets.
 """
@@ -16,8 +18,10 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from circle_potential import Arc
+from circle_potential import Arc, ArcFamily
 from circle_potential.acceptance import _compositions
+from circle_potential.circle import TWO_PI
+from circle_potential.energy import _TABLES, _faulted, _spectrum_base
 
 # Mean of the chord kernel (2 sin(t/2))^{-1/2} over the circle; also the
 # energy of the uniform probability measure for that kernel. Computed by
@@ -228,3 +232,63 @@ def lattice_min_einsum(K: np.ndarray, subdivisions: int) -> float:
         w /= subdivisions
         best = min(best, float(np.einsum("ij,jk,ik->i", w, K, w).min()))
     return best
+
+
+def mask_of_scan(grid, target, mode: str = "centers") -> np.ndarray:
+    """Cell selection by testing every cell center against every arc:
+    O(arcs * N), the route ``CircleGrid.mask_of`` took before it selected
+    each arc's cells as one index run."""
+    if isinstance(target, ArcFamily) and target.full:
+        return np.ones(grid.n_points, dtype=bool)
+    if isinstance(target, Arc):
+        spans = ((target.start, target.length),)
+    else:
+        spans = zip(target.starts.tolist(), target.lengths.tolist())
+    half = grid.cell_width / 2.0
+    mask = np.zeros(grid.n_points, dtype=bool)
+    for start, length in spans:
+        rel = grid.angles - start
+        rel += TWO_PI * (rel < 0.0)
+        if mode == "centers":
+            mask |= (rel > 0.0) & (rel < length)
+        else:
+            mask |= (rel <= length + half) | (rel >= TWO_PI - half)
+    return mask
+
+
+def circulant_apply_gap_search(table: str, n: int, exponent: float, cells: np.ndarray,
+                               x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """``energy._circulant_apply`` with its window always found by the
+    search for the widest cyclic gap and the cells always scattered and
+    gathered by index, as before sorted runs of cells took a slice."""
+    gaps = np.diff(cells, prepend=cells[-1] - n)
+    k = int(np.argmax(gaps))
+    start, m = int(cells[k]), 1 << (2 * (n - int(gaps[k]))).bit_length()
+    if m >= n:
+        start, m = 0, n
+    pos = (cells - start) % n
+    buf = np.zeros(x.shape[:-1] + (m,))
+    buf[..., pos] = x
+    spec = _faulted(_spectrum_base(table, n, float(exponent), m), _TABLES[table][1])
+    ft = np.fft.rfft(buf)
+    return np.fft.irfft(ft / spec if inverse else ft * spec, m)[..., pos]
+
+
+def energy_local_members(f, arc_i, arc_j, alpha: float) -> float:
+    """D_{I,J,alpha}(f) from two N-long membership rows and their
+    ``flatnonzero``, cells selected by ``mask_of_scan`` and the window by
+    ``circulant_apply_gap_search``: the localized energy's route before
+    it sized its rows to the span of I u J (no resolution check)."""
+    n = f.grid.n_points
+    member = np.zeros((2, n))
+    member[0, mask_of_scan(f.grid, arc_i)] = 1.0
+    member[1, mask_of_scan(f.grid, arc_j)] = 1.0
+    cells = np.flatnonzero(member[0] + member[1])
+    in_i, in_j = member[:, cells]
+    g = f.values[cells] - f.values[cells[0]]
+    g2 = g.real**2 + g.imag**2
+    t_j, t_i, t_re, t_im = circulant_apply_gap_search(
+        "chord", n, alpha, cells, np.stack([in_j, in_i, in_j * g.real, in_j * g.imag])
+    )
+    terms = in_i * (g2 * t_j - 2.0 * (g.real * t_re + g.imag * t_im)) + in_j * g2 * t_i
+    return float(np.sum(terms)) / n**2

@@ -162,28 +162,30 @@ def test_fault_injection_is_detected():
     assert report["all_passed"] is False
 
 
-def _product_lattice_min(K, subdivisions):
-    """The same lattice minimum from an itertools.product filter, which
-    also yields the compositions in lexicographic order."""
-    c = K.shape[0]
+def _product_lattice(c, subdivisions):
+    """The lattice's points from an itertools.product filter, which also
+    yields the compositions in lexicographic order."""
     points = itertools.product(range(subdivisions + 1), repeat=c)
-    comps = [p for p in points if sum(p) == subdivisions]
-    w = np.array(comps, dtype=float) / subdivisions
-    return float(np.einsum("ij,jk,ik->i", w, K, w).min())
+    return np.array([p for p in points if sum(p) == subdivisions])
 
 
 @pytest.mark.parametrize("seed", [500_000, 4])
 def test_lattice_oracle_matches_product_enumeration(seed):
-    """The compositions built a part at a time visit the same lattice as
-    a brute product filter, for one to six cells and every subdivision
-    up to 8, and score it to the same float, on two random kernel sets."""
+    """The compositions built a part at a time are a brute product
+    filter's points in the same order, for one to six cells and every
+    subdivision up to 8, and the oracle scores that lattice to the
+    chunked einsum route's float on two random kernel sets. One einsum
+    over all the points is no reference: at two cells numpy rounds a row
+    differently depending on how many rows the operand has."""
     rng = np.random.default_rng(seed)
     for c in range(1, 7):
         a = rng.standard_normal((c, c))
         K = a @ a.T + 0.1 * np.eye(c)
         for subdivisions in range(1, 9):
+            points = acceptance._compositions(subdivisions, c)[subdivisions]
+            assert np.array_equal(points, _product_lattice(c, subdivisions)), (c, subdivisions)
             got = acceptance._lattice_min_energy(K, subdivisions)
-            assert got == _product_lattice_min(K, subdivisions), (c, subdivisions)
+            assert got == lattice_min_einsum(K, subdivisions), (c, subdivisions)
 
 
 def test_lattice_oracle_single_cell_is_the_unit_weight():

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from circle_potential import (
     Arc,
     ArcFamily,
+    CantorSpec,
     CircleGrid,
     FULL_CIRCLE,
     GridSet,
+    PowerChoice,
     PreconditionError,
+    cantor_build,
     chord_distance,
     normalize_angle,
     vitali_disjoint_subfamily,
@@ -197,6 +201,21 @@ def test_mask_of_family_is_union(grid64):
     expected = grid64.mask_of(a, mode="centers") | grid64.mask_of(b, mode="centers")
     assert np.array_equal(m, expected)
     assert grid64.mask_of(FULL_CIRCLE).all()
+
+
+@pytest.mark.parametrize("n", [256, 4096, 65536])
+def test_mask_of_many_arc_family_matches_scan(n):
+    """The 64 arcs of a depth-6 Cantor build, in both modes: the union of
+    the arcs' runs is the scan's mask, and so are the indices and the
+    GridSet built from it."""
+    grid = CircleGrid(n)
+    fam = cantor_build(CantorSpec(rule=PowerChoice(0.5), depth=6, offset=3))
+    assert len(fam) == 64
+    for mode in ("centers", "cover"):
+        want = oracles.mask_of_scan(grid, fam, mode)
+        assert np.array_equal(grid.mask_of(fam, mode), want)
+        assert np.array_equal(grid.indices_of(fam, mode), np.flatnonzero(want))
+        assert np.array_equal(GridSet.from_arcs(grid, fam, mode).mask, want)
 
 
 def test_mask_mode_validation(grid64):

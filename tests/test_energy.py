@@ -35,7 +35,9 @@ from circle_potential.energy import (
     _TABLES,
     FourierCoeffs,
     _chord_power_table_base,
+    _circulant_apply,
     _circulant_block,
+    _fourier_mode,
     _spectrum_base,
     energy_report,
     kernel_column,
@@ -381,6 +383,72 @@ def test_random_polynomial_reproducible(grid64):
     f2, c2 = random_trig_polynomial(grid64, 3, np.random.default_rng(5))
     assert np.array_equal(f1.values, f2.values)
     assert c1 == c2
+
+
+@pytest.mark.parametrize("n", [1, 7, 2048])
+def test_random_polynomial_matches_direct_sum(n):
+    """The cached modes give the samples of the direct sum of
+    c_k exp(i k t) over k = -degree..degree, byte for byte, with the
+    coefficients drawn in the same order; the cache holds single modes
+    and has a fixed bound."""
+    grid = CircleGrid(n)
+    for degree in (0, 6, 40):
+        f, coeffs = random_trig_polynomial(grid, degree, np.random.default_rng(degree))
+        rng = np.random.default_rng(degree)
+        want = np.zeros(n, dtype=np.complex128)
+        for k in range(-degree, degree + 1):
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            assert coeffs[k] == c
+            want += c * np.exp(1j * k * grid.angles)
+        assert f.values.tobytes() == want.tobytes()
+    assert _fourier_mode.cache_info().maxsize == 32
+    assert not _fourier_mode(n, 3).flags.writeable
+
+
+def test_local_energy_matches_member_rows():
+    """The span-sized energy, and its one-row route when I = J, return the
+    float of the N-long membership rows: random arcs (I and J equal but
+    distinct objects, and one object twice), random arc pairs, families,
+    the full circle, arcs across -pi, at several N and alpha."""
+    rng = np.random.default_rng(17)
+
+    def arc():
+        return Arc.centered(float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0.15, 3.0)))
+
+    def family():
+        return ArcFamily((Arc.centered(-1.0, float(rng.uniform(0.1, 1.0))),
+                          Arc.centered(float(rng.uniform(1.0, 3.0)), 0.3)))
+
+    for n in (512, 2048, 4096):
+        grid = CircleGrid(n)
+        for _ in range(40):
+            f, _ = random_trig_polynomial(grid, 6, rng)
+            f = BoundarySamples(grid, f.values + float(rng.uniform(0.0, 50.0)))
+            alpha = float(rng.choice([1.0, 0.5, rng.uniform(0.01, 1.0)]))
+            a, b, fam = arc(), arc(), family()
+            pairs = [(a, Arc(a.start, a.end)), (a, a), (a, b), (fam, fam), (fam, b), (b, fam),
+                     (FULL_CIRCLE, FULL_CIRCLE), (FULL_CIRCLE, a), (Arc.centered(math.pi, 1.0), a)]
+            for arc_i, arc_j in pairs:
+                want = oracles.energy_local_members(f, arc_i, arc_j, alpha)
+                assert dirichlet_energy_local(f, arc_i, arc_j, alpha) == want, (n, arc_i, arc_j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 4096])
+def test_circulant_apply_run_window_matches_gap_search(n):
+    """A sorted run of cells skips the widest-gap search and lands in one
+    slice of the window, yet gets the same window, hence the same floats,
+    forward and inverse: runs of 1, 2, N/2, N - 1, N cells and one random
+    length, at both ends of the grid and at a random place."""
+    rng = np.random.default_rng(n)
+    sizes = sorted(s for s in {1, 2, n // 2, n - 1, n, int(rng.integers(1, n + 1))} if 1 <= s <= n)
+    for size in sizes:
+        for first in {0, n - size, int(rng.integers(0, n - size + 1))}:
+            cells = np.arange(first, first + size)
+            x = rng.standard_normal((2, size))
+            for table, inverse in (("chord", False), ("kernel", False), ("kernel", True)):
+                got = _circulant_apply(table, n, 0.5, cells, x, inverse)
+                want = oracles.circulant_apply_gap_search(table, n, 0.5, cells, x, inverse)
+                assert got.tobytes() == want.tobytes(), (table, inverse, size, first)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])

@@ -70,6 +70,27 @@ def test_table_rule_lengths():
         TableRule((1.0, -0.5))
 
 
+@pytest.mark.parametrize("rule, ns", [
+    (PowerChoice(0.3), np.arange(1, 23001)),
+    (RatioRule(0.37, l0=1.7), np.arange(0, 3000)),
+    (TableRule(tuple(np.random.default_rng(4).uniform(1e-6, 2.0, 97).tolist())), np.arange(97)),
+])
+def test_rule_log_lengths_match_scalar_form(rule, ns):
+    """The array form returns the scalar form's float at every index, and
+    refuses the first index outside the rule's range as the scalar does."""
+    got = rule.log_lengths(ns)
+    want = np.array([rule.log_length(int(n)) for n in ns])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    bad = np.concatenate((ns[:3], [rule.min_index - 1], ns[3:]))
+    if isinstance(rule, TableRule):
+        bad = np.concatenate((ns, [len(rule.lengths), -1]))
+    with pytest.raises(PreconditionError) as scalar:
+        [rule.log_length(int(n)) for n in bad]
+    with pytest.raises(PreconditionError) as array:
+        rule.log_lengths(bad)
+    assert str(array.value) == str(scalar.value)
+
+
 def test_power_rule_default_offset_is_inadmissible():
     """With the default offset the power rule at beta = 1/2 has
     l_2 = l_1, violating the halving requirement at index 2; the
