@@ -357,11 +357,7 @@ class CircleGrid:
         n = self.n_points
         mask = np.zeros(n, dtype=bool)
         for start, length in spans:
-            run = self._run(start, length, mode)
-            if run is None:
-                mask |= self._scan(start, length, mode)
-                continue
-            first, count = run
+            first, count = self._run(start, length, mode)
             mask[first:first + count] = True
             mask[:max(first + count - n, 0)] = True
         return mask
@@ -370,10 +366,9 @@ class CircleGrid:
         spans = self._spans(target, mode)
         if spans is None:
             return np.arange(self.n_points)
-        run = self._run(target.start, target.length, mode) if isinstance(target, Arc) else None
-        if run is None:
+        if not isinstance(target, Arc):
             return np.flatnonzero(self.mask_of(target, mode))
-        first, count = run
+        first, count = self._run(target.start, target.length, mode)
         n = self.n_points
         if first + count <= n:
             return np.arange(first, first + count)
@@ -391,23 +386,16 @@ class CircleGrid:
             return None
         return zip(target.starts.tolist(), target.lengths.tolist())
 
-    def _scan(self, start: float, length: float, mode: str) -> np.ndarray:
-        """The mask of one arc by testing every cell center."""
-        rel = self.angles - start  # both in [-pi, pi): same as % 2pi, cheaper
-        rel += TWO_PI * (rel < 0.0)
-        if mode == "centers":
-            return (rel > 0.0) & (rel < length)
-        half = self.cell_width / 2.0
-        return (rel <= length + half) | (rel >= TWO_PI - half)
+    def _run(self, start: float, length: float, mode: str) -> tuple[int, int]:
+        """The cells one arc selects, as a cyclic run (first, count).
 
-    def _run(self, start: float, length: float, mode: str) -> tuple[int, int] | None:
-        """The cells ``_scan`` selects for one arc as a cyclic run
-        (first, count), or None when the run reaches all N cells.
-
-        From j0, the first center at or after ``start``, the scan's
-        offset rel grows with each step counterclockwise, so each test
-        selects a prefix or a suffix of that cyclic order. Each end is
-        estimated from the cell width and settled by the scan's own test.
+        The selection is the one a scan of every cell center makes with
+        rel = angle - start (+ 2pi if negative): 0 < rel < length for
+        centers, rel <= length + h/2 or rel >= 2pi - h/2 for cover. From
+        j0, the first center at or after ``start``, rel grows with each
+        step counterclockwise, so each test selects a prefix or a suffix
+        of that cyclic order. Each end is estimated from the cell width
+        and settled by the scan's own float test.
         """
         n = self.n_points
         h = self.cell_width
@@ -438,15 +426,13 @@ class CircleGrid:
         if mode == "centers":
             skip = 0 if r0 > 0.0 else 1  # a center on ``start`` is not inside
             stop = prefix(lambda r: r < length, math.ceil((length - r0) / h))
-            if stop == n:
-                return None
             return (j0 + skip) % n, max(stop - skip, 0)
         half = h / 2.0
         top, bottom = length + half, TWO_PI - half
         stop = prefix(lambda r: r <= top, math.floor((top - r0) / h) + 1)
         tail = prefix(lambda r: r < bottom, math.ceil((bottom - r0) / h))
-        if stop >= tail:
-            return None
+        if stop >= tail:  # the prefix and the suffix cover every cell
+            return 0, n
         return (j0 + tail) % n, n - tail + stop
 
     def resolved_cells(self, target: CircleSet, what: str) -> np.ndarray:

@@ -255,16 +255,23 @@ def random_trig_polynomial(
     coeffs = {
         k: complex(rng.standard_normal(), rng.standard_normal()) for k in freqs
     }
+    # modes are cached only where all of them fit the cache and each is
+    # small; larger grids or degrees compute each mode afresh
+    cached = grid.n_points <= _MODE_CACHE_CELLS and len(freqs) <= _MODE_CACHE_SIZE
     vals = np.zeros(grid.n_points, dtype=np.complex128)
     for k, c in coeffs.items():
-        vals += c * _fourier_mode(grid.n_points, k)
+        mode = _fourier_mode(grid.n_points, k) if cached else np.exp(1j * k * grid.angles)
+        vals += c * mode
     return BoundarySamples(grid, vals), coeffs
 
 
-@lru_cache(maxsize=32)
+_MODE_CACHE_SIZE = 32  # modes: every frequency of a degree-15 polynomial
+_MODE_CACHE_CELLS = 4096  # cells per mode: at most 2 MB held in all
+
+
+@lru_cache(maxsize=_MODE_CACHE_SIZE)
 def _fourier_mode(n: int, k: int) -> np.ndarray:
-    """e^{ikt} at the cell centers of an n-cell grid. Cached per (n, k),
-    so the cache stays bounded whatever degree is asked for."""
+    """e^{ikt} at the cell centers of an n-cell grid, cached per (n, k)."""
     mode = np.exp(1j * k * CircleGrid(n).angles)
     mode.setflags(write=False)
     return mode

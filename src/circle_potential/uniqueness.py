@@ -74,12 +74,10 @@ class PowerChoice:
             raise PreconditionError(f"beta must be in (0, 1), got {self.beta}")
 
     def log_length(self, n: int) -> float:
-        if n < 1:
-            raise PreconditionError(f"power rule is defined for n >= 1, got {n}")
-        return (-n * LN2 + math.log(n)) / (1.0 - self.beta)
+        return float(self.log_lengths(np.array([n]))[0])
 
     def log_lengths(self, ns: np.ndarray) -> np.ndarray:
-        """``log_length`` at each index of ``ns``, float for float."""
+        """log l_n at each index n of ``ns``."""
         bad = ns[ns < 1]
         if bad.size:
             raise PreconditionError(f"power rule is defined for n >= 1, got {bad[0]}")
@@ -104,12 +102,10 @@ class RatioRule:
             raise PreconditionError("l0 must be positive")
 
     def log_length(self, n: int) -> float:
-        if n < 0:
-            raise PreconditionError(f"ratio rule is defined for n >= 0, got {n}")
-        return math.log(self.l0) + n * math.log(self.ratio)
+        return float(self.log_lengths(np.array([n]))[0])
 
     def log_lengths(self, ns: np.ndarray) -> np.ndarray:
-        """``log_length`` at each index of ``ns``, float for float."""
+        """log l_n at each index n of ``ns``."""
         bad = ns[ns < 0]
         if bad.size:
             raise PreconditionError(f"ratio rule is defined for n >= 0, got {bad[0]}")
@@ -135,14 +131,10 @@ class TableRule:
         object.__setattr__(self, "lengths", vals)
 
     def log_length(self, n: int) -> float:
-        if not 0 <= n < len(self.lengths):
-            raise PreconditionError(
-                f"table rule is defined for 0 <= n < {len(self.lengths)}, got {n}"
-            )
-        return math.log(self.lengths[n])
+        return float(self.log_lengths(np.array([n]))[0])
 
     def log_lengths(self, ns: np.ndarray) -> np.ndarray:
-        """``log_length`` at each index of ``ns``, float for float."""
+        """log l_n at each index n of ``ns``."""
         bad = ns[(ns < 0) | (ns >= len(self.lengths))]
         if bad.size:
             raise PreconditionError(

@@ -6,11 +6,13 @@ the defining integrals, high-precision series tails, the per-Arc
 routes that array-backed arc families replaced, the chunked-einsum
 lattice minimum that the split scorer of ``acceptance`` replaced (it
 shares only the enumeration ``_compositions``, which a product filter
-checks in test_acceptance.py), and the grid-wide routes that the
+checks in test_acceptance.py), the grid-wide routes that the
 run-based cell selection and the span-sized local energy replaced
-(they share only the windowed spectrum tables of ``energy``). The frozen digits were produced by those
-same routes at high resolution and are pinned so that a regression in
-the library cannot silently move the targets.
+(they share only the windowed spectrum tables of ``energy``), and the
+scalar length rules that the rules' array form replaced. The frozen
+digits were produced by those same routes at high resolution and are
+pinned so that a regression in the library cannot silently move the
+targets.
 """
 
 import math
@@ -18,7 +20,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from circle_potential import Arc, ArcFamily
+from circle_potential import Arc, ArcFamily, PowerChoice, PreconditionError, RatioRule
 from circle_potential.acceptance import _compositions
 from circle_potential.circle import TWO_PI
 from circle_potential.energy import _TABLES, _faulted, _spectrum_base
@@ -292,3 +294,21 @@ def energy_local_members(f, arc_i, arc_j, alpha: float) -> float:
     )
     terms = in_i * (g2 * t_j - 2.0 * (g.real * t_re + g.imag * t_im)) + in_j * g2 * t_i
     return float(np.sum(terms)) / n**2
+
+
+def log_length_scalar(rule, n: int) -> float:
+    """log l_n of a length rule, one index at a time with math.log, with
+    the rule's refusal of an index outside its range."""
+    if isinstance(rule, PowerChoice):
+        if n < 1:
+            raise PreconditionError(f"power rule is defined for n >= 1, got {n}")
+        return (-n * math.log(2.0) + math.log(n)) / (1.0 - rule.beta)
+    if isinstance(rule, RatioRule):
+        if n < 0:
+            raise PreconditionError(f"ratio rule is defined for n >= 0, got {n}")
+        return math.log(rule.l0) + n * math.log(rule.ratio)
+    if not 0 <= n < len(rule.lengths):
+        raise PreconditionError(
+            f"table rule is defined for 0 <= n < {len(rule.lengths)}, got {n}"
+        )
+    return math.log(rule.lengths[n])

@@ -218,6 +218,21 @@ def test_mask_of_many_arc_family_matches_scan(n):
         assert np.array_equal(GridSet.from_arcs(grid, fam, mode).mask, want)
 
 
+def test_near_full_arc_selects_whole_window(grid64):
+    """An arc just short of the circle: in centers mode every cell but
+    one whose center is the start, in cover mode every cell."""
+    on_center = Arc(float(grid64.angles[5]), float(grid64.angles[5]) + TWO_PI - 1e-12)
+    off_center = Arc(0.01, 0.01 + TWO_PI - 1e-12)
+    assert np.array_equal(grid64.indices_of(on_center), np.delete(np.arange(64), 5))
+    for arc in (on_center, off_center):
+        assert grid64.mask_of(arc, "cover").all()
+        assert np.array_equal(grid64.indices_of(arc, "cover"), np.arange(64))
+    assert np.array_equal(grid64.indices_of(off_center), np.arange(64))
+    for arc in (on_center, off_center):
+        for mode in ("centers", "cover"):
+            assert np.array_equal(grid64.mask_of(arc, mode), oracles.mask_of_scan(grid64, arc, mode))
+
+
 def test_mask_mode_validation(grid64):
     with pytest.raises(PreconditionError):
         grid64.mask_of(Arc(0.0, 1.0), mode="nearest")

@@ -385,7 +385,7 @@ def test_random_polynomial_reproducible(grid64):
     assert c1 == c2
 
 
-@pytest.mark.parametrize("n", [1, 7, 2048])
+@pytest.mark.parametrize("n", [1, 7, 2048, 8192])
 def test_random_polynomial_matches_direct_sum(n):
     """The cached modes give the samples of the direct sum of
     c_k exp(i k t) over k = -degree..degree, byte for byte, with the
@@ -403,6 +403,17 @@ def test_random_polynomial_matches_direct_sum(n):
         assert f.values.tobytes() == want.tobytes()
     assert _fourier_mode.cache_info().maxsize == 32
     assert not _fourier_mode(n, 3).flags.writeable
+
+
+def test_random_polynomial_caches_only_small_modes():
+    """Grids above 4096 cells, and degrees whose 2 * degree + 1 modes
+    exceed the cache, leave the mode cache empty."""
+    _fourier_mode.cache_clear()
+    random_trig_polynomial(CircleGrid(8192), 6, np.random.default_rng(0))
+    random_trig_polynomial(CircleGrid(64), 16, np.random.default_rng(0))
+    assert _fourier_mode.cache_info().currsize == 0
+    random_trig_polynomial(CircleGrid(4096), 15, np.random.default_rng(0))
+    assert _fourier_mode.cache_info().currsize == 31
 
 
 def test_local_energy_matches_member_rows():

@@ -76,19 +76,21 @@ def test_table_rule_lengths():
     (TableRule(tuple(np.random.default_rng(4).uniform(1e-6, 2.0, 97).tolist())), np.arange(97)),
 ])
 def test_rule_log_lengths_match_scalar_form(rule, ns):
-    """The array form returns the scalar form's float at every index, and
-    refuses the first index outside the rule's range as the scalar does."""
-    got = rule.log_lengths(ns)
-    want = np.array([rule.log_length(int(n)) for n in ns])
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    bad = np.concatenate((ns[:3], [rule.min_index - 1], ns[3:]))
-    if isinstance(rule, TableRule):
-        bad = np.concatenate((ns, [len(rule.lengths), -1]))
+    """The array form, and the scalar form built on it, return the float
+    of math.log taken one index at a time, and refuse the first index
+    outside the rule's range with the same message."""
+    want = np.array([oracles.log_length_scalar(rule, int(n)) for n in ns])
+    for got in (rule.log_lengths(ns), np.array([rule.log_length(int(n)) for n in ns])):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    first_bad = len(rule.lengths) if isinstance(rule, TableRule) else rule.min_index - 1
+    bad = np.concatenate((ns[:3], [first_bad, -1], ns[3:]))
     with pytest.raises(PreconditionError) as scalar:
-        [rule.log_length(int(n)) for n in bad]
+        oracles.log_length_scalar(rule, first_bad)
     with pytest.raises(PreconditionError) as array:
         rule.log_lengths(bad)
-    assert str(array.value) == str(scalar.value)
+    with pytest.raises(PreconditionError) as one:
+        rule.log_length(first_bad)
+    assert str(array.value) == str(one.value) == str(scalar.value)
 
 
 def test_power_rule_default_offset_is_inadmissible():
