@@ -112,17 +112,6 @@ class Arc:
         return cls(midpoint - half, midpoint + half)
 
 
-def _dilation_covers(big: Arc, small: Arc, factor: float = 3.0) -> bool:
-    """Does the factor-dilation of ``big`` (same midpoint, scaled length,
-    capped at the full circle) contain ``small``?"""
-    dilated = factor * big.length
-    if dilated >= TWO_PI:
-        return True
-    half = dilated / 2.0
-    gap = abs(normalize_angle(small.midpoint - big.midpoint))
-    return gap + small.length / 2.0 <= half + ANGLE_TOL
-
-
 def _normalized_angles(x: np.ndarray) -> np.ndarray:
     """``normalize_angle`` over an array, bit for bit: values already in
     [-pi, pi) are kept and only the others go through the scalar rule."""
@@ -301,14 +290,6 @@ def _open_disjoint(a: Arc, b: Arc) -> bool:
         return False
     back = (a.start - b.start) % TWO_PI
     return back >= b.length
-
-
-def dilation_covers_family(selected: ArcFamily, fam: ArcFamily, factor: float = 3.0) -> bool:
-    """Check the Vitali covering property: every arc of ``fam`` sits inside
-    the factor-dilation of some selected arc."""
-    return all(
-        any(_dilation_covers(s, a, factor) for s in selected.arcs) for a in fam.arcs
-    )
 
 
 @dataclass(frozen=True)
@@ -520,28 +501,3 @@ class GridSet:
     def _check_same_grid(self, other: "GridSet"):
         if other.grid.n_points != self.grid.n_points:
             raise PreconditionError("grid sizes differ")
-
-    def cell_intervals(self) -> list[tuple[float, float]]:
-        """Merge the mask into maximal runs of consecutive cells and return
-        them as (center, half_width) closed intervals, used for distance
-        computations. Wrap-around runs are merged across the -pi/pi cut."""
-        idx = self.indices
-        if idx.size == 0:
-            return []
-        n = self.grid.n_points
-        h = self.grid.cell_width
-        runs: list[list[int]] = [[int(idx[0]), int(idx[0])]]
-        for j in idx[1:]:
-            if j == runs[-1][1] + 1:
-                runs[-1][1] = int(j)
-            else:
-                runs.append([int(j), int(j)])
-        if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n - 1:
-            runs[0][0] = runs[-1][0] - n
-            runs.pop()
-        out = []
-        for lo, hi in runs:
-            t_lo = -math.pi + TWO_PI * lo / n
-            t_hi = -math.pi + TWO_PI * hi / n
-            out.append((normalize_angle((t_lo + t_hi) / 2.0), (t_hi - t_lo + h) / 2.0))
-        return out

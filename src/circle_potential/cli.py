@@ -476,7 +476,7 @@ def _cmd_cantor(args, cfg: Config) -> int:
         _write_csv(
             args.out,
             ["start", "end", "length"],
-            ((float(a.start), float(a.end), a.length) for a in fam),
+            zip(fam.starts.tolist(), fam.ends.tolist(), fam.lengths.tolist()),
         )
     return EXIT_OK
 

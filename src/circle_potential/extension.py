@@ -79,10 +79,6 @@ class ExtensionSetup:
     def arc_r(self) -> Arc:
         return Arc(-self.outer_half_width, -self.theta)
 
-    @property
-    def arc_i_gamma(self) -> Arc:
-        return Arc(-self.theta_gamma, self.theta_gamma)
-
     def preimage(self, t: np.ndarray) -> np.ndarray:
         """Reflection preimages for angles in L (t > 0 branch) and R."""
         t = np.asarray(t, dtype=float)

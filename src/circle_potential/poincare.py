@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import SolverConfig, l2_capacity
-from .circle import TWO_PI, Arc, GridSet
+from .circle import Arc, GridSet
 from .energy import BoundarySamples, dirichlet_energy_local
 from .errors import PreconditionError
 
@@ -144,23 +144,21 @@ def constant_estimate(
     return best
 
 
-def _circular_gap(t: np.ndarray, center: float) -> np.ndarray:
-    d = np.abs((t - center + math.pi) % TWO_PI - math.pi)
-    return d
-
-
 def spike_function(e: GridSet, delta: float) -> BoundarySamples:
     """f(t) = min(1, dist(t, E)/delta) with distance measured to the
-    closed union of E's grid cells; vanishes on E exactly and climbs to
-    1 at arc distance delta."""
+    closed union of E's grid cells, which is (d - 1/2) cell widths for a
+    cell d cells from E's nearest; vanishes on E exactly and climbs to 1
+    at arc distance delta."""
     if delta <= 0.0:
         raise PreconditionError("delta must be positive")
     if e.is_empty():
         raise PreconditionError("E is empty; the spike is identically 1")
-    t = e.grid.angles
-    dist = np.full(e.grid.n_points, math.inf)
-    for center, half_width in e.cell_intervals():
-        gap = _circular_gap(t, center) - half_width
-        np.minimum(dist, np.maximum(gap, 0.0), out=dist)
+    n = e.grid.n_points
+    idx = e.indices
+    ext = np.concatenate((idx[-1:] - n, idx, idx[:1] + n))
+    j = np.arange(n)
+    above = np.searchsorted(ext, j)
+    d = np.minimum(ext[above] - j, j - ext[above - 1])
+    dist = np.maximum(d - 0.5, 0.0) * e.grid.cell_width
     vals = np.minimum(1.0, dist / delta)
     return BoundarySamples(e.grid, vals.astype(np.complex128))

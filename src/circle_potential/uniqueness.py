@@ -62,7 +62,7 @@ class PowerChoice:
 
     The exponent makes the capacity series at s = 1 - beta exactly the
     harmonic series. Only asymptotically admissible as a Cantor rule:
-    l_{n+1} <= l_n/2 first holds from n = ceil(1/(2^{1-beta}-1)) on, so
+    l_{n+1} <= l_n/2 first holds from n = ceil(1/(2^beta - 1)) on, so
     geometric constructions need an offset into the admissible range.
     """
 
@@ -72,9 +72,6 @@ class PowerChoice:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise PreconditionError(f"beta must be in (0, 1), got {self.beta}")
-
-    def log_length(self, n: int) -> float:
-        return float(self.log_lengths(np.array([n]))[0])
 
     def log_lengths(self, ns: np.ndarray) -> np.ndarray:
         """log l_n at each index n of ``ns``."""
@@ -100,9 +97,6 @@ class RatioRule:
             raise PreconditionError(f"ratio must be in (0, 1), got {self.ratio}")
         if self.l0 <= 0.0:
             raise PreconditionError("l0 must be positive")
-
-    def log_length(self, n: int) -> float:
-        return float(self.log_lengths(np.array([n]))[0])
 
     def log_lengths(self, ns: np.ndarray) -> np.ndarray:
         """log l_n at each index n of ``ns``."""
@@ -130,9 +124,6 @@ class TableRule:
             raise PreconditionError("table lengths must be positive")
         object.__setattr__(self, "lengths", vals)
 
-    def log_length(self, n: int) -> float:
-        return float(self.log_lengths(np.array([n]))[0])
-
     def log_lengths(self, ns: np.ndarray) -> np.ndarray:
         """log l_n at each index n of ``ns``."""
         bad = ns[(ns < 0) | (ns >= len(self.lengths))]
@@ -159,6 +150,13 @@ def _math_logs(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# The final stage holds 2^depth arcs, built as arrays of that length
+# stage by stage: depth 20 (about a million arcs) peaks near 140 MB and
+# depth 22 already took 313 MB, so deeper sets are refused up front
+# instead of growing until the allocator gives up.
+MAX_CANTOR_DEPTH = 20
+
+
 @dataclass(frozen=True)
 class CantorSpec:
     """Generalized Cantor set: at stage k, 2^k intervals of length
@@ -168,7 +166,9 @@ class CantorSpec:
     the stage-0 interval centered at angle 0). offset shifts into the
     rule's admissible range; None selects the rule's first defined
     index. scale_to_host rescales all lengths so the stage-0 interval
-    fills the host exactly.
+    fills the host exactly. Depths over MAX_CANTOR_DEPTH are refused
+    up front. stage_log_lengths (derived, read-only) holds the realized
+    log length of each stage 0..depth.
     """
 
     rule: LengthRule
@@ -176,10 +176,16 @@ class CantorSpec:
     host: Arc | None = None
     offset: int | None = None
     scale_to_host: bool = False
+    stage_log_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.depth < 0:
             raise PreconditionError(f"depth must be >= 0, got {self.depth}")
+        if self.depth > MAX_CANTOR_DEPTH:
+            raise PreconditionError(
+                f"depth {self.depth} exceeds {MAX_CANTOR_DEPTH}: the final stage "
+                f"would hold 2^{self.depth} arcs"
+            )
         if self.offset is None:
             object.__setattr__(self, "offset", self.rule.min_index)
         if self.offset < self.rule.min_index:
@@ -187,20 +193,25 @@ class CantorSpec:
                 f"offset {self.offset} is below the rule's first defined index "
                 f"{self.rule.min_index}"
             )
-        logs = [self.rule.log_length(self.offset + k) for k in range(self.depth + 1)]
-        for k in range(self.depth):
-            if logs[k + 1] > logs[k] - LN2 + 1e-12:
-                raise ConstructionError(
-                    f"length rule violates l_n <= l_(n-1)/2 at index {self.offset + k + 1} "
-                    f"(l = {math.exp(logs[k + 1]):.6g} vs {math.exp(logs[k]) / 2.0:.6g})",
-                    stage=self.offset + k + 1,
-                )
-        if self.stage_log_length(0) > math.log(self.host_length) + 1e-12:
+        logs = self.rule.log_lengths(self.offset + np.arange(self.depth + 1))
+        bad = np.flatnonzero(logs[1:] > logs[:-1] - LN2 + 1e-12)
+        if bad.size:
+            k = int(bad[0])
             raise ConstructionError(
-                f"stage-0 length {math.exp(self.stage_log_length(0)):.6g} exceeds "
+                f"length rule violates l_n <= l_(n-1)/2 at index {self.offset + k + 1} "
+                f"(l = {math.exp(logs[k + 1]):.6g} vs {math.exp(logs[k]) / 2.0:.6g})",
+                stage=self.offset + k + 1,
+            )
+        if self.scale_to_host:
+            logs = logs + (math.log(self.host_length) - logs[0])
+        if logs[0] > math.log(self.host_length) + 1e-12:
+            raise ConstructionError(
+                f"stage-0 length {math.exp(logs[0]):.6g} exceeds "
                 f"host length {self.host_length:.6g}",
                 stage=0,
             )
+        logs.setflags(write=False)
+        object.__setattr__(self, "stage_log_lengths", logs)
 
     @property
     def host_length(self) -> float:
@@ -211,31 +222,16 @@ class CantorSpec:
         (rule index offset + k, rescaled when scale_to_host)."""
         if not 0 <= k <= self.depth:
             raise PreconditionError(f"stage must be in 0..{self.depth}, got {k}")
-        raw = self.rule.log_length(self.offset + k)
-        if self.scale_to_host:
-            raw += math.log(self.host_length) - self.rule.log_length(self.offset)
-        return raw
+        return float(self.stage_log_lengths[k])
 
     def stage_length(self, k: int) -> float:
         return math.exp(self.stage_log_length(k))
 
 
-# The final stage holds 2^depth arcs, built as arrays of that length
-# stage by stage: depth 20 (about a million arcs) peaks near 140 MB and
-# depth 22 already took 313 MB, so deeper sets are refused up front
-# instead of growing until the allocator gives up.
-MAX_CANTOR_DEPTH = 20
-
-
 def cantor_build(spec: CantorSpec) -> ArcFamily:
     """The 2^depth arcs of the final construction stage, ordered left to
-    right within the host; depths over MAX_CANTOR_DEPTH are refused."""
-    if spec.depth > MAX_CANTOR_DEPTH:
-        raise PreconditionError(
-            f"depth {spec.depth} exceeds {MAX_CANTOR_DEPTH}: the final stage "
-            f"would hold 2^{spec.depth} arcs"
-        )
-    lengths = [spec.stage_length(k) for k in range(spec.depth + 1)]
+    right within the host."""
+    lengths = list(map(math.exp, spec.stage_log_lengths.tolist()))
     if lengths[-1] <= 0.0:
         raise ConstructionError(
             "stage length underflows to zero", stage=spec.depth

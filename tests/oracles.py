@@ -9,7 +9,9 @@ shares only the enumeration ``_compositions``, which a product filter
 checks in test_acceptance.py), the grid-wide routes that the
 run-based cell selection and the span-sized local energy replaced
 (they share only the windowed spectrum tables of ``energy``), and the
-scalar length rules that the rules' array form replaced. The frozen
+scalar length rules that the rules' array form replaced, the run-based
+spike that the index-distance spike replaced, and the Vitali covering
+check, which only tests use. The frozen
 digits were produced by those same routes at high resolution and are
 pinned so that a regression in the library cannot silently move the
 targets.
@@ -22,7 +24,7 @@ from scipy.integrate import quad
 
 from circle_potential import Arc, ArcFamily, PowerChoice, PreconditionError, RatioRule
 from circle_potential.acceptance import _compositions
-from circle_potential.circle import TWO_PI
+from circle_potential.circle import ANGLE_TOL, TWO_PI, normalize_angle
 from circle_potential.energy import _TABLES, _faulted, _spectrum_base
 
 # Mean of the chord kernel (2 sin(t/2))^{-1/2} over the circle; also the
@@ -188,10 +190,20 @@ def geometric_arcs_direct(ratio: float, count: int, start: float = 0.0) -> tuple
     return tuple(Arc(start + tail[i + 1], start + tail[i]) for i in range(count))
 
 
+def cantor_stage_logs_direct(spec) -> list[float]:
+    """Realized log length of each stage of a CantorSpec, one
+    ``log_length_scalar`` per stage, rescaled when scale_to_host."""
+    logs = [log_length_scalar(spec.rule, spec.offset + k) for k in range(spec.depth + 1)]
+    if spec.scale_to_host:
+        shift = math.log(spec.host_length) - logs[0]
+        logs = [x + shift for x in logs]
+    return logs
+
+
 def cantor_arcs_direct(spec) -> tuple:
     """The final-stage arcs of a CantorSpec by a list doubled per stage,
-    one Arc at a time."""
-    lengths = [spec.stage_length(k) for k in range(spec.depth + 1)]
+    one Arc at a time, from ``cantor_stage_logs_direct``."""
+    lengths = [math.exp(x) for x in cantor_stage_logs_direct(spec)]
     host_start = -math.pi if spec.host is None else float(spec.host.start)
     lefts = [(spec.host_length - lengths[0]) / 2.0]
     for k in range(spec.depth):
@@ -312,3 +324,49 @@ def log_length_scalar(rule, n: int) -> float:
             f"table rule is defined for 0 <= n < {len(rule.lengths)}, got {n}"
         )
     return math.log(rule.lengths[n])
+
+
+def spike_from_runs(e, delta: float) -> np.ndarray:
+    """min(1, dist/delta) with dist the arc distance from each cell center
+    to the closed union of E's cells: E's cells merged into maximal runs
+    (a run across the -pi/pi cut kept whole) and one N-long distance
+    pass per run, as ``spike_function`` computed it before it measured
+    distances in cells."""
+    idx = e.indices
+    n = e.grid.n_points
+    h = e.grid.cell_width
+    runs = [[int(idx[0]), int(idx[0])]]
+    for j in idx[1:]:
+        if j == runs[-1][1] + 1:
+            runs[-1][1] = int(j)
+        else:
+            runs.append([int(j), int(j)])
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n - 1:
+        runs[0][0] = runs[-1][0] - n
+        runs.pop()
+    t = e.grid.angles
+    dist = np.full(n, math.inf)
+    for lo, hi in runs:
+        t_lo = -math.pi + TWO_PI * lo / n
+        t_hi = -math.pi + TWO_PI * hi / n
+        center = normalize_angle((t_lo + t_hi) / 2.0)
+        gap = np.abs((t - center + math.pi) % TWO_PI - math.pi) - (t_hi - t_lo + h) / 2.0
+        np.minimum(dist, np.maximum(gap, 0.0), out=dist)
+    return np.minimum(1.0, dist / delta)
+
+
+def dilation_covers(big, small, factor: float = 3.0) -> bool:
+    """Does the factor-dilation of ``big`` (same midpoint, scaled length,
+    capped at the full circle) contain ``small``?"""
+    dilated = factor * big.length
+    if dilated >= TWO_PI:
+        return True
+    half = dilated / 2.0
+    gap = abs(normalize_angle(small.midpoint - big.midpoint))
+    return gap + small.length / 2.0 <= half + ANGLE_TOL
+
+
+def dilation_covers_family(selected, fam, factor: float = 3.0) -> bool:
+    """The Vitali covering property: every arc of ``fam`` sits inside the
+    factor-dilation of some selected arc."""
+    return all(any(dilation_covers(s, a, factor) for s in selected.arcs) for a in fam.arcs)

@@ -18,7 +18,7 @@ from circle_potential import (
     normalize_angle,
     vitali_disjoint_subfamily,
 )
-from circle_potential.circle import angles_close, dilation_covers_family
+from circle_potential.circle import angles_close
 
 TWO_PI = 2.0 * math.pi
 
@@ -150,7 +150,7 @@ def test_vitali_selection_properties():
         sel = vitali_disjoint_subfamily(fam)
         assert sel.pairwise_disjoint
         assert set(sel.arcs) <= set(fam.arcs)
-        assert dilation_covers_family(sel, fam)
+        assert oracles.dilation_covers_family(sel, fam)
 
 
 def test_vitali_full_circle_passthrough():
@@ -263,29 +263,6 @@ def test_grid_set_mismatched_grids_rejected(grid64, grid256):
         a.union(b)
 
 
-def test_cell_intervals_merges_runs(grid64):
-    s = GridSet.from_indices(grid64, [3, 4, 5, 20])
-    runs = s.cell_intervals()
-    assert len(runs) == 2
-    h = grid64.cell_width
-    center, half = runs[0]
-    assert abs(center - grid64.angles[4]) < 1e-12
-    assert abs(half - 1.5 * h) < 1e-12
-
-
-def test_cell_intervals_wraparound_run(grid64):
-    n = grid64.n_points
-    s = GridSet.from_indices(grid64, [n - 2, n - 1, 0, 1])
-    runs = s.cell_intervals()
-    assert len(runs) == 1
-    center, half = runs[0]
-    assert abs(half - 2.0 * grid64.cell_width) < 1e-12
-    # run straddles the cut, centered on the seam between cells n-1 and 0
-    seam = normalize_angle(grid64.angles[0] - grid64.cell_width / 2.0)
-    assert abs(normalize_angle(center - seam)) < 1e-12
-
-
 def test_empty_and_full_grid_sets(grid64):
     assert GridSet.empty(grid64).is_empty()
     assert GridSet.full(grid64).count == grid64.n_points
-    assert GridSet.empty(grid64).cell_intervals() == []

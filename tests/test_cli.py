@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -304,6 +305,24 @@ def test_cantor_depth_over_bound_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cantor_huge_depth_exits_2_at_once():
+    """A depth of a billion is refused when the spec is built, before
+    any per-stage work: exit 2 in seconds, with no traceback. The set
+    JSON and series routes build their specs the same way."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "circle_potential.cli", "cantor", "--rule", "ratio:r=0.4",
+         "--depth", "1000000000"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert time.perf_counter() - start < 10.0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "exceeds 20" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_selftest_single_criterion(capsys):

@@ -3,11 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from circle_potential import (
     Arc,
     BoundarySamples,
+    CantorSpec,
+    CircleGrid,
     GridSet,
+    PowerChoice,
     PreconditionError,
+    RatioRule,
+    cantor_grid_set,
     constant_estimate,
     poincare_check,
     spike_function,
@@ -38,11 +44,51 @@ def test_spike_distance_profile(grid1024):
     e = GridSet.from_arcs(grid1024, Arc.centered(0.0, 0.2))
     delta = 0.3
     f = spike_function(e, delta)
-    center, half = e.cell_intervals()[0]
     t = grid1024.angles
-    sel = (t > center + half) & (t < center + half + delta * 0.9)
-    expected = (t[sel] - center - half) / delta
+    edge = t[e.indices[-1]] + grid1024.cell_width / 2.0
+    sel = (t > edge) & (t < edge + delta * 0.9)
+    expected = (t[sel] - edge) / delta
     assert np.max(np.abs(f.values[sel].real - expected)) < 1e-12
+
+
+def _spike_sets(n):
+    """E shapes for the spike oracle at n cells: scattered cells, a run
+    across -pi, one cell, the full set and Cantor sets."""
+    grid = CircleGrid(n)
+    rng = np.random.default_rng(n)
+    sets = {
+        "one-cell": GridSet.from_indices(grid, [int(rng.integers(n))]),
+        "first-cell": GridSet.from_indices(grid, [0]),
+        "last-cell": GridSet.from_indices(grid, [n - 1]),
+        "full": GridSet.full(grid),
+        "across-cut": GridSet.from_indices(grid, [n - 3, n - 2, n - 1, 0, 1, n // 2]),
+        "two-ends": GridSet.from_indices(grid, [0, n - 1]),
+    }
+    for k in range(4):
+        count = int(rng.integers(1, max(2, min(n // 3, 512))))
+        sets[f"scattered-{k}"] = GridSet.from_indices(grid, rng.choice(n, count, replace=False))
+    for depth in (2, 5, 8):
+        spec = CantorSpec(rule=PowerChoice(0.5), depth=depth, offset=3,
+                          host=Arc.centered(float(rng.uniform(-3.0, 3.0)), 2.5),
+                          scale_to_host=True)
+        sets[f"cantor-{depth}"] = cantor_grid_set(spec, grid)
+    sets["cantor-full"] = cantor_grid_set(CantorSpec(rule=RatioRule(0.4), depth=6), grid)
+    return sets
+
+
+@pytest.mark.parametrize("n", [8, 64, 4096, 8192])
+def test_spike_matches_run_route(n):
+    """The index-distance spike is exactly 0 on E and agrees with the
+    run-by-run distance route to |df| * delta <= 1e-14."""
+    for name, e in _spike_sets(n).items():
+        if e.is_empty():
+            continue
+        for delta in (0.05, 0.7, 4.0):
+            got = spike_function(e, delta).values
+            assert np.all(got.imag == 0.0)
+            assert np.all(got.real[e.mask] == 0.0), name
+            want = oracles.spike_from_runs(e, delta)
+            assert np.max(np.abs(got.real - want)) * delta <= 1e-14, (name, delta)
 
 
 def test_spike_validation(grid64):

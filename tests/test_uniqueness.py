@@ -39,11 +39,10 @@ def test_power_rule_lengths():
     contracting)."""
     rule = PowerChoice(0.5)
     assert rule.min_index == 1
-    assert abs(math.exp(rule.log_length(1)) - 0.25) < 1e-15
-    assert abs(math.exp(rule.log_length(2)) - 0.25) < 1e-15
-    assert abs(math.exp(rule.log_length(4)) - 0.0625) < 1e-15
+    got = np.exp(rule.log_lengths(np.array([1, 2, 4])))
+    assert np.all(np.abs(got - [0.25, 0.25, 0.0625]) < 1e-15)
     with pytest.raises(PreconditionError):
-        rule.log_length(0)
+        rule.log_lengths(np.array([0]))
     with pytest.raises(PreconditionError):
         PowerChoice(1.0)
 
@@ -51,8 +50,8 @@ def test_power_rule_lengths():
 def test_ratio_rule_lengths():
     rule = RatioRule(0.5, l0=2.0)
     assert rule.min_index == 0
-    assert abs(math.exp(rule.log_length(0)) - 2.0) < 1e-15
-    assert abs(math.exp(rule.log_length(3)) - 0.25) < 1e-15
+    got = np.exp(rule.log_lengths(np.array([0, 3])))
+    assert np.all(np.abs(got - [2.0, 0.25]) < 1e-15)
     with pytest.raises(PreconditionError):
         RatioRule(1.0)
     with pytest.raises(PreconditionError):
@@ -61,9 +60,9 @@ def test_ratio_rule_lengths():
 
 def test_table_rule_lengths():
     rule = TableRule((1.0, 0.5, 0.125))
-    assert abs(math.exp(rule.log_length(2)) - 0.125) < 1e-15
+    assert abs(math.exp(rule.log_lengths(np.array([2]))[0]) - 0.125) < 1e-15
     with pytest.raises(PreconditionError):
-        rule.log_length(3)
+        rule.log_lengths(np.array([3]))
     with pytest.raises(PreconditionError):
         TableRule(())
     with pytest.raises(PreconditionError):
@@ -76,21 +75,18 @@ def test_table_rule_lengths():
     (TableRule(tuple(np.random.default_rng(4).uniform(1e-6, 2.0, 97).tolist())), np.arange(97)),
 ])
 def test_rule_log_lengths_match_scalar_form(rule, ns):
-    """The array form, and the scalar form built on it, return the float
-    of math.log taken one index at a time, and refuse the first index
-    outside the rule's range with the same message."""
+    """The array form returns the float of math.log taken one index at a
+    time, and refuses the first index outside the rule's range with the
+    message of the scalar form."""
     want = np.array([oracles.log_length_scalar(rule, int(n)) for n in ns])
-    for got in (rule.log_lengths(ns), np.array([rule.log_length(int(n)) for n in ns])):
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(rule.log_lengths(ns).view(np.int64), want.view(np.int64))
     first_bad = len(rule.lengths) if isinstance(rule, TableRule) else rule.min_index - 1
     bad = np.concatenate((ns[:3], [first_bad, -1], ns[3:]))
     with pytest.raises(PreconditionError) as scalar:
         oracles.log_length_scalar(rule, first_bad)
     with pytest.raises(PreconditionError) as array:
         rule.log_lengths(bad)
-    with pytest.raises(PreconditionError) as one:
-        rule.log_length(first_bad)
-    assert str(array.value) == str(one.value) == str(scalar.value)
+    assert str(array.value) == str(scalar.value)
 
 
 def test_power_rule_default_offset_is_inadmissible():
@@ -104,12 +100,55 @@ def test_power_rule_default_offset_is_inadmissible():
 
 def test_cantor_build_refuses_depth_over_bound():
     """The final stage has 2^depth arcs; depth 21 and beyond are refused
-    before any array is built, so a typo such as depth 40 cannot exhaust
-    memory."""
+    when the spec is built, before any stage is computed, so a typo such
+    as depth 40 cannot exhaust memory."""
     for depth in (21, 40):
-        spec = CantorSpec(rule=RatioRule(0.4, l0=1.0), depth=depth)
         with pytest.raises(PreconditionError, match="exceeds 20"):
-            cantor_build(spec)
+            cantor_build(CantorSpec(rule=RatioRule(0.4, l0=1.0), depth=depth))
+
+
+_STAGE_RULES = [
+    (PowerChoice(0.5), 3),
+    (PowerChoice(0.2), 7),
+    (RatioRule(0.37, l0=1.7), 0),
+    (RatioRule(0.45, l0=0.05), 4),
+    (TableRule(tuple(0.9 * 0.4 ** np.arange(30))), 2),
+]
+
+
+@pytest.mark.parametrize("rule, offset", _STAGE_RULES)
+@pytest.mark.parametrize("host", [None, Arc.centered(-2.6, 0.7)])
+@pytest.mark.parametrize("scale", [False, True])
+def test_cantor_stage_array_matches_scalar_route(rule, offset, host, scale):
+    """The spec's stage array is, bit for bit, the scalar rule taken one
+    stage at a time plus the same rescale, at every depth 0..20; the
+    stage accessors read it, and the built arcs equal the per-Arc
+    route's."""
+    if host is not None and not scale and isinstance(rule, RatioRule) and rule.l0 > 1.0:
+        with pytest.raises(ConstructionError, match="exceeds host length"):
+            CantorSpec(rule=rule, depth=0, host=host, offset=offset)
+        return
+    for depth in range(21):
+        spec = CantorSpec(rule=rule, depth=depth, host=host, offset=offset, scale_to_host=scale)
+        want = np.array(oracles.cantor_stage_logs_direct(spec))
+        got = spec.stage_log_lengths
+        assert not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+        assert [spec.stage_log_length(k) for k in range(depth + 1)] == want.tolist()
+        assert [spec.stage_length(k) for k in range(depth + 1)] == list(map(math.exp, want.tolist()))
+        if depth <= 10:
+            assert cantor_build(spec).arcs == oracles.cantor_arcs_direct(spec)
+
+
+def test_cantor_stage_array_stays_out_of_identity():
+    """The stage array is derived: it is not an argument, and specs that
+    agree on their fields are equal, hash alike and print alike."""
+    a = CantorSpec(rule=RatioRule(0.4), depth=5)
+    b = CantorSpec(rule=RatioRule(0.4), depth=5, offset=0)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "stage_log_lengths" not in repr(a)
+    with pytest.raises(TypeError):
+        CantorSpec(rule=RatioRule(0.4), depth=5, stage_log_lengths=np.zeros(6))
 
 
 def test_power_rule_offset_three_is_admissible():
