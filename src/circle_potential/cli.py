@@ -4,19 +4,22 @@ Subcommands map onto the library modules: energy, capacity, extend,
 poincare-check, series, cantor, selftest. Results go to standard output
 as JSON (keys sorted, so identical command + config + seed reproduces
 byte-identical output); plot-ready CSV goes to the --out path when one
-is given. Exit codes: 0 success, 2 precondition/setup errors, 3 solver
-non-convergence, 64 usage, 141 (128 + SIGPIPE) when the reader of
-standard output closes it early.
+is given. Exit codes: 0 success, 2 precondition/setup errors and running
+out of memory, 3 solver non-convergence, 64 usage, 141 (128 + SIGPIPE)
+when the reader of standard output closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
+import operator
 import os
 import sys
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -324,10 +327,29 @@ def _write_samples_csv(path: str, f: BoundarySamples) -> None:
     _write_csv(path, ["angle", "re", "im"], zip(f.grid.angles, f.values.real, f.values.imag))
 
 
+def _strict(obj):
+    """``obj`` as a round trip through JSON text gives it back: every
+    non-finite float None, so stdout is strict (RFC 8259) JSON, and every
+    key the string JSON writes for it. A container with nothing to change
+    is returned itself, so a large report is walked, not copied."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        out = {k if isinstance(k, str) else json.dumps(k): _strict(v) for k, v in obj.items()}
+        return obj if out == obj else out  # == takes a value that is the same object as equal
+    if isinstance(obj, (list, tuple)):
+        items = [_strict(v) for v in obj]
+        return obj if all(map(operator.is_, items, obj)) else items
+    return obj
+
+
 def _emit(payload: dict) -> None:
-    # non-finite floats become null, so stdout is strict (RFC 8259) JSON
-    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
-    print(json.dumps(strict, sort_keys=True, indent=2, allow_nan=False))
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+    chunks = encoder.iterencode(_strict(payload))
+    # written in batches as it is encoded, so the report is never held as one string
+    for batch in iter(lambda: "".join(itertools.islice(chunks, 65536)), ""):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +505,23 @@ def _cmd_cantor(args, cfg: Config) -> int:
 
 def _cmd_selftest(args, cfg: Config) -> int:
     only = args.only.split(",") if args.only is not None else None
+
+    def progress(result, seconds):
+        status = "PASS" if result.passed else "FAIL"
+        timing = f" {seconds:.3f} s" if args.timings else ""
+        print(f"{status} {result.name}{timing}", file=sys.stderr)
+
+    started = time.perf_counter()
     report = run_all(
         grid_n=cfg.grid_n,
         seed=cfg.seed,
         solver=cfg.solver,
         kernel_fault_scale=args.kernel_fault,
         only=only,
+        progress=progress,
     )
-    for item in report["criteria"]:
-        status = "PASS" if item["passed"] else "FAIL"
-        print(f"{status} {item['name']}", file=sys.stderr)
+    if args.timings:
+        print(f"total {time.perf_counter() - started:.3f} s", file=sys.stderr)
     _emit(report)
     return EXIT_OK if report["all_passed"] else 1
 
@@ -613,6 +642,8 @@ def build_parser() -> UsageParser:
     p.add_argument("--kernel-fault", type=float, default=0.0,
                    help="fault-injection hook: scale kernel tables by 1 + s, s > -1")
     p.add_argument("--only", default=None, help="comma-separated criterion names")
+    p.add_argument("--timings", action="store_true",
+                   help="write each criterion's wall time to stderr")
     _add_common(p)
     p.set_defaults(handler=_cmd_selftest)
 
@@ -642,6 +673,9 @@ def main(argv=None) -> int:
         return EXIT_NO_CONVERGENCE
     except CirclePotentialError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

@@ -167,7 +167,7 @@ def _spectrum_base(table: str, n: int, exponent: float, m: int) -> np.ndarray:
     return spec
 
 
-def _circulant_apply(table: str, n: int, exponent: float, cells: np.ndarray, x: np.ndarray,
+def _circulant_apply(table: str, n: int, exponent: float | tuple, cells: np.ndarray, x: np.ndarray,
                      inverse: bool = False):
     """y[..., a] = sum_b t[(cells[a] - cells[b]) mod n] x[..., b] over sorted
     distinct ``cells``, t the table of ``_spectrum_base``, by FFT over the
@@ -175,7 +175,9 @@ def _circulant_apply(table: str, n: int, exponent: float, cells: np.ndarray, x: 
     of length m, the next power of two >= 2L - 1, is the linear one, or
     of length n when m would not be shorter. With ``inverse`` the padded
     x is divided by that length-m circulant's spectrum instead, which
-    restricted to ``cells`` is the conjugate-gradient preconditioner."""
+    restricted to ``cells`` is the conjugate-gradient preconditioner.
+    For a tuple of exponents the forward transform is made once and a
+    list of results, one per exponent, is returned."""
     first, last = int(cells[0]), int(cells[-1])
     run = last - first == len(cells) - 1
     if run:  # the widest cyclic gap is the one before the run
@@ -191,9 +193,12 @@ def _circulant_apply(table: str, n: int, exponent: float, cells: np.ndarray, x: 
     pos = slice(first - start, last + 1 - start) if run else (cells - start) % n
     buf = np.zeros(x.shape[:-1] + (m,))
     buf[..., pos] = x
-    spec = _faulted(_spectrum_base(table, n, float(exponent), m), _TABLES[table][1])
     ft = np.fft.rfft(buf)
-    return np.fft.irfft(ft / spec if inverse else ft * spec, m)[..., pos]
+    out = []
+    for e in exponent if isinstance(exponent, tuple) else (exponent,):
+        spec = _faulted(_spectrum_base(table, n, float(e), m), _TABLES[table][1])
+        out.append(np.fft.irfft(ft / spec if inverse else ft * spec, m)[..., pos])
+    return out if isinstance(exponent, tuple) else out[0]
 
 
 def _circulant_block(table: str, n: int, exponent: float, cells: np.ndarray) -> np.ndarray:
@@ -277,6 +282,42 @@ def _fourier_mode(n: int, k: int) -> np.ndarray:
     return mode
 
 
+def _check_energy_exponent(alpha: float) -> None:
+    if not 0.0 < alpha <= 1.0:
+        raise PreconditionError(f"energy exponent must be in (0, 1], got {alpha}")
+
+
+def _self_energies(values: np.ndarray, n: int, cells: np.ndarray, alphas) -> np.ndarray:
+    """D_{I,I,alpha} of each row of a (k, n) stack of samples, for each
+    exponent of ``alphas`` (each in (0, 1], checked by the caller): an
+    (len(alphas), k) array. ``cells`` are the sorted cells of I.
+
+    I = J in the localized energy: every cell is in both, T 1_I = T 1_J,
+    and with g = f - f[cells[0]] the sum is the general one with both
+    memberships 1, term for term. One ``_circulant_apply`` serves the
+    whole stack at every exponent: one forward transform of the rows
+    [1, g.real..., g.imag...] over I's window, one inverse per exponent.
+    The FFT and the row sums treat each row alone, so every entry is the
+    float of a one-row stack."""
+    k = len(values)
+    f = values[:, cells]
+    rows = np.empty((2 * k + 1, cells.size))
+    rows[0] = 1.0
+    g_re, g_im = rows[1:k + 1], rows[k + 1:]
+    # the parts of g = f - f[cells[0]], as complex subtraction forms them
+    np.subtract(f.real, f.real[:, :1], out=g_re)
+    np.subtract(f.imag, f.imag[:, :1], out=g_im)
+    g2 = g_re**2 + g_im**2
+    out = np.empty((len(alphas), k))
+    for e, t in enumerate(_circulant_apply("chord", n, tuple(alphas), cells, rows)):
+        g2_t = g2 * t[0]
+        terms = (g2_t - 2.0 * (g_re * t[1:k + 1] + g_im * t[k + 1:])) + g2_t
+        # gathers by index leave the rows strided; numpy sums a row
+        # pairwise, as it sums one function's terms, only when it is contiguous
+        out[e] = np.sum(np.ascontiguousarray(terms), axis=-1) / n**2
+    return out
+
+
 def dirichlet_energy_local(
     f: BoundarySamples,
     arc_i: EnergyDomain,
@@ -293,23 +334,12 @@ def dirichlet_energy_local(
     where f is constant on I u J) and T the chord power table, D * N^2 is
     sum_I |g|^2 (T 1_J) + sum_J |g|^2 (T 1_I) - 2 Re sum_I conj(g) (T g_J).
     """
-    if not 0.0 < alpha <= 1.0:
-        raise PreconditionError(f"energy exponent must be in (0, 1], got {alpha}")
+    _check_energy_exponent(alpha)
     grid = f.grid
     n = grid.n_points
     idx_i = grid.resolved_cells(arc_i, "arc I")
     if arc_j is arc_i or (isinstance(arc_i, Arc) and arc_j == arc_i):
-        # I = J: every cell is in both, T 1_I = T 1_J, and the sum below
-        # is the general one with both memberships 1, term for term
-        cells = idx_i
-        g = f.values[cells] - f.values[cells[0]]
-        g2 = g.real**2 + g.imag**2
-        t_j, t_re, t_im = _circulant_apply(
-            "chord", n, alpha, cells, np.stack([np.ones(cells.size), g.real, g.imag])
-        )
-        g2_t = g2 * t_j
-        terms = (g2_t - 2.0 * (g.real * t_re + g.imag * t_im)) + g2_t
-        return float(np.sum(terms)) / n**2
+        return float(_self_energies(f.values[None], n, idx_i, (alpha,))[0, 0])
     idx_j = grid.resolved_cells(arc_j, "arc J")
     # membership rows over the span of the sorted cells of I u J only
     lo = min(idx_i[0], idx_j[0])
@@ -347,8 +377,7 @@ def energy_weight(n: int, alpha: float) -> float:
     """
     if n < 1:
         raise PreconditionError(f"frequency must be >= 1, got {n}")
-    if not 0.0 < alpha <= 1.0:
-        raise PreconditionError(f"energy exponent must be in (0, 1], got {alpha}")
+    _check_energy_exponent(alpha)
 
     def integrand(t: float) -> float:
         return (2.0 * math.sin(n * t / 2.0)) ** 2 / (
@@ -382,8 +411,7 @@ class FourierCoeffs:
 def fourier_energy(c: FourierCoeffs, alpha: float) -> float:
     """Weighted coefficient norm sum |c_n|^2 (1 + |n|)^alpha over the
     stored frequencies (a norm, not a seminorm: the n = 0 term counts)."""
-    if not 0.0 < alpha <= 1.0:
-        raise PreconditionError(f"energy exponent must be in (0, 1], got {alpha}")
+    _check_energy_exponent(alpha)
     return float(
         sum(abs(v) ** 2 * (1.0 + abs(k)) ** alpha for k, v in c.coeffs.items())
     )

@@ -30,7 +30,12 @@ from functools import cached_property
 import numpy as np
 
 from .circle import Arc, CircleGrid
-from .energy import BoundarySamples, dirichlet_energy_local
+from .energy import (
+    BoundarySamples,
+    _check_energy_exponent,
+    _self_energies,
+    dirichlet_energy_local,
+)
 from .errors import DegenerateInputError, ResolutionError, SetupError
 
 # Sum of the per-block energy bounds in the extension estimate:
@@ -93,18 +98,24 @@ def extend(f: BoundarySamples, setup: ExtensionSetup) -> BoundarySamples:
     angles, clamped at the outermost samples of I. Cells outside J are
     set to zero.
     """
-    grid = f.grid
-    idx_l = grid.resolved_cells(setup.arc_l, "reflected arc L")
-    idx_r = grid.resolved_cells(setup.arc_r, "reflected arc R")
+    return BoundarySamples(f.grid, _extend_rows(f.grid, f.values[None], setup)[0])
+
+
+def _extend_rows(grid: CircleGrid, values: np.ndarray, setup: ExtensionSetup) -> np.ndarray:
+    """``extend`` of each row of a (k, N) stack of samples: a (k, N)
+    complex array. The cells of L and R and their preimages are found
+    once for the stack; ``np.interp`` runs per row, on L and R at once."""
+    idx_lr = np.concatenate((grid.resolved_cells(setup.arc_l, "reflected arc L"),
+                             grid.resolved_cells(setup.arc_r, "reflected arc R")))
     # I is centered at 0, so its cells are in increasing angle order.
     idx_i = grid.indices_of(setup.arc_i)
-    xp, fp = grid.angles[idx_i], f.values[idx_i]
-    out = np.zeros(grid.n_points, dtype=np.complex128)
-    out[idx_i] = fp
-    for idx in (idx_l, idx_r):
-        pre = setup.preimage(grid.angles[idx])
-        out[idx] = np.interp(pre, xp, fp.real) + 1j * np.interp(pre, xp, fp.imag)
-    return BoundarySamples(grid, out)
+    xp, fps = grid.angles[idx_i], values[:, idx_i]
+    pre = setup.preimage(grid.angles[idx_lr])
+    out = np.zeros(values.shape, dtype=np.complex128)
+    out[:, idx_i] = fps
+    for row, fp in zip(out, fps):
+        row[idx_lr] = np.interp(pre, xp, fp.real) + 1j * np.interp(pre, xp, fp.imag)
+    return out
 
 
 @dataclass(frozen=True)
@@ -123,12 +134,25 @@ def extension_ratio(f: BoundarySamples, setup: ExtensionSetup, alpha: float) -> 
     Bounded by RATIO_CEILING for every admissible input; a larger value
     indicates a quadrature or operator bug, not a sharper example.
     """
-    d_i = dirichlet_energy_local(f, setup.arc_i, setup.arc_i, alpha)
-    if d_i == 0.0:
+    d_i, d_j, ratio = _extension_ratios(f.grid, f.values[None], setup, (alpha,))
+    return ExtensionRatio(d_i=float(d_i[0, 0]), d_j=float(d_j[0, 0]), ratio=float(ratio[0, 0]))
+
+
+def _extension_ratios(grid: CircleGrid, values: np.ndarray, setup: ExtensionSetup, alphas):
+    """``extension_ratio`` of each row of a (k, N) stack of samples at
+    each exponent of ``alphas``: D_I, D_J and D_J / D_I as three
+    (len(alphas), k) arrays. Each row is extended once for all exponents,
+    and each energy is one ``energy._self_energies`` call on the stack.
+    A row constant on I raises DegenerateInputError."""
+    for alpha in alphas:
+        _check_energy_exponent(alpha)
+    n = grid.n_points
+    d_i = _self_energies(values, n, grid.resolved_cells(setup.arc_i, "arc I"), alphas)
+    if np.any(d_i == 0.0):
         raise DegenerateInputError("f is constant on I (zero seminorm)")
-    f_tilde = extend(f, setup)
-    d_j = dirichlet_energy_local(f_tilde, setup.arc_j, setup.arc_j, alpha)
-    return ExtensionRatio(d_i=d_i, d_j=d_j, ratio=d_j / d_i)
+    f_tilde = _extend_rows(grid, values, setup)
+    d_j = _self_energies(f_tilde, n, grid.resolved_cells(setup.arc_j, "arc J"), alphas)
+    return d_i, d_j, d_j / d_i
 
 
 def six_term_decomposition(

@@ -10,8 +10,9 @@ checks in test_acceptance.py), the grid-wide routes that the
 run-based cell selection and the span-sized local energy replaced
 (they share only the windowed spectrum tables of ``energy``), and the
 scalar length rules that the rules' array form replaced, the run-based
-spike that the index-distance spike replaced, and the Vitali covering
-check, which only tests use. The frozen
+spike that the index-distance spike replaced, the one-function
+extension and I = J energy that the stacked ones replaced, and the
+Vitali covering check, which only tests use. The frozen
 digits were produced by those same routes at high resolution and are
 pinned so that a regression in the library cannot silently move the
 targets.
@@ -370,3 +371,61 @@ def dilation_covers_family(selected, fam, factor: float = 3.0) -> bool:
     """The Vitali covering property: every arc of ``fam`` sits inside the
     factor-dilation of some selected arc."""
     return all(any(dilation_covers(s, a, factor) for s in selected.arcs) for a in fam.arcs)
+
+
+def self_energy_one_row(f, cells: np.ndarray, alpha: float) -> float:
+    """D_{I,I,alpha}(f) over the sorted cells of I for one function, by a
+    three-row window product of its own: the I = J route before energies
+    were computed for a stack of functions at once."""
+    n = f.grid.n_points
+    g = f.values[cells] - f.values[cells[0]]
+    g2 = g.real**2 + g.imag**2
+    t_j, t_re, t_im = circulant_apply_gap_search(
+        "chord", n, alpha, cells, np.stack([np.ones(cells.size), g.real, g.imag])
+    )
+    g2_t = g2 * t_j
+    terms = (g2_t - 2.0 * (g.real * t_re + g.imag * t_im)) + g2_t
+    return float(np.sum(terms)) / n**2
+
+
+def extend_one_row(f, setup) -> np.ndarray:
+    """The reflection extension of one function's samples, cells selected
+    by ``mask_of_scan``: the route before rows were extended as a stack."""
+    grid = f.grid
+    idx_i = np.flatnonzero(mask_of_scan(grid, setup.arc_i))
+    xp, fp = grid.angles[idx_i], f.values[idx_i]
+    out = np.zeros(grid.n_points, dtype=np.complex128)
+    out[idx_i] = fp
+    for arc in (setup.arc_l, setup.arc_r):
+        idx = np.flatnonzero(mask_of_scan(grid, arc))
+        pre = setup.preimage(grid.angles[idx])
+        out[idx] = np.interp(pre, xp, fp.real) + 1j * np.interp(pre, xp, fp.imag)
+    return out
+
+
+def extension_ceiling_per_call(grid_n: int, seed: int = 2023) -> tuple:
+    """(max_ratio, worst_case) of the extension ceiling criterion by one
+    extension and two energies per (gamma, alpha, polynomial), scanned in
+    that order: the criterion's loop before it stacked the polynomials."""
+    from circle_potential import BoundarySamples, CircleGrid, random_trig_polynomial
+    from circle_potential.circle import RESOLUTION_CELLS
+    from circle_potential.extension import ExtensionSetup
+
+    grid = CircleGrid(grid_n)
+    rng = np.random.default_rng(seed + 1000 * 3)
+    polys = [random_trig_polynomial(grid, 6, rng)[0] for _ in range(20)]
+    worst, worst_case = 0.0, None
+    for gamma in (0.25, 0.5, 0.75):
+        setup = ExtensionSetup(theta=0.45 * gamma * math.pi / 2.0, gamma=gamma)
+        cells = {arc: np.flatnonzero(mask_of_scan(grid, arc))
+                 for arc in (setup.arc_i, setup.arc_j, setup.arc_l, setup.arc_r)}
+        if min(len(cells[setup.arc_l]), len(cells[setup.arc_r])) < RESOLUTION_CELLS:
+            continue
+        for alpha in (0.25, 0.5, 1.0):
+            for k, f in enumerate(polys):
+                d_i = self_energy_one_row(f, cells[setup.arc_i], alpha)
+                f_tilde = BoundarySamples(grid, extend_one_row(f, setup))
+                ratio = self_energy_one_row(f_tilde, cells[setup.arc_j], alpha) / d_i
+                if ratio > worst:
+                    worst, worst_case = ratio, {"gamma": gamma, "alpha": alpha, "poly": k}
+    return worst, worst_case

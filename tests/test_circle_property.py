@@ -5,6 +5,7 @@ Derandomized, so every run draws the same examples.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
 from circle_potential import Arc, ArcFamily, CircleGrid, PreconditionError  # noqa: E402
+from circle_potential import circle  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,3 +75,14 @@ def test_selection_matches_center_scan(case):
     want = oracles.mask_of_scan(grid, target, mode)
     assert np.array_equal(grid.mask_of(target, mode), want)
     assert np.array_equal(grid.indices_of(target, mode), np.flatnonzero(want))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=_selection())
+def test_array_runs_match_center_scan(case):
+    """The same cases with every family's runs found all at once, however
+    few its arcs (an arc taken as a one-arc family)."""
+    grid, target, mode = case
+    fam = ArcFamily((target,)) if isinstance(target, Arc) else target
+    with mock.patch.object(circle, "_RUNS_AT_ONCE", 1):
+        assert np.array_equal(grid.mask_of(fam, mode), oracles.mask_of_scan(grid, fam, mode))

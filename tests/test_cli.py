@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from circle_potential.cli import main
+from circle_potential.cli import _emit, _strict, main
 
 
 def run_cli(capsys, *argv):
@@ -512,6 +512,68 @@ def test_malformed_specs_exit_2(capsys, tmp_path, argv):
     assert out == "" or isinstance(json.loads(out), dict)
     assert "error" in err
     assert "Traceback" not in err
+
+
+def test_emit_writes_the_json_round_trip(capsys):
+    """One walk and one streamed encoding write the bytes that encoding,
+    parsing with non-finite constants as null and encoding again wrote:
+    NaN and infinities inside dicts, lists and tuples, numpy floats,
+    int, float, bool and None keys, and containers with nothing to
+    change, which are not copied."""
+    unchanged = [{"start": 0.5, "end": 1.5}, (1, "a", None)]
+    payload = {
+        "b": [1.0, float("nan"), (float("inf"), -float("inf"))],
+        "a": {10: 1, 2: np.float64(0.25), 1.5: True, True: None, None: "x"},
+        "c": unchanged,
+        "d": {"e": np.float64("nan"), "f": [[{"g": 2.0}]]},
+    }
+    old = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    want = json.dumps(old, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    _emit(payload)
+    assert capsys.readouterr().out == want
+    assert _strict(unchanged) is unchanged
+
+
+def test_selftest_timings_leave_stdout_alone(capsys):
+    """--timings adds each criterion's wall time and the total to stderr;
+    stdout is the same bytes without it."""
+    argv = ["selftest", "--grid-n", "256", "--only", "exact_diagonalization,extension_ceiling"]
+    code, plain, plain_err = run_cli(capsys, *argv)
+    timed_code, timed, err = run_cli(capsys, *argv, "--timings")
+    assert code == timed_code == 0
+    assert timed == plain
+    assert plain_err.splitlines() == ["PASS exact_diagonalization", "PASS extension_ceiling"]
+    lines = err.splitlines()
+    assert [line.rsplit(" ", 2)[0] for line in lines] == [
+        "PASS exact_diagonalization", "PASS extension_ceiling", "total"]
+    for line in lines:
+        seconds, unit = line.split()[-2:]
+        assert unit == "s" and float(seconds) >= 0.0
+
+
+_OUT_OF_MEMORY_CHILD = """
+import resource, sys
+from circle_potential.cli import main
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:")) * 1024
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + (128 << 20), hard))
+sys.exit(main(["cantor", "--rule", "ratio:r=0.4", "--depth", "20"]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_cantor_out_of_memory_exits_2_without_traceback():
+    """Depth 20 (about 10^6 arcs) with 128 MB of address space left
+    after the imports cannot build its report: the CLI says so on one
+    error line and exits 2, with no traceback."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
+               CIRCLE_POTENTIAL_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _OUT_OF_MEMORY_CHILD], env=env, text=True,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=300)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: out of memory\n"
 
 
 def test_closed_stdout_exits_quietly():

@@ -38,6 +38,7 @@ from circle_potential.energy import (
     _circulant_apply,
     _circulant_block,
     _fourier_mode,
+    _self_energies,
     _spectrum_base,
     energy_report,
     kernel_column,
@@ -442,6 +443,28 @@ def test_local_energy_matches_member_rows():
             for arc_i, arc_j in pairs:
                 want = oracles.energy_local_members(f, arc_i, arc_j, alpha)
                 assert dirichlet_energy_local(f, arc_i, arc_j, alpha) == want, (n, arc_i, arc_j)
+
+
+@pytest.mark.parametrize("n", [256, 2048, 4096])
+@pytest.mark.parametrize("k", [1, 2, 20])
+def test_stacked_self_energies_match_one_row(n, k):
+    """D_{I,I} of a stack of k functions at three exponents is, entry for
+    entry, the float of one ``dirichlet_energy_local`` call per function
+    and exponent and of the one-function route before stacking: an arc,
+    an arc across -pi and the full circle."""
+    rng = np.random.default_rng(n + k)
+    grid = CircleGrid(n)
+    fs = [random_trig_polynomial(grid, 6, rng)[0] for _ in range(k)]
+    stack = np.stack([f.values for f in fs])
+    alphas = (0.25, 0.5, 1.0)
+    for arc in (Arc.centered(0.4, 1.3), Arc.centered(math.pi, 0.9), FULL_CIRCLE):
+        cells = grid.resolved_cells(arc, "arc I")
+        got = _self_energies(stack, n, cells, alphas)
+        assert got.shape == (3, k)
+        for e, alpha in enumerate(alphas):
+            for r, f in enumerate(fs):
+                assert got[e, r] == dirichlet_energy_local(f, arc, arc, alpha), (arc, alpha, r)
+                assert got[e, r] == oracles.self_energy_one_row(f, cells, alpha), (arc, alpha, r)
 
 
 @pytest.mark.parametrize("n", [1, 2, 64, 4096])

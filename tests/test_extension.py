@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from circle_potential import (
     BoundarySamples,
     CircleGrid,
@@ -17,8 +18,12 @@ from circle_potential import (
     random_trig_polynomial,
     six_term_decomposition,
 )
+from circle_potential import energy, extension
+from circle_potential.acceptance import AcceptanceContext, extension_ceiling
 from circle_potential.extension import (
     ExtensionSetup,
+    _extend_rows,
+    _extension_ratios,
     bump_slope_constant,
 )
 from circle_potential.extension import test_function_F as build_test_function
@@ -108,6 +113,67 @@ def test_extension_ratio_degenerate_input(grid1024):
     f = BoundarySamples.constant(grid1024, 5.0)
     with pytest.raises(DegenerateInputError):
         extension_ratio(f, s, 0.5)
+
+
+def _polynomial_stack(grid, k, seed):
+    rng = np.random.default_rng(seed)
+    fs = [random_trig_polynomial(grid, 6, rng)[0] for _ in range(k)]
+    return fs, np.stack([f.values for f in fs])
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
+def test_stacked_extension_matches_one_row(grid1024, gamma):
+    """Each row of a stacked extension, and each entry of the stacked
+    D_I, D_J and ratio, is the float of the one-function call and of the
+    one-function route before stacking."""
+    s = ExtensionSetup(theta=0.45 * gamma * math.pi / 2.0, gamma=gamma)
+    fs, stack = _polynomial_stack(grid1024, 5, int(gamma * 100))
+    rows = _extend_rows(grid1024, stack, s)
+    alphas = (0.25, 0.5, 1.0)
+    d_i, d_j, ratio = _extension_ratios(grid1024, stack, s, alphas)
+    cells_i = grid1024.indices_of(s.arc_i)
+    cells_j = grid1024.indices_of(s.arc_j)
+    for r, f in enumerate(fs):
+        ext = extend(f, s)
+        assert rows[r].tobytes() == ext.values.tobytes()
+        assert rows[r].tobytes() == oracles.extend_one_row(f, s).tobytes()
+        for e, alpha in enumerate(alphas):
+            one = extension_ratio(f, s, alpha)
+            assert (d_i[e, r], d_j[e, r], ratio[e, r]) == (one.d_i, one.d_j, one.ratio)
+            assert one.d_i == oracles.self_energy_one_row(f, cells_i, alpha)
+            assert one.d_j == oracles.self_energy_one_row(ext, cells_j, alpha)
+
+
+def test_stack_with_a_constant_row_is_degenerate(grid1024):
+    s = ExtensionSetup(theta=0.3, gamma=0.5)
+    _, stack = _polynomial_stack(grid1024, 3, 1)
+    stack[1] = 5.0
+    with pytest.raises(DegenerateInputError):
+        _extension_ratios(grid1024, stack, s, (0.5,))
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+def test_extension_ceiling_matches_per_call_loop(n):
+    """The stacked criterion finds the maximum ratio and the case that
+    attains it first, as the loop of one extension and two energies per
+    (gamma, alpha, polynomial) did."""
+    details = extension_ceiling(AcceptanceContext(grid_n=n)).details
+    assert (details["max_ratio"], details["worst_case"]) == oracles.extension_ceiling_per_call(n)
+
+
+def test_extension_ceiling_does_only_distinct_work(monkeypatch):
+    """Per gamma, one window product per arc (I, J) for all 20
+    polynomials and three exponents, and each polynomial extended once."""
+    applies, rows = [], []
+    apply, extend_rows = energy._circulant_apply, extension._extend_rows
+    monkeypatch.setattr(energy, "_circulant_apply",
+                        lambda *a, **kw: applies.append(1) or apply(*a, **kw))
+    monkeypatch.setattr(extension, "_extend_rows",
+                        lambda grid, values, setup: rows.append(len(values))
+                        or extend_rows(grid, values, setup))
+    extension_ceiling(AcceptanceContext(grid_n=2048))
+    assert len(applies) == 6
+    assert rows == [20, 20, 20]
 
 
 def test_six_term_partition_matches_direct(grid1024, rng):
