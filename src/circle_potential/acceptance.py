@@ -116,8 +116,8 @@ def _resolved(grid: CircleGrid, arc: Arc) -> bool:
 
 
 def exact_diagonalization(ctx: AcceptanceContext) -> CriterionResult:
-    """Grid energy of e^{int} against the independent quadrature weight
-    w(n, alpha), n = 1..8; for alpha = 1 the weight is n itself."""
+    """Grid energy of e^{int} against the closed-form weight w(n, alpha),
+    n = 1..8; for alpha = 1 the weight is n itself."""
     grid = ctx.grid
     tol = 0.01 * max(1.0, REFERENCE_GRID / ctx.grid_n)
     alphas = (0.25, 0.5, 1.0)

@@ -73,7 +73,7 @@ from scipy import linalg
 
 from .circle import GridSet
 from .errors import ConvergenceError, PreconditionError
-from .energy import _circulant_apply, _circulant_block
+from .energy import _check_kernel_exponent, _circulant_apply, _circulant_block
 
 
 class KernelExponents(NamedTuple):
@@ -298,8 +298,7 @@ def classical_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None
 
     The empty set has capacity 0 by convention.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise PreconditionError(f"kernel exponent must be in [0, 1), got {alpha}")
+    _check_kernel_exponent(alpha)
     cfg = cfg or SolverConfig()
     n = e.grid.n_points
     if e.is_empty():
@@ -345,11 +344,12 @@ def l2_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None) -> Ca
     """
     if not 0.0 < alpha <= 1.0:
         raise PreconditionError(f"alpha must be in (0, 1], got {alpha}")
+    exponent = kernel_exponents(alpha).l2_convolution
+    _check_kernel_exponent(exponent)  # 1 - alpha/2 rounds to 1.0 for alpha <= 2^-53
     cfg = cfg or SolverConfig()
     n = e.grid.n_points
     if e.is_empty():
         return _empty_estimate("l2", alpha, n, 0.0)
-    exponent = kernel_exponents(alpha).l2_convolution
     op = ("autocorr", n, exponent, e.indices)
     return _solve("l2", op, 2.0 * n, partial(_finish_l2, e, alpha, exponent), cfg)
 

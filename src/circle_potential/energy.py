@@ -12,8 +12,8 @@ Quantities computed here, all with the normalized arc measure |dz|/2pi:
   energy of smooth f, and vanishes under refinement. On arcs, cell-center
   selection at the arc ends adds an erratic O(h) term, h the cell width.
 * The frequency-weight form: D_alpha(f) = sum_n w_alpha(|n|) |f^(n)|^2
-  with w_alpha(n) = (1/2pi) * integral of |e^{int} - 1|^2 / |e^{it} - 1|^(1+alpha).
-  For alpha = 1 this reduces to the classical Douglas identity w(n) = n.
+  with w_alpha(n) = (1/2pi) * integral of |e^{int} - 1|^2 / |e^{it} - 1|^(1+alpha),
+  in closed form. For alpha = 1 it is the Douglas identity w(n) = n.
 * Measure energy I_alpha(mu) = double integral of the kernel against a
   probability measure twice, with a cell-averaged kernel on the
   diagonal so atom self-energies track the continuum limit.
@@ -71,6 +71,12 @@ def _faulted(base: np.ndarray, power: int = 1) -> np.ndarray:
     return base
 
 
+def _check_kernel_exponent(exponent: float) -> None:
+    """At exponent 1 the kernel is no longer integrable on the circle."""
+    if not 0.0 <= exponent < 1.0:
+        raise PreconditionError(f"kernel exponent must be in [0, 1), got {exponent}")
+
+
 def kernel_k(alpha: float, chord: float) -> float:
     """Riesz kernel at a chord distance.
 
@@ -78,8 +84,7 @@ def kernel_k(alpha: float, chord: float) -> float:
     |log(chord)| for alpha = 0. The logarithmic kernel is not monotone
     in the chord (it vanishes at chord 1 and grows again toward 2).
     """
-    if not 0.0 <= alpha < 1.0:
-        raise PreconditionError(f"kernel exponent must be in [0, 1), got {alpha}")
+    _check_kernel_exponent(alpha)
     if chord <= 0.0:
         raise SingularityError(
             "kernel is singular at chord 0; use the cell-averaged diagonal"
@@ -133,8 +138,7 @@ def kernel_column(n: int, exponent: float) -> np.ndarray:
     """Difference-indexed kernel table for an N-cell grid (see
     ``_kernel_column_base``); the classical capacity's kernel matrix is
     the lookup kappa[(i - j) mod n] into this table."""
-    if not 0.0 <= exponent < 1.0:
-        raise PreconditionError(f"kernel exponent must be in [0, 1), got {exponent}")
+    _check_kernel_exponent(exponent)
     return _faulted(_kernel_column_base(int(n), float(exponent)))
 
 
@@ -248,40 +252,6 @@ def monomial(grid: CircleGrid, n: int) -> BoundarySamples:
     return BoundarySamples(grid, np.exp(1j * n * grid.angles))
 
 
-def random_trig_polynomial(
-    grid: CircleGrid, degree: int, rng: np.random.Generator
-) -> tuple[BoundarySamples, dict[int, complex]]:
-    """A trigonometric polynomial with standard complex Gaussian
-    coefficients on frequencies -degree..degree; returns the samples and
-    the exact coefficients (handy as a spectral oracle)."""
-    if degree < 0:
-        raise PreconditionError(f"polynomial degree must be >= 0, got {degree}")
-    freqs = range(-degree, degree + 1)
-    coeffs = {
-        k: complex(rng.standard_normal(), rng.standard_normal()) for k in freqs
-    }
-    # modes are cached only where all of them fit the cache and each is
-    # small; larger grids or degrees compute each mode afresh
-    cached = grid.n_points <= _MODE_CACHE_CELLS and len(freqs) <= _MODE_CACHE_SIZE
-    vals = np.zeros(grid.n_points, dtype=np.complex128)
-    for k, c in coeffs.items():
-        mode = _fourier_mode(grid.n_points, k) if cached else np.exp(1j * k * grid.angles)
-        vals += c * mode
-    return BoundarySamples(grid, vals), coeffs
-
-
-_MODE_CACHE_SIZE = 32  # modes: every frequency of a degree-15 polynomial
-_MODE_CACHE_CELLS = 4096  # cells per mode: at most 2 MB held in all
-
-
-@lru_cache(maxsize=_MODE_CACHE_SIZE)
-def _fourier_mode(n: int, k: int) -> np.ndarray:
-    """e^{ikt} at the cell centers of an n-cell grid, cached per (n, k)."""
-    mode = np.exp(1j * k * CircleGrid(n).angles)
-    mode.setflags(write=False)
-    return mode
-
-
 def _check_energy_exponent(alpha: float) -> None:
     if not 0.0 < alpha <= 1.0:
         raise PreconditionError(f"energy exponent must be in (0, 1], got {alpha}")
@@ -364,28 +334,30 @@ def dirichlet_energy_global(f: BoundarySamples, alpha: float) -> float:
     return dirichlet_energy_local(f, FULL_CIRCLE, FULL_CIRCLE, alpha)
 
 
-@lru_cache(maxsize=4096)
 def energy_weight(n: int, alpha: float) -> float:
     """Exact diagonalization weight
 
         w_alpha(n) = (1/2pi) integral over the circle of
                      |e^{int} - 1|^2 / |e^{it} - 1|^(1+alpha) dt,
 
-    so that D_alpha(f) = sum_n w_alpha(|n|) |f^(n)|^2. Evaluated by
-    adaptive quadrature (the integrand behaves like t^(1-alpha) near 0).
-    For alpha = 1 the weight equals n exactly (Douglas identity).
+    so that D_alpha(f) = sum_n w_alpha(|n|) |f^(n)|^2. In closed form,
+
+        w_alpha(n) = sum_{k<n} d_k / (Gamma(1 + alpha) sin(pi alpha / 2)),
+        d_0 = alpha Gamma((1 + alpha)/2) / Gamma((3 - alpha)/2),
+        d_{k+1} = d_k (k + (1 + alpha)/2) / (k + (3 - alpha)/2),
+
+    from the Fourier coefficients of |2 sin(t/2)|^(-1-alpha), continued
+    analytically. Every term is positive, so nothing cancels. For
+    alpha = 1 every d_k is 1 and the weight is n exactly.
     """
     if n < 1:
         raise PreconditionError(f"frequency must be >= 1, got {n}")
     _check_energy_exponent(alpha)
-
-    def integrand(t: float) -> float:
-        return (2.0 * math.sin(n * t / 2.0)) ** 2 / (
-            2.0 * math.sin(t / 2.0)
-        ) ** (1.0 + alpha)
-
-    val, _ = quad(integrand, 0.0, math.pi, limit=400)
-    return val / math.pi
+    k = np.arange(n - 1)
+    ratios = (k + (1.0 + alpha) / 2.0) / (k + (3.0 - alpha) / 2.0)
+    d0 = alpha * math.gamma((1.0 + alpha) / 2.0) / math.gamma((3.0 - alpha) / 2.0)
+    d = np.cumprod(np.concatenate(([d0], ratios)))
+    return float(np.sum(d)) / (math.gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0))
 
 
 @dataclass(frozen=True)
@@ -424,6 +396,26 @@ def fourier_from_samples(f: BoundarySamples, truncation: int | None = None) -> F
     return _coeffs_from_dft(np.fft.fft(f.values) / f.grid.n_points, truncation)
 
 
+# Grid angles start at -pi, so e^{ikt_j} = (-1)^k e^{2 pi i kj/N}: frequency k
+# is DFT bin k mod N times (-1)^k, in this function and its inverse below.
+def random_trig_polynomial(
+    grid: CircleGrid, degree: int, rng: np.random.Generator
+) -> tuple[BoundarySamples, dict[int, complex]]:
+    """A trigonometric polynomial with standard complex Gaussian
+    coefficients on frequencies -degree..degree; returns the samples and
+    the exact coefficients (handy as a spectral oracle). Frequencies
+    equal mod N share a bin, so they alias as in the direct sum."""
+    if degree < 0:
+        raise PreconditionError(f"polynomial degree must be >= 0, got {degree}")
+    k = np.arange(-degree, degree + 1)
+    z = rng.standard_normal((k.size, 2))
+    c = z[:, 0] + 1j * z[:, 1]
+    bins = np.zeros(grid.n_points, dtype=np.complex128)
+    np.add.at(bins, k % grid.n_points, np.where(k % 2, -c, c))
+    samples = BoundarySamples(grid, np.fft.ifft(bins, norm="forward"))
+    return samples, dict(zip(k.tolist(), c.tolist()))
+
+
 def _coeffs_from_dft(spec: np.ndarray, truncation: int | None) -> FourierCoeffs:
     """Coefficient table |n| <= truncation (default N/4) from the plain DFT
     of grid samples."""
@@ -433,7 +425,6 @@ def _coeffs_from_dft(spec: np.ndarray, truncation: int | None) -> FourierCoeffs:
         raise PreconditionError(f"truncation {m} exceeds N/2 = {n_pts // 2}")
     coeffs: dict[int, complex] = {}
     for k in range(-m, m + 1):
-        # grid angles start at -pi, so the plain DFT picks up a factor (-1)^k
         phase = -1.0 if k % 2 else 1.0
         coeffs[k] = complex(phase * spec[k % n_pts])
     return FourierCoeffs(coeffs, m)
@@ -497,8 +488,7 @@ def mu_energy(mu: DiscreteMeasure, alpha: float) -> float:
 
 def mu_energy_report(mu: DiscreteMeasure, alpha: float) -> dict:
     """Measure energy plus diagnostics splitting out the diagonal term."""
-    if not 0.0 <= alpha < 1.0:
-        raise PreconditionError(f"kernel exponent must be in [0, 1), got {alpha}")
+    _check_kernel_exponent(alpha)
     n = mu.grid.n_points
     support = np.nonzero(mu.weights)[0]
     w = mu.weights[support]

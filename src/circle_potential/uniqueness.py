@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .capacity import SolverConfig, classical_capacity
+from .capacity import SolverConfig, classical_capacity, kernel_exponents
 from .circle import TWO_PI, Arc, ArcFamily, CircleGrid, GridSet
 from .errors import ConstructionError, PreconditionError
 
@@ -497,7 +497,7 @@ def uniqueness_series(
         if n_terms < 1:
             raise PreconditionError("n_terms must be >= 1")
         order = order[:n_terms]
-    exponent = 1.0 - beta
+    exponent = kernel_exponents(beta).classical
     records = []
     terms = []
     notes: list[str] = []

@@ -11,8 +11,9 @@ run-based cell selection and the span-sized local energy replaced
 (they share only the windowed spectrum tables of ``energy``), and the
 scalar length rules that the rules' array form replaced, the run-based
 spike that the index-distance spike replaced, the one-function
-extension and I = J energy that the stacked ones replaced, and the
-Vitali covering check, which only tests use. The frozen
+extension and I = J energy that the stacked ones replaced, the
+mode-by-mode sum that the inverse FFT of trigonometric polynomials
+replaced, and the Vitali covering check, which only tests use. The frozen
 digits were produced by those same routes at high resolution and are
 pinned so that a regression in the library cannot silently move the
 targets.
@@ -71,6 +72,18 @@ def monomial_energy(n: int, alpha: float) -> float:
 
     val, _ = quad(integrand, 0.0, math.pi, limit=400)
     return val / math.pi
+
+
+def trig_polynomial_direct(grid, degree: int, rng: np.random.Generator) -> tuple:
+    """(samples, coefficients) of ``random_trig_polynomial`` by the direct
+    sum of c_k e^{ikt} over k = -degree..degree, one mode at a time, each
+    c_k drawn as two scalar normals in that order."""
+    coeffs = {k: complex(rng.standard_normal(), rng.standard_normal())
+              for k in range(-degree, degree + 1)}
+    vals = np.zeros(grid.n_points, dtype=np.complex128)
+    for k, c in coeffs.items():
+        vals += c * np.exp(1j * k * grid.angles)
+    return vals, coeffs
 
 
 def harmonic_number(n: int) -> float:

@@ -193,6 +193,16 @@ def test_l2_alpha_validation(grid64, solver):
         l2_capacity(e, 1.0001, solver)
 
 
+def test_l2_refuses_convolution_exponent_that_rounds_to_one(solver):
+    """For alpha <= 2^-53 the convolution exponent 1 - alpha/2 is 1.0,
+    where the kernel is not integrable: refused like any kernel exponent
+    outside [0, 1), not solved with a meaningless diagonal."""
+    e = GridSet.from_arcs(CircleGrid(256), Arc(0.3, 1.7))
+    assert kernel_exponents(1e-17).l2_convolution == 1.0
+    with pytest.raises(PreconditionError, match=r"kernel exponent must be in \[0, 1\), got 1.0"):
+        l2_capacity(e, 1e-17, solver)
+
+
 def test_potential_check_rejects_classical(grid64, solver):
     est = classical_capacity(GridSet.full(grid64), 0.5, solver)
     with pytest.raises(PreconditionError):

@@ -386,6 +386,23 @@ def test_zero_flag_values_are_rejected(capsys, flag):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("capacity", "--method", "l2", "--alpha", "1e-17", "--set", "half", "--grid-n", "256"),
+    ("poincare-check", "--alpha", "0.75", "--beta", "1e-17", "--gamma", "0.75",
+     "--set", '{"arcs": [{"center": -0.2, "length": 0.12}]}',
+     "--arc", '{"center": 0.0, "length": 1.2}', "--fn", "builtin:spike,delta=0.2",
+     "--grid-n", "512"),
+], ids=["capacity", "poincare"])
+def test_l2_exponent_rounding_to_one_exits_2(capsys, argv):
+    """An L2 parameter so small that 1 - alpha/2 rounds to 1.0 is a
+    precondition error (exit 2), not a capacity."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: kernel exponent must be in [0, 1)")
+    assert "Traceback" not in err
+
+
 def test_infinite_tolerance_is_rejected(capsys):
     """An infinite tolerance would count any polish as certified."""
     code, out, err = run_cli(

@@ -37,7 +37,6 @@ from circle_potential.energy import (
     _chord_power_table_base,
     _circulant_apply,
     _circulant_block,
-    _fourier_mode,
     _self_energies,
     _spectrum_base,
     energy_report,
@@ -166,8 +165,17 @@ def test_monomial_energy_matches_quadrature(grid1024):
 def test_energy_weight_douglas_identity():
     """At alpha = 1 the diagonalization weights are exactly w(n) = n
     (the classical half-plane Dirichlet integral identity)."""
-    for n in range(1, 9):
-        assert abs(energy_weight(n, 1.0) - n) < 1e-9
+    for n in range(1, 301):
+        assert energy_weight(n, 1.0) == n
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.999, 1.0])
+def test_energy_weight_matches_quadrature(alpha):
+    """The closed-form weight agrees with adaptive quadrature of its
+    defining integral to 1e-12 relative, at low and high frequencies."""
+    for n in [*range(1, 9), 50, 300]:
+        want = oracles.monomial_energy(n, alpha)
+        assert abs(energy_weight(n, alpha) - want) <= 1e-12 * want, n
 
 
 def test_energy_weight_rejects_zero_frequency():
@@ -388,33 +396,17 @@ def test_random_polynomial_reproducible(grid64):
 
 @pytest.mark.parametrize("n", [1, 7, 2048, 8192])
 def test_random_polynomial_matches_direct_sum(n):
-    """The cached modes give the samples of the direct sum of
-    c_k exp(i k t) over k = -degree..degree, byte for byte, with the
-    coefficients drawn in the same order; the cache holds single modes
-    and has a fixed bound."""
+    """The inverse FFT gives the samples of the direct sum of
+    c_k exp(i k t) over k = -degree..degree to 1e-13 sum |c_k|, with the
+    coefficients drawn in the same order; degree 40 on 1 and 7 cells
+    aliases frequencies that are equal mod N."""
     grid = CircleGrid(n)
     for degree in (0, 6, 40):
         f, coeffs = random_trig_polynomial(grid, degree, np.random.default_rng(degree))
-        rng = np.random.default_rng(degree)
-        want = np.zeros(n, dtype=np.complex128)
-        for k in range(-degree, degree + 1):
-            c = complex(rng.standard_normal(), rng.standard_normal())
-            assert coeffs[k] == c
-            want += c * np.exp(1j * k * grid.angles)
-        assert f.values.tobytes() == want.tobytes()
-    assert _fourier_mode.cache_info().maxsize == 32
-    assert not _fourier_mode(n, 3).flags.writeable
-
-
-def test_random_polynomial_caches_only_small_modes():
-    """Grids above 4096 cells, and degrees whose 2 * degree + 1 modes
-    exceed the cache, leave the mode cache empty."""
-    _fourier_mode.cache_clear()
-    random_trig_polynomial(CircleGrid(8192), 6, np.random.default_rng(0))
-    random_trig_polynomial(CircleGrid(64), 16, np.random.default_rng(0))
-    assert _fourier_mode.cache_info().currsize == 0
-    random_trig_polynomial(CircleGrid(4096), 15, np.random.default_rng(0))
-    assert _fourier_mode.cache_info().currsize == 31
+        want, want_coeffs = oracles.trig_polynomial_direct(grid, degree, np.random.default_rng(degree))
+        assert coeffs == want_coeffs
+        bound = 1e-13 * sum(abs(c) for c in coeffs.values())
+        assert np.max(np.abs(f.values - want)) <= bound, degree
 
 
 def test_local_energy_matches_member_rows():
