@@ -1,18 +1,20 @@
 """Built-in acceptance suite: twelve named criteria with frozen parameters.
 
 Each criterion is a function from a shared context (grid size, seed,
-solver settings) to a CriterionResult with a pass flag and a small
-JSON-able detail record. ``run_all`` executes them in order and is the
-engine behind the ``selftest`` CLI command; the test suite calls the
-same functions one by one.
+solver settings) to a pair ``(passed, details)``: a pass flag and a
+small JSON-able detail record. ``run_all`` executes them in order,
+names each result after its function and is the engine behind the
+``selftest`` CLI command; the test suite calls the same functions one
+by one.
 
 Tolerance schedule: criteria are calibrated at grid_n = 4096. Running
 smaller grids relaxes quadrature-bound tolerances proportionally
 (exact_diagonalization) or by a flat documented factor
 (comparability and Poincare drift below 2048 cells), and sub-cases
 whose arcs fall under the energy resolution floor (RESOLUTION_CELLS)
-are skipped and listed in the details. At the default grid nothing is
-relaxed or skipped. Grids under 128 cells are refused: at 64 the
+are skipped and listed under ``details["skipped"]``. At the default
+grid nothing is relaxed, and ``run_all`` fails any criterion that
+lists a skipped sub-case. Grids under 128 cells are refused: at 64 the
 determinism probe arc is unresolved and the Poincare drift exceeds its
 tolerance. No criterion records timing, so reports are byte-reproducible;
 ``run_all`` hands each criterion's wall time to an optional callback.
@@ -115,7 +117,7 @@ def _resolved(grid: CircleGrid, arc: Arc) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def exact_diagonalization(ctx: AcceptanceContext) -> CriterionResult:
+def exact_diagonalization(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Grid energy of e^{int} against the closed-form weight w(n, alpha),
     n = 1..8; for alpha = 1 the weight is n itself."""
     grid = ctx.grid
@@ -134,14 +136,10 @@ def exact_diagonalization(ctx: AcceptanceContext) -> CriterionResult:
             if rel > worst:
                 worst = rel
                 worst_case = {"n": n, "alpha": alpha, "got": got, "want": want}
-    return CriterionResult(
-        name="exact_diagonalization",
-        passed=worst <= tol,
-        details={"max_rel_error": worst, "tolerance": tol, "worst_case": worst_case},
-    )
+    return worst <= tol, {"max_rel_error": worst, "tolerance": tol, "worst_case": worst_case}
 
 
-def seminorm_invariances(ctx: AcceptanceContext) -> CriterionResult:
+def seminorm_invariances(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """D(f + c) = D(f) and D(lambda f) = |lambda|^2 D(f) to 1e-9 relative
     on 20 seeded trigonometric polynomials."""
     grid = ctx.grid
@@ -162,14 +160,10 @@ def seminorm_invariances(ctx: AcceptanceContext) -> CriterionResult:
             abs(shifted - base) / base,
             abs(scaled - abs(lam) ** 2 * base) / (abs(lam) ** 2 * base),
         )
-    return CriterionResult(
-        name="seminorm_invariances",
-        passed=worst <= 1e-9,
-        details={"max_rel_error": worst, "tolerance": 1e-9, "polynomials": 20},
-    )
+    return worst <= 1e-9, {"max_rel_error": worst, "tolerance": 1e-9, "polynomials": 20}
 
 
-def extension_ceiling(ctx: AcceptanceContext) -> CriterionResult:
+def extension_ceiling(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """extension_ratio stays below the proof-derived ceiling for 20
     polynomials across gamma in {0.25, 0.5, 0.75}, alpha in
     {0.25, 0.5, 1}."""
@@ -193,20 +187,15 @@ def extension_ceiling(ctx: AcceptanceContext) -> CriterionResult:
         if ratio[a, k] > worst:
             worst = float(ratio[a, k])
             worst_case = {"gamma": gamma, "alpha": alphas[a], "poly": int(k)}
-    passed = worst <= RATIO_CEILING and (ctx.grid_n < REFERENCE_GRID or not skipped)
-    return CriterionResult(
-        name="extension_ceiling",
-        passed=passed,
-        details={
-            "max_ratio": worst,
-            "ceiling": RATIO_CEILING,
-            "worst_case": worst_case,
-            "skipped": skipped,
-        },
-    )
+    return worst <= RATIO_CEILING, {
+        "max_ratio": worst,
+        "ceiling": RATIO_CEILING,
+        "worst_case": worst_case,
+        "skipped": skipped,
+    }
 
 
-def six_term_partition(ctx: AcceptanceContext) -> CriterionResult:
+def six_term_partition(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Block decomposition of the extended energy over I/L/R equals the
     direct J energy to 1e-9 relative."""
     grid = ctx.grid
@@ -223,15 +212,10 @@ def six_term_partition(ctx: AcceptanceContext) -> CriterionResult:
             worst = max(worst, abs(parts["total"] - direct) / max(1.0, direct))
     else:
         skipped.append({"reason": f"reflected arcs under {RESOLUTION_CELLS} cells"})
-    passed = worst <= 1e-9 and (ctx.grid_n < REFERENCE_GRID or not skipped)
-    return CriterionResult(
-        name="six_term_partition",
-        passed=passed,
-        details={"max_rel_gap": worst, "tolerance": 1e-9, "skipped": skipped},
-    )
+    return worst <= 1e-9, {"max_rel_gap": worst, "tolerance": 1e-9, "skipped": skipped}
 
 
-def equilibrium_symmetry(ctx: AcceptanceContext) -> CriterionResult:
+def equilibrium_symmetry(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Full-circle capacity at alpha = 1/2 equals 1 / (uniform-measure
     energy) within 2%, with equilibrium weights uniform within 1%."""
     grid = ctx.grid
@@ -242,20 +226,16 @@ def equilibrium_symmetry(ctx: AcceptanceContext) -> CriterionResult:
     w = est.minimizer
     uniform_dev = float(np.max(np.abs(w - 1.0 / ctx.grid_n)) * ctx.grid_n)
     passed = rel <= 0.02 and uniform_dev <= 0.01
-    return CriterionResult(
-        name="equilibrium_symmetry",
-        passed=passed,
-        details={
-            "capacity": est.value,
-            "uniform_energy_reciprocal": want,
-            "rel_gap": rel,
-            "max_weight_deviation": uniform_dev,
-            "kkt_residual": est.kkt_residual,
-        },
-    )
+    return passed, {
+        "capacity": est.value,
+        "uniform_energy_reciprocal": want,
+        "rel_gap": rel,
+        "max_weight_deviation": uniform_dev,
+        "kkt_residual": est.kkt_residual,
+    }
 
 
-def capacity_monotonicity(ctx: AcceptanceContext) -> CriterionResult:
+def capacity_monotonicity(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Set inclusion never increases either capacity: 10 nested arc
     pairs plus 5 nested Cantor stages, zero violations allowed."""
     grid = ctx.grid
@@ -289,11 +269,7 @@ def capacity_monotonicity(ctx: AcceptanceContext) -> CriterionResult:
         for d in range(len(caps) - 1):
             if caps[d + 1] > caps[d] + slack * max(1.0, caps[d]):
                 violations.append({"cantor_depth": d + 2, "method": method})
-    return CriterionResult(
-        name="capacity_monotonicity",
-        passed=not violations,
-        details={"violations": violations, "arc_pairs": 10, "cantor_stages": 5},
-    )
+    return not violations, {"violations": violations, "arc_pairs": 10, "cantor_stages": 5}
 
 
 def _comparability_family() -> list[list[Arc]]:
@@ -312,7 +288,7 @@ def _comparability_family() -> list[list[Arc]]:
     return [[a] for a in singles] + unions
 
 
-def comparability_stability(ctx: AcceptanceContext) -> CriterionResult:
+def comparability_stability(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Ratio of the two capacities at beta = 0.5 on a 10-set family:
     drift under grid doubling below 10% (relaxed to 25% under 2048
     cells) and every ratio inside the [1/25, 25] bracket."""
@@ -349,18 +325,14 @@ def comparability_stability(ctx: AcceptanceContext) -> CriterionResult:
         if not (1.0 / bracket <= ratios[n_hi] <= bracket):
             out_of_bracket.append(k)
     passed = max_drift < tol and not out_of_bracket
-    return CriterionResult(
-        name="comparability_stability",
-        passed=passed,
-        details={
-            "max_drift": max_drift,
-            "tolerance": tol,
-            "grids": [n_lo, n_hi],
-            "bracket": bracket,
-            "out_of_bracket": out_of_bracket,
-            "rows": rows,
-        },
-    )
+    return passed, {
+        "max_drift": max_drift,
+        "tolerance": tol,
+        "grids": [n_lo, n_hi],
+        "bracket": bracket,
+        "out_of_bracket": out_of_bracket,
+        "rows": rows,
+    }
 
 
 def _compositions(total: int, parts: int) -> list[np.ndarray]:
@@ -464,7 +436,7 @@ def _lattice_min_energy(K: np.ndarray, subdivisions: int) -> float:
     return best
 
 
-def small_instance_oracle(ctx: AcceptanceContext) -> CriterionResult:
+def small_instance_oracle(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Classical capacity on up-to-6-cell sets at N = 64 against brute
     lattice minimization (48 subdivisions), within 1%."""
     n = 64
@@ -481,11 +453,7 @@ def small_instance_oracle(ctx: AcceptanceContext) -> CriterionResult:
         rel = abs(est.value - brute) / brute
         worst = max(worst, rel)
         rows.append({"cells": size, "solver": est.value, "lattice": brute, "rel": rel})
-    return CriterionResult(
-        name="small_instance_oracle",
-        passed=worst <= 0.01,
-        details={"max_rel_error": worst, "tolerance": 0.01, "rows": rows},
-    )
+    return worst <= 0.01, {"max_rel_error": worst, "tolerance": 0.01, "rows": rows}
 
 
 def _poincare_instance(n: int, k_cells: int):
@@ -497,7 +465,7 @@ def _poincare_instance(n: int, k_cells: int):
     return f, e, arc
 
 
-def poincare_stability(ctx: AcceptanceContext) -> CriterionResult:
+def poincare_stability(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Spike-family ratios are finite and positive, move under 15% when
     the grid doubles (30% under 2048 cells), and are invariant to 1e-9
     under joint rotation and under scaling of f."""
@@ -513,11 +481,7 @@ def poincare_stability(ctx: AcceptanceContext) -> CriterionResult:
         f2, e2, arc2 = _poincare_instance(2 * n, k)
         rep2 = poincare_check(f2, e2, arc2, alpha, beta, gamma, ctx.solver)
         if not (rep.ratio > 0.0 and math.isfinite(rep.ratio)):
-            return CriterionResult(
-                name="poincare_stability",
-                passed=False,
-                details={"reason": "nonpositive or infinite ratio", "cells": k},
-            )
+            return False, {"reason": "nonpositive or infinite ratio", "cells": k}
         drift = abs(rep2.ratio - rep.ratio) / rep.ratio
         max_drift = max(max_drift, drift)
         rows.append({"cells": k, "ratio": rep.ratio, "ratio_fine": rep2.ratio, "drift": drift})
@@ -538,19 +502,15 @@ def poincare_stability(ctx: AcceptanceContext) -> CriterionResult:
                 abs(scaled.ratio - rep.ratio) / rep.ratio,
             )
     passed = max_drift < tol_drift and invariance_gap <= 1e-9
-    return CriterionResult(
-        name="poincare_stability",
-        passed=passed,
-        details={
-            "max_drift": max_drift,
-            "drift_tolerance": tol_drift,
-            "invariance_gap": invariance_gap,
-            "rows": rows,
-        },
-    )
+    return passed, {
+        "max_drift": max_drift,
+        "drift_tolerance": tol_drift,
+        "invariance_gap": invariance_gap,
+        "rows": rows,
+    }
 
 
-def cantor_series_concordance(ctx: AcceptanceContext) -> CriterionResult:
+def cantor_series_concordance(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Power-rule Cantor sets: the s = 1/2 series grows past 10 within
     2.3e4 terms and stage capacities at that exponent are monotone
     nonincreasing over depths 1..8; the s = 1/4 series converges with
@@ -581,24 +541,20 @@ def cantor_series_concordance(ctx: AcceptanceContext) -> CriterionResult:
     cap8 = classical_capacity(sets[8], 0.25, ctx.solver).value
     floor_ok = cap8 >= 0.8 * cap4
     passed = div_ok and mono_ok and conv_ok and floor_ok
-    return CriterionResult(
-        name="cantor_series_concordance",
-        passed=passed,
-        details={
-            "divergent_sum_at_23000": diag_div.final_sum,
-            "divergent_trend": diag_div.trend,
-            "capacities_s_half": caps_div,
-            "monotone": mono_ok,
-            "convergent_trend": diag_conv.trend,
-            "s200_minus_limit": abs(s200 - limit_ref),
-            "limit": limit_ref,
-            "cap_depth4": cap4,
-            "cap_depth8": cap8,
-        },
-    )
+    return passed, {
+        "divergent_sum_at_23000": diag_div.final_sum,
+        "divergent_trend": diag_div.trend,
+        "capacities_s_half": caps_div,
+        "monotone": mono_ok,
+        "convergent_trend": diag_conv.trend,
+        "s200_minus_limit": abs(s200 - limit_ref),
+        "limit": limit_ref,
+        "cap_depth4": cap4,
+        "cap_depth8": cap8,
+    }
 
 
-def carleson_diagnostics(ctx: AcceptanceContext) -> CriterionResult:
+def carleson_diagnostics(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """Geometric arcs: sum converges to -2 log 2 within 1e-6 by 60
     terms. Reciprocal-log arcs: classified as drifting to -inf with the
     log log model at R^2 >= 0.99 over 1e5 terms."""
@@ -612,17 +568,13 @@ def carleson_diagnostics(ctx: AcceptanceContext) -> CriterionResult:
         and rec.fit.get("model") == "loglog"
         and rec.fit.get("r_squared", 0.0) >= 0.99
     )
-    return CriterionResult(
-        name="carleson_diagnostics",
-        passed=geo_ok and rec_ok,
-        details={
-            "geometric_sum": geo.final_sum,
-            "geometric_target": target,
-            "geometric_trend": geo.trend,
-            "reciprocal_log_trend": rec.trend,
-            "reciprocal_log_fit": rec.fit,
-        },
-    )
+    return geo_ok and rec_ok, {
+        "geometric_sum": geo.final_sum,
+        "geometric_target": target,
+        "geometric_trend": geo.trend,
+        "reciprocal_log_trend": rec.trend,
+        "reciprocal_log_fit": rec.fit,
+    }
 
 
 def _determinism_probe(grid_n: int, seed: int, solver: SolverConfig) -> bytes:
@@ -655,17 +607,13 @@ def _determinism_probe(grid_n: int, seed: int, solver: SolverConfig) -> bytes:
     return json_bytes(report)
 
 
-def determinism(ctx: AcceptanceContext) -> CriterionResult:
+def determinism(ctx: AcceptanceContext) -> tuple[bool, dict]:
     """A fixed probe pipeline (capacities, energies, series, one
     Poincare check) serialized twice with the same seed must agree
     byte for byte."""
     first = _determinism_probe(ctx.grid_n, ctx.seed, ctx.solver)
     second = _determinism_probe(ctx.grid_n, ctx.seed, ctx.solver)
-    return CriterionResult(
-        name="determinism",
-        passed=first == second,
-        details={"probe_bytes": len(first), "identical": first == second},
-    )
+    return first == second, {"probe_bytes": len(first), "identical": first == second}
 
 
 CRITERIA = (
@@ -716,13 +664,11 @@ def run_all(
         for fn in selected:
             started = time.perf_counter()
             try:
-                result = fn(ctx)
+                passed, details = fn(ctx)
             except ResolutionError as exc:
-                result = CriterionResult(
-                    name=fn.__name__,
-                    passed=False,
-                    details={"error": "resolution", "message": str(exc)},
-                )
+                passed, details = False, {"error": "resolution", "message": str(exc)}
+            passed = passed and (grid_n < REFERENCE_GRID or not details.get("skipped"))
+            result = CriterionResult(fn.__name__, passed, details)
             results.append(result)
             if progress is not None:
                 progress(result, time.perf_counter() - started)

@@ -491,7 +491,7 @@ def _cmd_cantor(args, cfg: Config) -> int:
         "config": cfg.to_json(),
         "arcs": fam.to_json(),
         "count": len(fam),
-        "stage_lengths": [spec.stage_length(k) for k in range(spec.depth + 1)],
+        "stage_lengths": list(map(math.exp, spec.stage_log_lengths.tolist())),
     }
     _emit(payload)
     if args.out:

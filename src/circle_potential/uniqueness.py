@@ -95,8 +95,8 @@ class RatioRule:
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
             raise PreconditionError(f"ratio must be in (0, 1), got {self.ratio}")
-        if self.l0 <= 0.0:
-            raise PreconditionError("l0 must be positive")
+        if not 0.0 < self.l0 < math.inf:
+            raise PreconditionError(f"l0 must be positive and finite, got {self.l0}")
 
     def log_lengths(self, ns: np.ndarray) -> np.ndarray:
         """log l_n at each index n of ``ns``."""
@@ -120,8 +120,8 @@ class TableRule:
         vals = tuple(float(x) for x in self.lengths)
         if not vals:
             raise PreconditionError("length table is empty")
-        if any(x <= 0.0 for x in vals):
-            raise PreconditionError("table lengths must be positive")
+        if not all(0.0 < x < math.inf for x in vals):
+            raise PreconditionError("table lengths must be positive and finite")
         object.__setattr__(self, "lengths", vals)
 
     def log_lengths(self, ns: np.ndarray) -> np.ndarray:
@@ -216,16 +216,6 @@ class CantorSpec:
     @property
     def host_length(self) -> float:
         return TWO_PI if self.host is None else self.host.length
-
-    def stage_log_length(self, k: int) -> float:
-        """Log of the realized interval length at construction stage k
-        (rule index offset + k, rescaled when scale_to_host)."""
-        if not 0 <= k <= self.depth:
-            raise PreconditionError(f"stage must be in 0..{self.depth}, got {k}")
-        return float(self.stage_log_lengths[k])
-
-    def stage_length(self, k: int) -> float:
-        return math.exp(self.stage_log_length(k))
 
 
 def cantor_build(spec: CantorSpec) -> ArcFamily:

@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from circle_potential import PreconditionError, acceptance
+from circle_potential import PreconditionError, ResolutionError, acceptance
 from circle_potential.acceptance import AcceptanceContext, criterion_names, json_bytes, run_all
 from circle_potential.cli import main
 from circle_potential.energy import _circulant_block
@@ -159,6 +159,51 @@ def test_fault_injection_is_detected():
     by_name = {c["name"]: c["passed"] for c in report["criteria"]}
     assert by_name["exact_diagonalization"] is False
     assert by_name["seminorm_invariances"] is True
+    assert report["all_passed"] is False
+
+
+def _stub_clean(ctx):
+    return True, {"grid_n": ctx.grid_n}
+
+
+def _stub_skipping(ctx):
+    return True, {"skipped": [{"reason": "arc under the resolution floor"}]}
+
+
+def _stub_unresolved(ctx):
+    raise ResolutionError("arc holds 3 cells")
+
+
+def test_runner_names_results_after_their_functions(monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", (_stub_clean, _stub_skipping))
+    report = run_all(grid_n=128)
+    assert [c["name"] for c in report["criteria"]] == ["_stub_clean", "_stub_skipping"]
+    assert report["criteria"][0]["details"] == {"grid_n": 128}
+    assert run_all(grid_n=128, only=["_stub_skipping"])["criteria"][0]["name"] == "_stub_skipping"
+
+
+@pytest.mark.parametrize("grid_n, passed", [(2048, True), (4096, False), (8192, False)])
+def test_runner_fails_skipped_sub_cases_from_the_reference_grid(monkeypatch, grid_n, passed):
+    """A criterion that lists a skipped sub-case passes below the
+    reference grid and fails at it and above; one that skips nothing is
+    left alone."""
+    monkeypatch.setattr(acceptance, "CRITERIA", (_stub_skipping, _stub_clean))
+    report = run_all(grid_n=grid_n)
+    assert [c["passed"] for c in report["criteria"]] == [passed, True]
+    assert report["all_passed"] is passed
+
+
+def test_runner_reports_resolution_errors_and_goes_on(monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", (_stub_unresolved, _stub_clean))
+    seen = []
+    report = run_all(grid_n=128, progress=lambda result, _: seen.append(result.name))
+    assert report["criteria"][0] == {
+        "name": "_stub_unresolved",
+        "passed": False,
+        "details": {"error": "resolution", "message": "arc holds 3 cells"},
+    }
+    assert report["criteria"][1]["passed"] is True
+    assert seen == ["_stub_unresolved", "_stub_clean"]
     assert report["all_passed"] is False
 
 

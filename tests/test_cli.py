@@ -325,6 +325,23 @@ def test_cantor_huge_depth_exits_2_at_once():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "cantor-capacity", "--rule", "ratio:r=0.5,l0=inf", "--s", "0.5", "--n", "2"],
+    ["series", "cantor-capacity", "--rule", "table:1,inf,0.1", "--s", "0.5", "--n", "2"],
+    ["cantor", "--rule", "table:inf,1e300,1e-300", "--depth", "2", "--scale-to-host"],
+])
+def test_non_finite_rule_lengths_exit_2(argv):
+    """Infinite rule lengths are input errors: one ``error:`` line, no
+    verdict on stdout and no numpy warning on the way."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-m", "circle_potential.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "positive and finite" in proc.stderr
+
+
 def test_selftest_single_criterion(capsys):
     code, out, err = run_cli(
         capsys, "selftest", "--only", "determinism", "--grid-n", "256",

@@ -169,7 +169,7 @@ def test_energy_weight_douglas_identity():
         assert energy_weight(n, 1.0) == n
 
 
-@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.999, 1.0])
+@pytest.mark.parametrize("alpha", [1e-6, 1e-3, 0.01, 0.05, 0.25, 0.5, 0.75, 0.999, 1.0])
 def test_energy_weight_matches_quadrature(alpha):
     """The closed-form weight agrees with adaptive quadrature of its
     defining integral to 1e-12 relative, at low and high frequencies."""

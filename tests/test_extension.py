@@ -157,7 +157,7 @@ def test_extension_ceiling_matches_per_call_loop(n):
     """The stacked criterion finds the maximum ratio and the case that
     attains it first, as the loop of one extension and two energies per
     (gamma, alpha, polynomial) did."""
-    details = extension_ceiling(AcceptanceContext(grid_n=n)).details
+    _, details = extension_ceiling(AcceptanceContext(grid_n=n))
     assert (details["max_ratio"], details["worst_case"]) == oracles.extension_ceiling_per_call(n)
 
 
