@@ -3,7 +3,8 @@
 Quantities computed here, all with the normalized arc measure |dz|/2pi:
 
 * kernel_k(alpha, chord): the Riesz kernel chord^(-alpha) for
-  0 < alpha < 1 and |log chord| in the logarithmic case alpha = 0.
+  0 < alpha < 1 and |log chord| in the logarithmic case alpha = 0, at a
+  float or an array: the one kernel formula, behind every kernel table.
 * D_{I,J,alpha}(f) = double integral over I x J of
   |f(z) - f(w)|^2 / |z - w|^(1+alpha) with both measures normalized;
   discretized by the midpoint rule on grid cells with same-index
@@ -34,7 +35,6 @@ from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .circle import FULL_CIRCLE, Arc, ArcFamily, CircleGrid, GridSet, TWO_PI
 from .errors import PreconditionError, SingularityError
@@ -77,23 +77,24 @@ def _check_kernel_exponent(exponent: float) -> None:
         raise PreconditionError(f"kernel exponent must be in [0, 1), got {exponent}")
 
 
-def kernel_k(alpha: float, chord: float) -> float:
-    """Riesz kernel at a chord distance.
+def kernel_k(alpha: float, chord: float | np.ndarray) -> float | np.ndarray:
+    """Riesz kernel at a chord distance, or elementwise at an array of them.
 
     k_alpha(chord) = chord^(-alpha) for 0 < alpha < 1 and
     |log(chord)| for alpha = 0. The logarithmic kernel is not monotone
     in the chord (it vanishes at chord 1 and grows again toward 2).
     """
     _check_kernel_exponent(alpha)
-    if chord <= 0.0:
+    chord = np.asarray(chord)
+    if np.any(chord <= 0.0):
         raise SingularityError(
             "kernel is singular at chord 0; use the cell-averaged diagonal"
         )
-    if chord > 2.0 + 1e-12:
+    if np.any(chord > 2.0 + 1e-12):
         raise PreconditionError(f"chord distance {chord} exceeds the diameter 2")
     if alpha == 0.0:
-        return abs(math.log(chord))
-    return float(chord) ** (-alpha)
+        return np.abs(np.log(chord))
+    return chord ** -alpha
 
 
 @lru_cache(maxsize=64)
@@ -109,27 +110,38 @@ def _chord_power_table_base(n: int, alpha: float) -> np.ndarray:
     return pw
 
 
+# 48-point Gauss-Legendre rule on [0, 1] after x = t^2, t = (1 + u) / 2, which
+# smooths the x^(2 - exponent) behaviour of the diagonal's rest at x = 0.
+_u, _w = np.polynomial.legendre.leggauss(48)
+_RULE_X, _RULE_DX = ((1.0 + _u) / 2.0) ** 2, (1.0 + _u) / 2.0 * _w
+
+
 @lru_cache(maxsize=64)
 def _kernel_column_base(n: int, exponent: float) -> np.ndarray:
-    """kappa[m] = kernel at angular separation 2 pi m / n, with the m = 0
+    """kappa[m] = kernel_k at angular separation 2 pi m / n, with the m = 0
     entry replaced by the exact cell average
 
         kappa[0] = 2 * integral_0^1 (1 - x) k(2 sin(h x / 2)) dx,  h = 2 pi / n,
 
     the mean of the kernel over a cell-width gap (integrable for
-    exponent < 1). Exactly even, like the chord power table."""
+    exponent < 1): its singular part, (h x)^(-s) or -log(h x), in closed
+    form plus the rule above on the bounded rest. Under 6 cells the
+    chord passes 1 inside the first cell, a kink of |log| in the rest,
+    so those are refused. Exactly even, like the chord power table."""
+    if n < 6:
+        raise PreconditionError(f"kernel tables need at least 6 cells, got {n}")
     m = np.arange(n)
     chord = 2.0 * np.sin(np.pi * np.minimum(m, n - m) / n)
-    kappa = np.zeros(n)
+    kappa = np.empty(n)
+    kappa[1:] = kernel_k(exponent, chord[1:])
     h = TWO_PI / n
+    y = h * _RULE_X
     if exponent == 0.0:
-        kappa[1:] = np.abs(np.log(chord[1:]))
-        integrand = lambda x: (1.0 - x) * abs(math.log(2.0 * math.sin(h * x / 2.0)))
+        singular, lead = -np.log(y), 1.5 - math.log(h)
     else:
-        kappa[1:] = chord[1:] ** (-exponent)
-        integrand = lambda x: (1.0 - x) * (2.0 * math.sin(h * x / 2.0)) ** (-exponent)
-    val, _ = quad(integrand, 0.0, 1.0, limit=200)
-    kappa[0] = 2.0 * val
+        singular, lead = y ** -exponent, 2.0 * h ** -exponent / ((1.0 - exponent) * (2.0 - exponent))
+    rest = kernel_k(exponent, 2.0 * np.sin(y / 2.0)) - singular
+    kappa[0] = lead + 2.0 * np.sum(_RULE_DX * (1.0 - _RULE_X) * rest)
     kappa.setflags(write=False)
     return kappa
 
@@ -138,7 +150,6 @@ def kernel_column(n: int, exponent: float) -> np.ndarray:
     """Difference-indexed kernel table for an N-cell grid (see
     ``_kernel_column_base``); the classical capacity's kernel matrix is
     the lookup kappa[(i - j) mod n] into this table."""
-    _check_kernel_exponent(exponent)
     return _faulted(_kernel_column_base(int(n), float(exponent)))
 
 
@@ -488,7 +499,6 @@ def mu_energy(mu: DiscreteMeasure, alpha: float) -> float:
 
 def mu_energy_report(mu: DiscreteMeasure, alpha: float) -> dict:
     """Measure energy plus diagnostics splitting out the diagonal term."""
-    _check_kernel_exponent(alpha)
     n = mu.grid.n_points
     support = np.nonzero(mu.weights)[0]
     w = mu.weights[support]

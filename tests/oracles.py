@@ -62,6 +62,27 @@ def kernel_mean(exponent: float) -> float:
     return val / math.pi
 
 
+def kernel_diagonal_quad(n: int, exponent: float) -> float:
+    """The cell-averaged kernel 2 int_0^1 (1 - x) k(2 sin(h x / 2)) dx,
+    h = 2 pi / n, by QUADPACK with the singularity at x = 0 in its weight.
+    With sinc(z) = sin(z) / z, the chord is h x sinc(h x / 2), at most 1
+    for n >= 6. For s > 0 the factor x^(-s) is the algebraic weight; for
+    s = 0, -log(chord) = -log h - log sinc(h x / 2) - log x, and the last
+    term goes to the weight log(x)."""
+    h = TWO_PI / n
+
+    def sinc(x):
+        return 1.0 if x == 0.0 else math.sin(h * x / 2.0) / (h * x / 2.0)
+
+    if exponent > 0.0:
+        val, _ = quad(lambda x: (1.0 - x) * h ** -exponent * sinc(x) ** -exponent, 0.0, 1.0,
+                      weight="alg", wvar=(-exponent, 0.0), limit=200)
+        return 2.0 * val
+    smooth, _ = quad(lambda x: (1.0 - x) * (-math.log(h) - math.log(sinc(x))), 0.0, 1.0, limit=200)
+    log_part, _ = quad(lambda x: -(1.0 - x), 0.0, 1.0, weight="alg-loga", wvar=(0.0, 0.0))
+    return 2.0 * (smooth + log_part)
+
+
 def monomial_energy(n: int, alpha: float) -> float:
     """Independent quadrature of the energy of e^{int}:
     (1/pi) int_0^pi (2 sin(nt/2))^2 / (2 sin(t/2))^{1+alpha} dt.

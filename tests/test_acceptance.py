@@ -162,6 +162,22 @@ def test_fault_injection_is_detected():
     assert report["all_passed"] is False
 
 
+def test_fault_injection_is_detected_at_128_cells(capsys):
+    """At 128 cells a 30% kernel fault (a 0.2998 energy error) must still
+    fail the quadrature cross-check: its relaxed tolerance stops at the
+    256-cell value, 0.16."""
+    report = run_all(
+        grid_n=128,
+        kernel_fault_scale=0.3,
+        only=["exact_diagonalization", "seminorm_invariances"],
+    )
+    by_name = {c["name"]: c["passed"] for c in report["criteria"]}
+    assert by_name == {"exact_diagonalization": False, "seminorm_invariances": True}
+    assert report["criteria"][0]["details"]["tolerance"] == 0.16
+    assert main(["selftest", "--grid-n", "128", "--kernel-fault", "0.3"]) == 1
+    assert "FAIL exact_diagonalization" in capsys.readouterr().err
+
+
 def _stub_clean(ctx):
     return True, {"grid_n": ctx.grid_n}
 

@@ -47,6 +47,15 @@ def test_kernel_exponent_validation():
             kernel_exponents(bad)
 
 
+def test_l2_capacity_shrinks_as_alpha_goes_to_zero():
+    """C_{alpha,2} of an arc falls like alpha^2 as alpha -> 0 (kernel
+    exponent 1 - alpha/2 -> 1); it must keep falling where the exponent
+    is within 1e-6 of 1."""
+    e = GridSet.from_arcs(CircleGrid(256), Arc(0.3, 1.7))
+    values = [l2_capacity(e, alpha).value for alpha in (1e-2, 1e-3, 1e-6, 1e-9, 1e-12)]
+    assert all(a > b for a, b in zip(values, values[1:])), values
+
+
 def test_solver_config_validation():
     with pytest.raises(PreconditionError):
         SolverConfig(step_rule="newton")
