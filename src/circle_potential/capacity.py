@@ -53,13 +53,19 @@ that the same FFT window embeds M_AA in (T. Chan 1988; R. Chan & Ng
 A, is exact on the full circle, which it solves without iterating, and
 takes arcs and pairs of arcs to 5-15 iterations and depth-4 Cantor sets
 to at most 29 at every N measured (up to 65536), against 33-640
-unpreconditioned. All of these are indexed by cell difference, so
-rotating E by whole cells changes results by roundoff.
+unpreconditioned. The FFT window (``energy._window``) is made once per
+cell set: once per polish for its residual products and once per solve
+for every conjugate-gradient product and preconditioner application.
+The L2 value takes G lam from the polish's last residual product. All
+of these are indexed by cell difference, so rotating E by whole cells
+changes results by roundoff.
 
 Kernel exponent bookkeeping: for a divergence-test parameter beta, the
 classical capacity uses kernel exponent 1 - beta while the L2 capacity
 convolves with kernel exponent 1 - beta/2. ``kernel_exponents`` is the
-single source for this mapping.
+single source for this mapping. The classical exponent is 0 or at least
+S_MIN: near 0, chord^(-s) tends to 1 and K to the singular all-ones
+matrix.
 """
 from __future__ import annotations
 
@@ -73,7 +79,7 @@ from scipy import linalg
 
 from .circle import GridSet
 from .errors import ConvergenceError, PreconditionError
-from .energy import _check_kernel_exponent, _circulant_apply, _circulant_block
+from .energy import _check_kernel_exponent, _circulant_apply, _circulant_block, _window
 
 
 class KernelExponents(NamedTuple):
@@ -205,11 +211,12 @@ def _block_solve(table: str, n: int, exponent: float, cells: np.ndarray, rhs: fl
     """x with M_AA x = rhs on ``cells``, or None when the solve fails. Up
     to _CG_CELLS cells the block is formed and factored; above, conjugate
     gradients apply M_AA and the preconditioner by
-    ``energy._circulant_apply``, so no k x k array exists, and on all n
-    cells the preconditioner alone solves the system."""
+    ``energy._circulant_apply`` over one window of the cells, so no k x k
+    array exists, and on all n cells the preconditioner alone solves the
+    system."""
     b = np.full(len(cells), rhs)
     if len(cells) > _CG_CELLS:
-        op = (table, n, exponent, cells)
+        op = (table, n, exponent, _window(n, cells))
         if len(cells) == n:  # the preconditioner's circulant is M_AA itself
             return _circulant_apply(*op, b, inverse=True)
         return _conjugate_gradient(partial(_circulant_apply, *op),
@@ -234,16 +241,19 @@ def _kkt_polish(op: tuple, rhs: float, tol: float, max_solves: int):
     exceeds tol * max(rhs, sum(x)). Stops when no cell is added, when a
     solve fails (singular block, or conjugate gradients meet nonpositive
     curvature or their iteration cap), when every cell is dropped, or
-    after max_solves solves. Returns (x, residual, solves): x over the
-    local index range from the last solve with every entry positive and
-    residual its certificate (the module docstring's), both None when
-    no solve was positive, and the number of solves made. The residual
-    is at most tol only when the polish stopped clean.
+    after max_solves solves. Returns (x, mx, residual, solves): x over
+    the local index range from the last solve with every entry positive,
+    mx = M x, the product its residual was formed from, and residual its
+    certificate (the module docstring's), all None when no solve was
+    positive, and the number of solves made. The residual is at most tol
+    only when the polish stopped clean. Every residual product reuses
+    one window of ``cells`` (``energy._window``).
     """
     table, n, exponent, cells = op
     k = len(cells)
+    window = _window(n, cells)
     act = np.arange(k)
-    last = None, None
+    last = None, None, None
     solves = 0
     while solves < max_solves:
         x_act = _block_solve(table, n, exponent, cells[act], rhs)
@@ -259,12 +269,13 @@ def _kkt_polish(op: tuple, rhs: float, tol: float, max_solves: int):
         scale = max(rhs, float(np.sum(x_act)))
         x = np.zeros(k)
         x[act] = x_act
-        r = rhs - _circulant_apply(*op, x)
+        mx = _circulant_apply(table, n, exponent, window, x)
+        r = rhs - mx
         off = np.ones(k, dtype=bool)
         off[act] = False
         on_res = float(np.max(np.abs(r[act])))
         off_res = float(np.max(r[off], initial=0.0))
-        last = x, max(on_res, off_res) / scale
+        last = x, mx, max(on_res, off_res) / scale
         viol = np.nonzero(off & (r > tol * scale))[0]
         if viol.size == 0:
             break
@@ -275,11 +286,11 @@ def _kkt_polish(op: tuple, rhs: float, tol: float, max_solves: int):
 def _solve(name: str, op: tuple, rhs: float, finish, cfg: SolverConfig) -> CapacityEstimate:
     """Driver shared by both capacities: one polish of every cell of
     ``op``, capped at cfg.max_iterations solves, returned as
-    ``finish(x, residual, solves)`` when it certifies. Otherwise raises
+    ``finish(x, mx, residual, solves)`` when it certifies. Otherwise raises
     ConvergenceError carrying the estimate of the polish's last positive
     solve, or None when there was none."""
-    x, residual, solves = _kkt_polish(op, rhs, cfg.tolerance, cfg.max_iterations)
-    best = None if x is None else finish(x, residual, solves)
+    x, mx, residual, solves = _kkt_polish(op, rhs, cfg.tolerance, cfg.max_iterations)
+    best = None if x is None else finish(x, mx, residual, solves)
     if best is None or not residual <= cfg.tolerance:
         raise ConvergenceError(
             f"{name} capacity solver did not reach tolerance {cfg.tolerance}",
@@ -293,12 +304,29 @@ def _solve(name: str, op: tuple, rhs: float, finish, cfg: SolverConfig) -> Capac
 # ---------------------------------------------------------------------------
 
 
+# The smallest positive kernel exponent the classical capacity accepts.
+# As s -> 0, chord^(-s) -> 1 (not |log chord|, the s = 0 kernel), so K
+# tends to the singular all-ones matrix and the polish loses its
+# certificate. Probed on arcs, scattered and Cantor sets of 2 to 52,153
+# cells at N = 64 to 65536, every set certified on its first solve down
+# to s = 1e-10; the first not to was the largest arc at N = 65536, at
+# s = 3e-11 (1e-12 at N = 4096). The onset grows with the set; S_MIN
+# keeps a factor 30 over the worst.
+S_MIN = 1e-9
+
+
 def classical_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None) -> CapacityEstimate:
     """Classical capacity of a grid set by energy minimization.
 
-    The empty set has capacity 0 by convention.
+    The kernel exponent is 0 (the logarithmic kernel) or in [S_MIN, 1);
+    0 < alpha < S_MIN raises PreconditionError. The empty set has
+    capacity 0 by convention.
     """
     _check_kernel_exponent(alpha)
+    if 0.0 < alpha < S_MIN:
+        raise PreconditionError(
+            f"classical kernel exponent must be 0 or at least S_MIN = {S_MIN:g}, got {alpha}"
+        )
     cfg = cfg or SolverConfig()
     n = e.grid.n_points
     if e.is_empty():
@@ -307,9 +335,9 @@ def classical_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None
     return _solve("classical", op, 1.0, partial(_finish_classical, e, alpha), cfg)
 
 
-def _finish_classical(e, alpha, x, residual, iterations):
+def _finish_classical(e, alpha, x, kx, residual, iterations):
     """Estimate from the polish solution x, whose entries are
-    nonnegative and not all zero, and its certificate."""
+    nonnegative and not all zero, and its certificate (K x is unused)."""
     n = e.grid.n_points
     total = float(np.sum(x))
     energy_val = 1.0 / total
@@ -354,10 +382,10 @@ def l2_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None) -> Ca
     return _solve("l2", op, 2.0 * n, partial(_finish_l2, e, alpha, exponent), cfg)
 
 
-def _finish_l2(e, alpha, exponent, lam, residual, iterations):
-    """Estimate from the dual solution lam and its certificate."""
+def _finish_l2(e, alpha, exponent, lam, g_lam, residual, iterations):
+    """Estimate from the dual solution lam, G lam (the polish's last
+    residual product) and its certificate."""
     n = e.grid.n_points
-    g_lam = _circulant_apply("autocorr", n, exponent, e.indices, lam)
     value = float(np.sum(lam) - np.sum(lam * g_lam) / (4.0 * n))
     # f = (1/2) K^T lam; the kernel is even, so this is a convolution
     lam_full = np.zeros(n)

@@ -366,11 +366,7 @@ class CircleGrid:
             if target.full:
                 return np.arange(self.n_points)
             return np.flatnonzero(self.mask_of(target, mode))
-        first, count = self._run(target.start, target.length, mode)
-        n = self.n_points
-        if first + count <= n:
-            return np.arange(first, first + count)
-        return np.concatenate((np.arange(first + count - n), np.arange(first, n)))
+        return np.concatenate([np.arange(a, a + c) for a, c in self._arc_runs(target, mode)])
 
     @staticmethod
     def _check_target(target: CircleSet, mode: str) -> None:
@@ -472,11 +468,53 @@ class CircleGrid:
         """Center-mode indices of ``target``; fewer than RESOLUTION_CELLS
         of them raise ResolutionError naming the set as ``what``."""
         idx = self.indices_of(target)
-        if len(idx) < RESOLUTION_CELLS:
-            raise ResolutionError(
-                f"{what} is resolved by only {len(idx)} cells (need >= {RESOLUTION_CELLS})"
-            )
+        _check_resolved(len(idx), what)
         return idx
+
+    def resolved_runs(self, target: CircleSet, what: str) -> list[tuple[int, int]]:
+        """The cells of ``resolved_cells`` as sorted runs (``_cell_runs``);
+        for an arc they cost O(1), with no index array."""
+        if not isinstance(target, Arc):
+            return _cell_runs(self.resolved_cells(target, what))
+        runs = self._arc_runs(target, "centers")
+        _check_resolved(sum(count for _, count in runs), what)
+        return runs
+
+    def _arc_runs(self, arc: Arc, mode: str) -> list[tuple[int, int]]:
+        """An arc's cyclic run from ``_run``, split at cell 0: one or two
+        sorted runs (first, count) with first + count <= N."""
+        first, count = self._run(arc.start, arc.length, mode)
+        over = first + count - self.n_points
+        return [(first, count)] if over <= 0 else [(0, over), (first, count - over)]
+
+
+def _check_resolved(count: int, what: str) -> None:
+    if count < RESOLUTION_CELLS:
+        raise ResolutionError(
+            f"{what} is resolved by only {count} cells (need >= {RESOLUTION_CELLS})"
+        )
+
+
+def _cell_runs(cells: np.ndarray) -> list[tuple[int, int]]:
+    """Sorted distinct cells as their maximal runs (first, count), in
+    order; no run passes cell N - 1, so a set across -pi has two."""
+    breaks = np.flatnonzero(np.diff(cells) != 1) + 1
+    firsts = cells[np.concatenate(([0], breaks))]
+    counts = np.diff(np.concatenate(([0], breaks, [len(cells)])))
+    return list(zip(firsts.tolist(), counts.tolist()))
+
+
+def _merge_runs(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The union of runs (first, count) with first + count <= N, as
+    sorted disjoint runs, runs that touch joined."""
+    out: list[tuple[int, int]] = []
+    for first, count in sorted(runs):
+        if out and first <= out[-1][0] + out[-1][1]:
+            top, size = out[-1]
+            out[-1] = (top, max(size, first + count - top))
+        else:
+            out.append((first, count))
+    return out
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,10 @@ Every double sum is a circulant quadratic form: a table indexed by
 (i - j) mod N between cell values. ``_circulant_apply`` is the one place
 a table meets a vector, by single-threaded FFT with numpy's pairwise
 sums around it, so results are byte-reproducible for given inputs;
-``_circulant_block`` builds dense blocks of the same matrices.
+``_circulant_block`` builds dense blocks of the same matrices. The FFT
+runs over a window of the cells, found by one rule (``_window_span``)
+from their runs: arcs give their runs in O(1), and a cell set's
+``Window`` is made once and reused by every product on that set.
 """
 
 from __future__ import annotations
@@ -32,11 +35,12 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .circle import FULL_CIRCLE, Arc, ArcFamily, CircleGrid, GridSet, TWO_PI
+from .circle import (FULL_CIRCLE, TWO_PI, Arc, ArcFamily, CircleGrid, GridSet, _cell_runs,
+                     _merge_runs)
 from .errors import PreconditionError, SingularityError
 
 EnergyDomain = Union[Arc, ArcFamily]
@@ -182,37 +186,65 @@ def _spectrum_base(table: str, n: int, exponent: float, m: int) -> np.ndarray:
     return spec
 
 
-def _circulant_apply(table: str, n: int, exponent: float | tuple, cells: np.ndarray, x: np.ndarray,
+class Window(NamedTuple):
+    """An FFT window over an n-cell grid: cell (start + p) mod n sits at
+    position p of a length-m buffer, and ``pos`` holds the positions of
+    the values put into it, a slice or an index array."""
+
+    start: int
+    m: int
+    pos: slice | np.ndarray
+
+
+def _window_span(n: int, runs: list[tuple[int, int]]) -> tuple[int, int]:
+    """(start, m) of the window of the cells in ``runs``, sorted disjoint
+    runs (first, count) (``circle._cell_runs``). The shortest cyclic window
+    holding them, of L cells, starts after the widest cyclic gap between
+    runs; circular convolution of length m, the next power of two
+    >= 2L - 1, is then the linear one. When m would not be shorter than
+    n the window is the grid, (0, n). So m < n only when the widest gap
+    exceeds n / 2, and ties between gaps never matter."""
+    prev = runs[-1][0] + runs[-1][1] - 1 - n  # the last cell, one turn back
+    gap = start = 0
+    for first, count in runs:
+        if first - prev > gap:
+            gap, start = first - prev, first
+        prev = first + count - 1
+    m = 1 << (2 * (n - gap)).bit_length()
+    return (0, n) if m >= n else (start, m)
+
+
+def _window(n: int, cells: np.ndarray) -> Window:
+    """The window of sorted distinct ``cells`` with their positions: one
+    slice when they are one run, else an index array. Made once per cell
+    set and handed to every ``_circulant_apply`` on that set."""
+    first, last = int(cells[0]), int(cells[-1])
+    if last - first == len(cells) - 1:
+        start, m = _window_span(n, [(first, len(cells))])
+        return Window(start, m, slice(first - start, last + 1 - start))
+    start, m = _window_span(n, _cell_runs(cells))
+    return Window(start, m, (cells - start) % n)
+
+
+def _circulant_apply(table: str, n: int, exponent: float | tuple, cells, x: np.ndarray,
                      inverse: bool = False):
     """y[..., a] = sum_b t[(cells[a] - cells[b]) mod n] x[..., b] over sorted
-    distinct ``cells``, t the table of ``_spectrum_base``, by FFT over the
-    shortest cyclic window of L cells holding them: circular convolution
-    of length m, the next power of two >= 2L - 1, is the linear one, or
-    of length n when m would not be shorter. With ``inverse`` the padded
-    x is divided by that length-m circulant's spectrum instead, which
-    restricted to ``cells`` is the conjugate-gradient preconditioner.
-    For a tuple of exponents the forward transform is made once and a
-    list of results, one per exponent, is returned."""
-    first, last = int(cells[0]), int(cells[-1])
-    run = last - first == len(cells) - 1
-    if run:  # the widest cyclic gap is the one before the run
-        start, gap = first, n - len(cells) + 1
-    else:
-        gaps = np.diff(cells, prepend=last - n)  # cyclic gap before each cell
-        k = int(np.argmax(gaps))
-        start, gap = int(cells[k]), int(gaps[k])
-    m = 1 << (2 * (n - gap)).bit_length()
-    if m >= n:
-        start, m = 0, n
-    # a run sits in one slice of the window
-    pos = slice(first - start, last + 1 - start) if run else (cells - start) % n
-    buf = np.zeros(x.shape[:-1] + (m,))
-    buf[..., pos] = x
+    distinct ``cells``, t the table of ``_spectrum_base``, by FFT over
+    their ``Window`` (pass the window itself in place of the cells to
+    reuse it): zero padded, circular convolution of length m is the
+    linear one. With ``inverse`` the padded x is divided by that
+    length-m circulant's spectrum instead, which restricted to ``cells``
+    is the conjugate-gradient preconditioner. For a tuple of exponents
+    the forward transform is made once and a list of results, one per
+    exponent, is returned."""
+    win = cells if isinstance(cells, Window) else _window(n, cells)
+    buf = np.zeros(x.shape[:-1] + (win.m,))
+    buf[..., win.pos] = x
     ft = np.fft.rfft(buf)
     out = []
     for e in exponent if isinstance(exponent, tuple) else (exponent,):
-        spec = _faulted(_spectrum_base(table, n, float(e), m), _TABLES[table][1])
-        out.append(np.fft.irfft(ft / spec if inverse else ft * spec, m)[..., pos])
+        spec = _faulted(_spectrum_base(table, n, float(e), win.m), _TABLES[table][1])
+        out.append(np.fft.irfft(ft / spec if inverse else ft * spec, win.m)[..., win.pos])
     return out if isinstance(exponent, tuple) else out[0]
 
 
@@ -314,29 +346,49 @@ def dirichlet_energy_local(
     For g = f - f[c0], c0 in I u J (D is unchanged, and g is exactly 0
     where f is constant on I u J) and T the chord power table, D * N^2 is
     sum_I |g|^2 (T 1_J) + sum_J |g|^2 (T 1_I) - 2 Re sum_I conj(g) (T g_J).
+
+    I = J takes ``_self_energies``. Otherwise I and J come as sorted runs
+    of cells (``CircleGrid.resolved_runs``: O(1) for an arc, whatever N),
+    the window is that of the runs of I u J, and the rows in_j, in_i and
+    in_j * g are written into it by slices, with c0 the lowest cell of
+    I u J. The terms are summed over the cells of I u J in increasing
+    order, so the value is the float of the same sum over their index
+    array. Besides the FFTs, a call costs O(cells of I u J).
     """
     _check_energy_exponent(alpha)
     grid = f.grid
     n = grid.n_points
-    idx_i = grid.resolved_cells(arc_i, "arc I")
     if arc_j is arc_i or (isinstance(arc_i, Arc) and arc_j == arc_i):
+        idx_i = grid.resolved_cells(arc_i, "arc I")
         return float(_self_energies(f.values[None], n, idx_i, (alpha,))[0, 0])
-    idx_j = grid.resolved_cells(arc_j, "arc J")
-    # membership rows over the span of the sorted cells of I u J only
-    lo = min(idx_i[0], idx_j[0])
-    member = np.zeros((2, max(idx_i[-1], idx_j[-1]) + 1 - lo))
-    member[0, idx_i - lo] = 1.0
-    member[1, idx_j - lo] = 1.0
-    span = np.flatnonzero(member[0] + member[1])
-    in_i, in_j = member[:, span]
-    cells = span + lo
-    g = f.values[cells] - f.values[cells[0]]
+    runs_i = grid.resolved_runs(arc_i, "arc I")
+    runs_j = grid.resolved_runs(arc_j, "arc J")
+    union = _merge_runs(runs_i + runs_j)
+    start, m = _window_span(n, union)
+    # each run of I u J is one slice of window positions [0, span)
+    at = [((first - start) % n, count) for first, count in union]
+    span = max(p + count for p, count in at)
+    vals = f.values[start:start + span]
+    if start + span > n:
+        vals = np.concatenate((vals, f.values[:start + span - n]))
+    g = vals - f.values[union[0][0]]
+    # rows in_j, in_i, in_j * g.real, in_j * g.imag; zero off I u J
+    rows = np.zeros((4, span))
+    for first, count in runs_j:
+        p = (first - start) % n
+        rows[0, p:p + count] = 1.0
+        rows[2, p:p + count] = g.real[p:p + count]
+        rows[3, p:p + count] = g.imag[p:p + count]
+    for first, count in runs_i:
+        p = (first - start) % n
+        rows[1, p:p + count] = 1.0
+    t_j, t_i, t_re, t_im = _circulant_apply("chord", n, alpha, Window(start, m, slice(0, span)), rows)
+    in_j, in_i = rows[0], rows[1]
     g2 = g.real**2 + g.imag**2
-    t_j, t_i, t_re, t_im = _circulant_apply(
-        "chord", n, alpha, cells, np.stack([in_j, in_i, in_j * g.real, in_j * g.imag])
-    )
     terms = in_i * (g2 * t_j - 2.0 * (g.real * t_re + g.imag * t_im)) + in_j * g2 * t_i
-    return float(np.sum(terms)) / n**2
+    # summed over the cells of I u J in increasing order, gaps left out
+    parts = [terms[p:p + count] for p, count in at]
+    return float(np.sum(parts[0] if len(parts) == 1 else np.concatenate(parts))) / n**2
 
 
 def dirichlet_energy_global(f: BoundarySamples, alpha: float) -> float:

@@ -347,7 +347,7 @@ def test_l2_density_matches_direct_loop(n, rng):
     idx = e.indices
     kappa = kernel_column(n, 0.75)
     lam = rng.uniform(0.0, 2.0, size=len(idx))
-    f = _finish_l2(e, 0.5, 0.75, lam, 0.0, 0).minimizer
+    f = _finish_l2(e, 0.5, 0.75, lam, np.zeros_like(lam), 0.0, 0).minimizer  # G lam: unused by f
     ref = oracles.l2_density_direct(np.asarray(kappa), idx, lam)
     assert np.max(np.abs(f - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -677,3 +677,91 @@ def test_capacities_at_65536_cells():
             assert est.iterations == 1, (e.count, est.method)
             assert est.kkt_residual <= SolverConfig().tolerance
             assert est.value > 0.0
+
+
+def _polish_sets(grid):
+    """An arc pair, a depth-4 Cantor set and 600 scattered cells."""
+    return {
+        "arc-pair": _two_arcs(grid),
+        "cantor-4": cantor_grid_set(CantorSpec(rule=PowerChoice(0.5), depth=4, offset=3), grid),
+        "scattered": GridSet.from_indices(grid, np.random.default_rng(18).permutation(grid.n_points)[:600]),
+    }
+
+
+@pytest.mark.parametrize("cg_cells", [capacity._CG_CELLS, 8])
+def test_polish_window_matches_gap_search(monkeypatch, cg_cells):
+    """The polish makes one window per cell set, for its residual products
+    and for each conjugate-gradient solve. Driven instead by
+    ``oracles.circulant_apply_gap_search``, which searches the window
+    again on every product, both capacities give the same bytes: value,
+    report and minimizer. With 8 cells every polish solve takes
+    conjugate gradients."""
+    grid = CircleGrid(4096)
+    monkeypatch.setattr(capacity, "_CG_CELLS", cg_cells)
+    for name, e in _polish_sets(grid).items():
+        for solve, alpha in ((classical_capacity, 0.5), (l2_capacity, 1.0)):
+            got = solve(e, alpha)
+            with monkeypatch.context() as m:
+                m.setattr(capacity, "_window", lambda n, cells: cells)
+                m.setattr(capacity, "_circulant_apply", oracles.circulant_apply_gap_search)
+                want = solve(e, alpha)
+            assert got.to_json() == want.to_json(), (name, solve.__name__)
+            assert got.minimizer.tobytes() == want.minimizer.tobytes(), (name, solve.__name__)
+
+
+def test_l2_value_uses_the_polish_product(monkeypatch):
+    """The L2 value takes G lam from the polish's last residual product;
+    it is the product recomputed from lam, bit for bit, and so is the
+    value sum(lam) - lam^T G lam / (4N)."""
+    finish = capacity._finish_l2
+    seen = []
+
+    def recorded(e, alpha, exponent, lam, g_lam, residual, iterations):
+        est = finish(e, alpha, exponent, lam, g_lam, residual, iterations)
+        seen.append((e, exponent, lam, g_lam, est.value))
+        return est
+
+    monkeypatch.setattr(capacity, "_finish_l2", recorded)
+    grid = CircleGrid(4096)
+    for e in (*_polish_sets(grid).values(), GridSet.full(grid)):
+        l2_capacity(e, 0.75)
+    assert len(seen) == 4
+    for e, exponent, lam, g_lam, value in seen:
+        n = e.grid.n_points
+        again = capacity._circulant_apply("autocorr", n, exponent, e.indices, lam)
+        assert g_lam.tobytes() == again.tobytes()
+        assert value == float(np.sum(lam) - np.sum(lam * again) / (4.0 * n))
+
+
+def _tiny_exponent_sets():
+    """The sets on which classical capacities at exponents near 0 stopped
+    certifying: three cells and two cells at N = 64, an arc at 256, 300
+    scattered cells at 1024 (dense route) and the 1,957-cell half circle
+    at 4096 (conjugate gradients)."""
+    return {
+        "three cells": GridSet.from_indices(CircleGrid(64), [31, 32, 33]),
+        "two cells": GridSet.from_indices(CircleGrid(64), [10, 40]),
+        "arc": GridSet.from_arcs(CircleGrid(256), Arc(0.3, 1.7)),
+        "scattered": GridSet.from_indices(CircleGrid(1024),
+                                          np.random.default_rng(0).permutation(1024)[:300]),
+        "half": GridSet.from_arcs(CircleGrid(4096), Arc(-1.5, 1.5)),
+    }
+
+
+def test_tiny_classical_exponents_are_refused():
+    """0 < s < S_MIN is refused, as chord^(-s) tends to 1 there and not to
+    the logarithmic kernel of s = 0; at S_MIN every set certifies on its
+    first solve, with a capacity just below 1, and s = 0 stays valid."""
+    sets = _tiny_exponent_sets()
+    assert sets["half"].count == 1957
+    for name, e in sets.items():
+        for s in (1e-20, 1e-12, capacity.S_MIN / 2.0):
+            with pytest.raises(PreconditionError, match="S_MIN"):
+                classical_capacity(e, s)
+        est = classical_capacity(e, capacity.S_MIN)
+        assert est.iterations == 1, name
+        assert est.kkt_residual <= SolverConfig().tolerance, name
+        assert 1.0 - 1e-7 < est.value < 1.0, (name, est.value)
+        assert classical_capacity(e, 0.0).iterations == 1, name
+    with pytest.raises(PreconditionError, match="S_MIN"):
+        classical_capacity(GridSet.empty(CircleGrid(64)), 1e-20)

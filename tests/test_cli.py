@@ -626,3 +626,14 @@ def test_closed_stdout_exits_quietly():
     assert proc.wait(timeout=120) == 141, err
     assert "Traceback" not in err
     assert err == ""
+
+
+def test_tiny_classical_exponent_exits_2(capsys):
+    """A classical exponent below S_MIN is a precondition error (exit 2,
+    one error line), not a capacity solver failure (exit 3)."""
+    code, out, err = run_cli(capsys, "capacity", "--method", "classical", "--alpha", "1e-20",
+                             "--set", "half")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: classical kernel exponent must be 0 or at least S_MIN")
+    assert err.count("\n") == 1

@@ -39,6 +39,7 @@ from circle_potential.energy import (
     _circulant_block,
     _self_energies,
     _spectrum_base,
+    _window,
     energy_report,
     kernel_column,
     kernel_fault,
@@ -545,6 +546,100 @@ def test_circulant_apply_run_window_matches_gap_search(n):
                 got = _circulant_apply(table, n, 0.5, cells, x, inverse)
                 want = oracles.circulant_apply_gap_search(table, n, 0.5, cells, x, inverse)
                 assert got.tobytes() == want.tobytes(), (table, inverse, size, first)
+
+
+def test_short_arc_pairs_match_member_rows():
+    """The benchmark's regime, float for float: arcs of 0.02-0.2 rad at
+    N = 4096, J's centre within 0.3 rad of I's, overlapping, nested,
+    equal but distinct (the same cells from other endpoints), touching,
+    disjoint and across -pi, against the N-long membership rows."""
+    grid = CircleGrid(4096)
+    h = 2.0 * math.pi / 4096
+    rng = np.random.default_rng(18)
+    kinds = {"overlapping": 0, "nested": 0, "same cells": 0, "touching": 0, "disjoint": 0,
+             "across -pi": 0}
+    for trial in range(240):
+        f, _ = random_trig_polynomial(grid, 6, rng)
+        alpha = (0.25, 0.5, 0.75, 1.0)[trial % 4]
+        c = math.pi - 0.05 if trial % 6 == 5 else float(rng.uniform(-math.pi, math.pi))
+        shape = trial % 5
+        arc_i = Arc.centered(c, float(rng.uniform(0.06 if shape == 0 else 0.02, 0.2)))
+        if shape == 0:  # nested
+            len_j = float(rng.uniform(0.02, arc_i.length - 0.02))
+            arc_j = Arc.centered(c + float(rng.uniform(-0.9, 0.9)) * (arc_i.length - len_j) / 2.0, len_j)
+        elif shape == 1:  # the cells of I, from endpoints moved within their cells
+            cells = grid.indices_of(arc_i)
+            lo, hi = grid.angles[cells[0]], grid.angles[cells[-1]]
+            arc_j = Arc(lo - h * float(rng.uniform(0.01, 0.99)), hi + h * float(rng.uniform(0.01, 0.99)))
+        elif shape == 2:  # touching: J starts where I ends
+            arc_j = Arc(arc_i.end, arc_i.end + float(rng.uniform(0.02, 0.2)))
+        else:
+            arc_j = Arc.centered(c + float(rng.uniform(-0.3, 0.3)), float(rng.uniform(0.02, 0.2)))
+        cells_i, cells_j = set(grid.indices_of(arc_i).tolist()), set(grid.indices_of(arc_j).tolist())
+        if min(len(cells_i), len(cells_j)) < 8:
+            continue
+        if arc_i.contains(math.pi) or arc_j.contains(math.pi):
+            kinds["across -pi"] += 1
+        if cells_i == cells_j:
+            kinds["same cells"] += 1
+        elif cells_j < cells_i:
+            kinds["nested"] += 1
+        elif cells_i & cells_j:
+            kinds["overlapping"] += 1
+        elif max(cells_i) + 1 in cells_j:
+            kinds["touching"] += 1
+        else:
+            kinds["disjoint"] += 1
+        want = oracles.energy_local_members(f, arc_i, arc_j, alpha)
+        got = dirichlet_energy_local(f, arc_i, arc_j, alpha)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (arc_i, arc_j, alpha)
+    assert min(kinds.values()) >= 5, kinds
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_unions_with_inner_widest_gap_match_member_rows(n):
+    """Unions whose widest cyclic gap lies between cells of I u J in
+    index order: arcs on either side of -pi, long arcs on opposite sides
+    (a union over half the circle), and a family against an arc."""
+    grid = CircleGrid(n)
+    rng = np.random.default_rng(n + 1)
+    f, _ = random_trig_polynomial(grid, 6, rng)
+    f = BoundarySamples(grid, f.values + 3.0)
+    pairs = [
+        (Arc.centered(-math.pi + 0.2, 0.3), Arc.centered(math.pi - 0.3, 0.25)),
+        (Arc.centered(-math.pi + 0.05, 0.1), Arc.centered(math.pi - 0.02, 0.1)),
+        (Arc.centered(0.4, 2.6), Arc.centered(0.4 + math.pi, 2.6)),
+        (Arc.centered(-2.0, 2.0), Arc.centered(2.0, 2.0)),
+        (ArcFamily((Arc.centered(-2.5, 0.3), Arc.centered(2.5, 0.3))), Arc.centered(0.0, 0.5)),
+        (ArcFamily((Arc.centered(-1.5, 0.4), Arc.centered(1.5, 0.4))), Arc.centered(math.pi, 0.5)),
+    ]
+    for arc_i, arc_j in pairs:
+        cells = np.union1d(grid.indices_of(arc_i), grid.indices_of(arc_j))
+        gaps = np.diff(cells, prepend=cells[-1] - n)
+        assert np.argmax(gaps) > 0  # the widest gap is not the one before the lowest cell
+        for alpha in (0.25, 1.0):
+            want = oracles.energy_local_members(f, arc_i, arc_j, alpha)
+            got = dirichlet_energy_local(f, arc_i, arc_j, alpha)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (arc_i, arc_j, alpha)
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+def test_circulant_apply_scattered_window_matches_gap_search(n):
+    """Scattered cells, wrapped runs and pairs of runs take their window
+    from their runs (``energy._window``), the same window the widest-gap
+    search over cells finds, hence the same floats, forward and inverse,
+    whether the window is made per call or made once and passed."""
+    rng = np.random.default_rng(n + 2)
+    sets = [np.sort(rng.choice(n, size=k, replace=False)) for k in (2, 5, n // 8, n // 2)]
+    sets += [np.r_[0:5, n - 7:n], np.r_[3:9, n // 3:n // 3 + 4], np.r_[0:n // 4, n // 2:3 * n // 4]]
+    for cells in sets:
+        x = rng.standard_normal((2, len(cells)))
+        window = _window(n, cells)
+        for table, inverse in (("chord", False), ("kernel", False), ("kernel", True)):
+            want = oracles.circulant_apply_gap_search(table, n, 0.5, cells, x, inverse)
+            for got in (_circulant_apply(table, n, 0.5, cells, x, inverse),
+                        _circulant_apply(table, n, 0.5, window, x, inverse)):
+                assert got.tobytes() == want.tobytes(), (table, inverse, cells[:4])
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
