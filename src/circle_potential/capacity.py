@@ -14,7 +14,9 @@ Two capacities of a grid set E, both with the normalized arc measure:
       max_{lam >= 0}  sum(lam) - lam^T G lam / (4N),
   where G restricts the "autocorr" table of ``energy``, the circular
   autocorrelation of the kernel column. The primal density is
-  recovered as f = (1/2) K^T lam and reported as the minimizer.
+  recovered as f = (1/2) K^T lam and reported as the minimizer; callers
+  that read only the value (``_l2_value``: the Poincare verifier,
+  ``comparability_report``, the release gate) skip that N-point product.
 
 After normalization both are one problem: find x >= 0 with M x >= rhs
 on E and equality on the support of x. The classical problem is
@@ -70,7 +72,7 @@ matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -121,7 +123,7 @@ class CapacityEstimate:
     value = 1/energy for the classical method (energy_or_norm holds the
     minimal energy) and the squared norm itself for the l2 method.
     ``minimizer`` is the full-grid equilibrium weights (classical) or
-    the optimal density f (l2).
+    the optimal density f (l2; None from the value-only ``_l2_value``).
     """
 
     value: float
@@ -370,6 +372,16 @@ def l2_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None) -> Ca
     full grid, and at convergence its potential exceeds 1 - tolerance
     on every cell of E.
     """
+    return _l2_value(e, alpha, cfg, density=True)
+
+
+def _l2_value(e: GridSet, alpha: float, cfg: SolverConfig | None = None,
+              density: bool = False) -> CapacityEstimate:
+    """``l2_capacity`` for callers that read only the value: the same
+    solve and the same float, but the N-point density is built only with
+    ``density`` (``_finish_l2``); without it the estimate's minimizer is
+    None (the empty set's is still zeros), in a ConvergenceError's
+    estimate too."""
     if not 0.0 < alpha <= 1.0:
         raise PreconditionError(f"alpha must be in (0, 1], got {alpha}")
     exponent = kernel_exponents(alpha).l2_convolution
@@ -379,29 +391,26 @@ def l2_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None) -> Ca
     if e.is_empty():
         return _empty_estimate("l2", alpha, n, 0.0)
     op = ("autocorr", n, exponent, e.indices)
-    return _solve("l2", op, 2.0 * n, partial(_finish_l2, e, alpha, exponent), cfg)
+    finish = _finish_l2 if density else _l2_estimate
+    return _solve("l2", op, 2.0 * n, partial(finish, e, alpha, exponent), cfg)
+
+
+def _l2_estimate(e, alpha, exponent, lam, g_lam, residual, iterations):
+    """Estimate from the dual solution lam, G lam (the polish's last
+    residual product) and its certificate, without the density."""
+    n = e.grid.n_points
+    value = float(np.sum(lam) - np.sum(lam * g_lam) / (4.0 * n))
+    return CapacityEstimate(value, "l2", alpha, n, iterations, residual, energy_or_norm=value)
 
 
 def _finish_l2(e, alpha, exponent, lam, g_lam, residual, iterations):
-    """Estimate from the dual solution lam, G lam (the polish's last
-    residual product) and its certificate."""
+    """``_l2_estimate`` with the density f = (1/2) K^T lam as minimizer;
+    the kernel is even, so this is a convolution."""
     n = e.grid.n_points
-    value = float(np.sum(lam) - np.sum(lam * g_lam) / (4.0 * n))
-    # f = (1/2) K^T lam; the kernel is even, so this is a convolution
     lam_full = np.zeros(n)
     lam_full[e.indices] = lam
     f = 0.5 * _circulant_apply("kernel", n, exponent, np.arange(n), lam_full)
-    return CapacityEstimate(
-        value=value,
-        method="l2",
-        alpha=alpha,
-        grid_n=n,
-        iterations=iterations,
-        kkt_residual=residual,
-        energy_or_norm=value,
-        minimizer=f,
-        notes=(),
-    )
+    return replace(_l2_estimate(e, alpha, exponent, lam, g_lam, residual, iterations), minimizer=f)
 
 
 def potential_on_set(estimate: CapacityEstimate, e: GridSet) -> np.ndarray:
@@ -432,7 +441,7 @@ def comparability_report(e: GridSet, beta: float, cfg: SolverConfig | None = Non
     capacity at parameter beta, plus their ratio."""
     exps = kernel_exponents(beta)
     c_cl = classical_capacity(e, exps.classical, cfg).value
-    c_l2 = l2_capacity(e, beta, cfg).value
+    c_l2 = _l2_value(e, beta, cfg).value
     ratio = math.inf if c_l2 == 0.0 else c_cl / c_l2
     return ComparabilityReport(
         c_classical=c_cl,

@@ -331,6 +331,55 @@ def _self_energies(values: np.ndarray, n: int, cells: np.ndarray, alphas) -> np.
     return out
 
 
+def _block_energies(f: BoundarySamples, blocks: list, pairs: list, alpha: float) -> np.ndarray:
+    """D_{X,Y,alpha}(f) for each pair (x, y) of indices into ``blocks``,
+    cell sets given as sorted runs (``CircleGrid.resolved_runs``).
+
+    For g = f - f[c0], c0 the lowest cell of the union U of the blocks
+    (D is unchanged, and g is exactly 0 where f is constant on U) and T
+    the chord power table, D_{X,Y} * N^2 is
+
+        sum_X |g|^2 (T 1_Y) + sum_Y |g|^2 (T 1_X) - 2 Re sum_X conj(g) (T g_Y),
+
+    g_Y = 1_Y g. The window is that of the runs of U, and the rows 1_X of
+    every block and the parts of g_Y of every block Y second in a pair are
+    written into it by slices, so one ``_circulant_apply`` serves every
+    pair. Each pair's terms are summed over the cells of U in increasing
+    order, so its value is the float of the same sum over their index
+    array. Besides the FFTs, a call costs O(rows x cells of U).
+    """
+    n = f.grid.n_points
+    union = _merge_runs([run for runs in blocks for run in runs])
+    start, m = _window_span(n, union)
+    # each run of U is one slice of window positions [0, span)
+    at = [((first - start) % n, count) for first, count in union]
+    span = max(p + count for p, count in at)
+    vals = f.values[start:start + span]
+    if start + span > n:
+        vals = np.concatenate((vals, f.values[:start + span - n]))
+    g = vals - f.values[union[0][0]]
+    # rows 1_X per block, then g_Y.real, g_Y.imag at g_row[Y]; zero off U
+    g_row = {y: len(blocks) + 2 * k for k, y in enumerate(sorted({y for _, y in pairs}))}
+    rows = np.zeros((len(blocks) + 2 * len(g_row), span))
+    for b, runs in enumerate(blocks):
+        for first, count in runs:
+            p = (first - start) % n
+            rows[b, p:p + count] = 1.0
+            if b in g_row:
+                rows[g_row[b], p:p + count] = g.real[p:p + count]
+                rows[g_row[b] + 1, p:p + count] = g.imag[p:p + count]
+    t = _circulant_apply("chord", n, alpha, Window(start, m, slice(0, span)), rows)
+    g2 = g.real**2 + g.imag**2
+    out = np.empty(len(pairs))
+    for k, (x, y) in enumerate(pairs):
+        t_re, t_im = t[g_row[y]], t[g_row[y] + 1]
+        terms = rows[x] * (g2 * t[y] - 2.0 * (g.real * t_re + g.imag * t_im)) + rows[y] * g2 * t[x]
+        # summed over the cells of U in increasing order, gaps left out
+        parts = [terms[p:p + count] for p, count in at]
+        out[k] = np.sum(parts[0] if len(parts) == 1 else np.concatenate(parts))
+    return out / n**2
+
+
 def dirichlet_energy_local(
     f: BoundarySamples,
     arc_i: EnergyDomain,
@@ -343,52 +392,19 @@ def dirichlet_energy_local(
     pairs excluded; each normalized measure factor contributes 1/N.
     Both arcs must be resolved by at least ``circle.RESOLUTION_CELLS`` cells.
 
-    For g = f - f[c0], c0 in I u J (D is unchanged, and g is exactly 0
-    where f is constant on I u J) and T the chord power table, D * N^2 is
-    sum_I |g|^2 (T 1_J) + sum_J |g|^2 (T 1_I) - 2 Re sum_I conj(g) (T g_J).
-
     I = J takes ``_self_energies``. Otherwise I and J come as sorted runs
-    of cells (``CircleGrid.resolved_runs``: O(1) for an arc, whatever N),
-    the window is that of the runs of I u J, and the rows in_j, in_i and
-    in_j * g are written into it by slices, with c0 the lowest cell of
-    I u J. The terms are summed over the cells of I u J in increasing
-    order, so the value is the float of the same sum over their index
-    array. Besides the FFTs, a call costs O(cells of I u J).
+    of cells (``CircleGrid.resolved_runs``: O(1) for an arc, whatever N)
+    and the energy is the two-block case of ``_block_energies``. Besides
+    the FFTs, a call costs O(cells of I u J).
     """
     _check_energy_exponent(alpha)
     grid = f.grid
-    n = grid.n_points
     if arc_j is arc_i or (isinstance(arc_i, Arc) and arc_j == arc_i):
         idx_i = grid.resolved_cells(arc_i, "arc I")
-        return float(_self_energies(f.values[None], n, idx_i, (alpha,))[0, 0])
+        return float(_self_energies(f.values[None], grid.n_points, idx_i, (alpha,))[0, 0])
     runs_i = grid.resolved_runs(arc_i, "arc I")
     runs_j = grid.resolved_runs(arc_j, "arc J")
-    union = _merge_runs(runs_i + runs_j)
-    start, m = _window_span(n, union)
-    # each run of I u J is one slice of window positions [0, span)
-    at = [((first - start) % n, count) for first, count in union]
-    span = max(p + count for p, count in at)
-    vals = f.values[start:start + span]
-    if start + span > n:
-        vals = np.concatenate((vals, f.values[:start + span - n]))
-    g = vals - f.values[union[0][0]]
-    # rows in_j, in_i, in_j * g.real, in_j * g.imag; zero off I u J
-    rows = np.zeros((4, span))
-    for first, count in runs_j:
-        p = (first - start) % n
-        rows[0, p:p + count] = 1.0
-        rows[2, p:p + count] = g.real[p:p + count]
-        rows[3, p:p + count] = g.imag[p:p + count]
-    for first, count in runs_i:
-        p = (first - start) % n
-        rows[1, p:p + count] = 1.0
-    t_j, t_i, t_re, t_im = _circulant_apply("chord", n, alpha, Window(start, m, slice(0, span)), rows)
-    in_j, in_i = rows[0], rows[1]
-    g2 = g.real**2 + g.imag**2
-    terms = in_i * (g2 * t_j - 2.0 * (g.real * t_re + g.imag * t_im)) + in_j * g2 * t_i
-    # summed over the cells of I u J in increasing order, gaps left out
-    parts = [terms[p:p + count] for p, count in at]
-    return float(np.sum(parts[0] if len(parts) == 1 else np.concatenate(parts))) / n**2
+    return float(_block_energies(f, [runs_i, runs_j], [(0, 1)], alpha)[0])
 
 
 def dirichlet_energy_global(f: BoundarySamples, alpha: float) -> float:

@@ -30,12 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .circle import Arc, CircleGrid
-from .energy import (
-    BoundarySamples,
-    _check_energy_exponent,
-    _self_energies,
-    dirichlet_energy_local,
-)
+from .energy import BoundarySamples, _block_energies, _check_energy_exponent, _self_energies
 from .errors import DegenerateInputError, ResolutionError, SetupError
 
 # Sum of the per-block energy bounds in the extension estimate:
@@ -163,17 +158,18 @@ def six_term_decomposition(
     Returns the three diagonal and three cross energies plus their
     weighted total D_I + D_L + D_R + 2(D_IL + D_IR + D_LR), which equals
     the direct D_J whenever the arc endpoints fall strictly between grid
-    cell centers (the cells of J are then partitioned exactly).
+    cell centers (the cells of J are then partitioned exactly). The six
+    are the three-block case of ``energy._block_energies``: one transform
+    of nine rows over the window of I u L u R.
     """
-    i_arc, l_arc, r_arc = setup.arc_i, setup.arc_l, setup.arc_r
-    parts = {
-        "d_ii": dirichlet_energy_local(f_tilde, i_arc, i_arc, alpha),
-        "d_ll": dirichlet_energy_local(f_tilde, l_arc, l_arc, alpha),
-        "d_rr": dirichlet_energy_local(f_tilde, r_arc, r_arc, alpha),
-        "d_il": dirichlet_energy_local(f_tilde, i_arc, l_arc, alpha),
-        "d_ir": dirichlet_energy_local(f_tilde, i_arc, r_arc, alpha),
-        "d_lr": dirichlet_energy_local(f_tilde, l_arc, r_arc, alpha),
-    }
+    _check_energy_exponent(alpha)
+    grid = f_tilde.grid
+    blocks = [grid.resolved_runs(setup.arc_i, "arc I"),
+              grid.resolved_runs(setup.arc_l, "reflected arc L"),
+              grid.resolved_runs(setup.arc_r, "reflected arc R")]
+    keys = ("d_ii", "d_ll", "d_rr", "d_il", "d_ir", "d_lr")
+    values = _block_energies(f_tilde, blocks, [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)], alpha)
+    parts = dict(zip(keys, values.tolist()))
     parts["total"] = (
         parts["d_ii"]
         + parts["d_ll"]

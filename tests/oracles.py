@@ -13,6 +13,7 @@ scalar length rules that the rules' array form replaced, the run-based
 spike that the index-distance spike replaced, the one-function
 extension and I = J energy that the stacked ones replaced, the
 mode-by-mode sum that the inverse FFT of trigonometric polynomials
+replaced, the six localized energy calls that one block transform
 replaced, and the Vitali covering check, which only tests use. The frozen
 digits were produced by those same routes at high resolution and are
 pinned so that a regression in the library cannot silently move the
@@ -24,7 +25,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from circle_potential import Arc, ArcFamily, PowerChoice, PreconditionError, RatioRule
+from circle_potential import (Arc, ArcFamily, PowerChoice, PreconditionError, RatioRule,
+                              dirichlet_energy_local)
 from circle_potential.acceptance import _compositions
 from circle_potential.circle import ANGLE_TOL, TWO_PI, normalize_angle
 from circle_potential.energy import _TABLES, _faulted, _spectrum_base
@@ -471,3 +473,25 @@ def extension_ceiling_per_call(grid_n: int, seed: int = 2023) -> tuple:
                 if ratio > worst:
                     worst, worst_case = ratio, {"gamma": gamma, "alpha": alpha, "poly": k}
     return worst, worst_case
+
+
+def six_term_direct(f_tilde, setup, alpha: float) -> dict[str, float]:
+    """The six block energies and their total by one localized energy
+    call per block pair: the route before the six came from one
+    transform over the window of I u L u R."""
+    i_arc, l_arc, r_arc = setup.arc_i, setup.arc_l, setup.arc_r
+    parts = {
+        "d_ii": dirichlet_energy_local(f_tilde, i_arc, i_arc, alpha),
+        "d_ll": dirichlet_energy_local(f_tilde, l_arc, l_arc, alpha),
+        "d_rr": dirichlet_energy_local(f_tilde, r_arc, r_arc, alpha),
+        "d_il": dirichlet_energy_local(f_tilde, i_arc, l_arc, alpha),
+        "d_ir": dirichlet_energy_local(f_tilde, i_arc, r_arc, alpha),
+        "d_lr": dirichlet_energy_local(f_tilde, l_arc, r_arc, alpha),
+    }
+    parts["total"] = (
+        parts["d_ii"]
+        + parts["d_ll"]
+        + parts["d_rr"]
+        + 2.0 * (parts["d_il"] + parts["d_ir"] + parts["d_lr"])
+    )
+    return parts

@@ -12,6 +12,7 @@ import pytest
 import oracles
 from circle_potential import (
     Arc,
+    ArcFamily,
     CapacityEstimate,
     CircleGrid,
     ConvergenceError,
@@ -731,6 +732,24 @@ def test_l2_value_uses_the_polish_product(monkeypatch):
         again = capacity._circulant_apply("autocorr", n, exponent, e.indices, lam)
         assert g_lam.tobytes() == again.tobytes()
         assert value == float(np.sum(lam) - np.sum(lam * again) / (4.0 * n))
+
+
+def test_comparability_l2_is_the_l2_value_exactly():
+    """``comparability_report`` skips the L2 density but reports the
+    float ``l2_capacity`` does: spike arcs, arcs and a Cantor set, by
+    the dense block and by conjugate gradients."""
+    grid = CircleGrid(4096)
+    spikes = ArcFamily(tuple(Arc.centered(-0.4 + 0.3 * j, 0.012) for j in range(3)))
+    sets = [
+        GridSet.from_arcs(grid, spikes),
+        GridSet.from_arcs(grid, Arc.centered(1.0, 0.3)),
+        cantor_grid_set(CantorSpec(rule=PowerChoice(0.5), depth=4, offset=3), grid),
+        GridSet.from_arcs(grid, Arc.centered(0.0, 1.0)),
+    ]
+    assert min(e.count for e in sets) <= capacity._CG_CELLS < max(e.count for e in sets)
+    for e in sets:
+        for beta in (0.5, 1.0):
+            assert comparability_report(e, beta).c_l2 == l2_capacity(e, beta).value
 
 
 def _tiny_exponent_sets():

@@ -191,6 +191,41 @@ def test_six_term_partition_matches_direct(grid1024, rng):
             assert parts[key] >= 0.0
 
 
+def test_six_term_resolution_error_names_the_reflected_arc(grid1024):
+    """An under-resolved block is named as ``extend`` names it: at
+    theta = 0.3, gamma = 0.9 on 1024 cells, L has 3 cells, I has many."""
+    f, _ = random_trig_polynomial(grid1024, 4, np.random.default_rng(3))
+    with pytest.raises(ResolutionError, match=r"^reflected arc L is resolved by only 3 cells"):
+        six_term_decomposition(f, ExtensionSetup(theta=0.3, gamma=0.9), 0.5)
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_six_term_blocks_match_six_calls(n):
+    """The six block energies from one transform over the window of
+    I u L u R are the six localized energy calls' to 1e-12 of
+    max(1, |d_ii|), and so is their total, with arc endpoints between
+    cell centres and, in the last setup, I's right end on one (a cell
+    then in none of I, L and R)."""
+    grid = CircleGrid(n)
+    rng = np.random.default_rng(n)
+    setups = [ExtensionSetup(theta=fr * gamma * math.pi / 2.0, gamma=gamma)
+              for gamma in (0.25, 0.5, 0.75) for fr in (0.45, 0.7, 0.9)]
+    on_centre = n // 2 + n // 16
+    setups.append(ExtensionSetup(theta=float(grid.angles[on_centre]), gamma=0.5))
+    for arc in (setups[-1].arc_i, setups[-1].arc_l):
+        assert on_centre not in grid.indices_of(arc)
+    for s in setups:
+        for alpha in (0.25, 0.5, 1.0):
+            f, _ = random_trig_polynomial(grid, 6, rng)
+            ext = extend(f, s)
+            got = six_term_decomposition(ext, s, alpha)
+            want = oracles.six_term_direct(ext, s, alpha)
+            assert got.keys() == want.keys()
+            tol = 1e-12 * max(1.0, abs(want["d_ii"]))
+            for key, value in want.items():
+                assert abs(got[key] - value) <= tol, (s, alpha, key)
+
+
 def test_ratio_json_keys(grid1024, rng):
     s = ExtensionSetup(theta=0.35, gamma=0.5)
     f, _ = random_trig_polynomial(grid1024, 4, rng)

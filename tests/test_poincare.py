@@ -6,15 +6,19 @@ import pytest
 import oracles
 from circle_potential import (
     Arc,
+    ArcFamily,
     BoundarySamples,
     CantorSpec,
     CircleGrid,
+    ConvergenceError,
     GridSet,
     PowerChoice,
     PreconditionError,
     RatioRule,
+    SolverConfig,
     cantor_grid_set,
     constant_estimate,
+    l2_capacity,
     poincare_check,
     spike_function,
 )
@@ -201,3 +205,40 @@ def test_constant_estimate_is_max(grid1024, solver):
     assert best == max(r1, r2)
     with pytest.raises(PreconditionError):
         constant_estimate([], 0.75, 0.5, 0.75, solver)
+
+
+def _value_route_instances(grid):
+    """(E, I) pairs whose E cap I takes the dense route (spike arcs, a
+    short arc, a Cantor set) or conjugate gradients (a 653-cell arc)."""
+    spikes = ArcFamily(tuple(Arc.centered(-0.4 + 0.3 * j, 0.012) for j in range(3)))
+    return [
+        (GridSet.from_arcs(grid, spikes), Arc.centered(0.0, 1.2)),
+        (GridSet.from_arcs(grid, Arc.centered(-0.2, 0.12)), Arc.centered(0.0, 1.2)),
+        (cantor_grid_set(CantorSpec(rule=PowerChoice(0.5), depth=4, offset=3), grid),
+         Arc.centered(0.0, 1.2)),
+        (GridSet.from_arcs(grid, Arc.centered(0.0, 1.0)), Arc.centered(0.0, 2.0)),
+    ]
+
+
+def test_poincare_capacity_is_the_l2_value_exactly():
+    """The verifier's capacity skips the L2 density but is the float
+    ``l2_capacity`` reports for E cap I, on both solver routes; a
+    value-route ConvergenceError carries the same value, without a
+    minimizer."""
+    grid = CircleGrid(4096)
+    sizes = []
+    for e, arc in _value_route_instances(grid):
+        e_in_i = e.restrict_to(arc)
+        sizes.append(e_in_i.count)
+        f = spike_function(e, 0.1)
+        rep = poincare_check(f, e, arc, 0.75, 0.5, 0.75)
+        assert rep.cap == l2_capacity(e_in_i, 0.5).value
+        cfg = SolverConfig(tolerance=1e-300)
+        with pytest.raises(ConvergenceError) as full:
+            l2_capacity(e_in_i, 0.5, cfg)
+        with pytest.raises(ConvergenceError) as value:
+            poincare_check(f, e, arc, 0.75, 0.5, 0.75, cfg)
+        assert full.value.best_estimate.minimizer is not None
+        assert value.value.best_estimate.minimizer is None
+        assert value.value.best_estimate.value == full.value.best_estimate.value
+    assert min(sizes) <= 512 < max(sizes)
