@@ -331,7 +331,7 @@ def _self_energies(values: np.ndarray, n: int, cells: np.ndarray, alphas) -> np.
     return out
 
 
-def _block_energies(f: BoundarySamples, blocks: list, pairs: list, alpha: float) -> np.ndarray:
+def _block_energies(f: BoundarySamples, blocks: list, pairs: list, alpha: float) -> list[float]:
     """D_{X,Y,alpha}(f) for each pair (x, y) of indices into ``blocks``,
     cell sets given as sorted runs (``CircleGrid.resolved_runs``).
 
@@ -370,14 +370,14 @@ def _block_energies(f: BoundarySamples, blocks: list, pairs: list, alpha: float)
                 rows[g_row[b] + 1, p:p + count] = g.imag[p:p + count]
     t = _circulant_apply("chord", n, alpha, Window(start, m, slice(0, span)), rows)
     g2 = g.real**2 + g.imag**2
-    out = np.empty(len(pairs))
-    for k, (x, y) in enumerate(pairs):
+    out = []
+    for x, y in pairs:
         t_re, t_im = t[g_row[y]], t[g_row[y] + 1]
         terms = rows[x] * (g2 * t[y] - 2.0 * (g.real * t_re + g.imag * t_im)) + rows[y] * g2 * t[x]
         # summed over the cells of U in increasing order, gaps left out
         parts = [terms[p:p + count] for p, count in at]
-        out[k] = np.sum(parts[0] if len(parts) == 1 else np.concatenate(parts))
-    return out / n**2
+        out.append(float(np.sum(parts[0] if len(parts) == 1 else np.concatenate(parts))) / n**2)
+    return out
 
 
 def dirichlet_energy_local(
@@ -404,7 +404,7 @@ def dirichlet_energy_local(
         return float(_self_energies(f.values[None], grid.n_points, idx_i, (alpha,))[0, 0])
     runs_i = grid.resolved_runs(arc_i, "arc I")
     runs_j = grid.resolved_runs(arc_j, "arc J")
-    return float(_block_energies(f, [runs_i, runs_j], [(0, 1)], alpha)[0])
+    return _block_energies(f, [runs_i, runs_j], [(0, 1)], alpha)[0]
 
 
 def dirichlet_energy_global(f: BoundarySamples, alpha: float) -> float:

@@ -169,7 +169,7 @@ def six_term_decomposition(
               grid.resolved_runs(setup.arc_r, "reflected arc R")]
     keys = ("d_ii", "d_ll", "d_rr", "d_il", "d_ir", "d_lr")
     values = _block_energies(f_tilde, blocks, [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)], alpha)
-    parts = dict(zip(keys, values.tolist()))
+    parts = dict(zip(keys, values))
     parts["total"] = (
         parts["d_ii"]
         + parts["d_ll"]
