@@ -359,20 +359,23 @@ def _block_energies(f: BoundarySamples, blocks: list, pairs: list, alpha: float)
         vals = np.concatenate((vals, f.values[:start + span - n]))
     g = vals - f.values[union[0][0]]
     # rows 1_X per block, then g_Y.real, g_Y.imag at g_row[Y]; zero off U
-    g_row = {y: len(blocks) + 2 * k for k, y in enumerate(sorted({y for _, y in pairs}))}
+    g_row: dict[int, int] = {}
+    for _, y in pairs:
+        g_row.setdefault(y, len(blocks) + 2 * len(g_row))
     rows = np.zeros((len(blocks) + 2 * len(g_row), span))
     for b, runs in enumerate(blocks):
+        r = g_row.get(b)
         for first, count in runs:
             p = (first - start) % n
             rows[b, p:p + count] = 1.0
-            if b in g_row:
-                rows[g_row[b], p:p + count] = g.real[p:p + count]
-                rows[g_row[b] + 1, p:p + count] = g.imag[p:p + count]
+            if r is not None:
+                rows[r, p:p + count] = g.real[p:p + count]
+                rows[r + 1, p:p + count] = g.imag[p:p + count]
     t = _circulant_apply("chord", n, alpha, Window(start, m, slice(0, span)), rows)
     g2 = g.real**2 + g.imag**2
     out = []
     for x, y in pairs:
-        t_re, t_im = t[g_row[y]], t[g_row[y] + 1]
+        t_re, t_im = t[g_row[y]:g_row[y] + 2]
         terms = rows[x] * (g2 * t[y] - 2.0 * (g.real * t_re + g.imag * t_im)) + rows[y] * g2 * t[x]
         # summed over the cells of U in increasing order, gaps left out
         parts = [terms[p:p + count] for p, count in at]
