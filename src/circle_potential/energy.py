@@ -349,7 +349,7 @@ def _block_energies(f: BoundarySamples, blocks: list, pairs: list, alpha: float)
     array. Besides the FFTs, a call costs O(rows x cells of U).
     """
     n = f.grid.n_points
-    union = _merge_runs([run for runs in blocks for run in runs])
+    union = _merge_runs(sum(blocks, []))
     start, m = _window_span(n, union)
     # each run of U is one slice of window positions [0, span)
     at = [((first - start) % n, count) for first, count in union]
@@ -358,10 +358,12 @@ def _block_energies(f: BoundarySamples, blocks: list, pairs: list, alpha: float)
     if start + span > n:
         vals = np.concatenate((vals, f.values[:start + span - n]))
     g = vals - f.values[union[0][0]]
+    g_re, g_im = g.real, g.imag
     # rows 1_X per block, then g_Y.real, g_Y.imag at g_row[Y]; zero off U
     g_row: dict[int, int] = {}
     for _, y in pairs:
-        g_row.setdefault(y, len(blocks) + 2 * len(g_row))
+        if y not in g_row:
+            g_row[y] = len(blocks) + 2 * len(g_row)
     rows = np.zeros((len(blocks) + 2 * len(g_row), span))
     for b, runs in enumerate(blocks):
         r = g_row.get(b)
@@ -369,17 +371,18 @@ def _block_energies(f: BoundarySamples, blocks: list, pairs: list, alpha: float)
             p = (first - start) % n
             rows[b, p:p + count] = 1.0
             if r is not None:
-                rows[r, p:p + count] = g.real[p:p + count]
-                rows[r + 1, p:p + count] = g.imag[p:p + count]
+                rows[r, p:p + count] = g_re[p:p + count]
+                rows[r + 1, p:p + count] = g_im[p:p + count]
     t = _circulant_apply("chord", n, alpha, Window(start, m, slice(0, span)), rows)
-    g2 = g.real**2 + g.imag**2
+    g2 = g_re**2 + g_im**2
+    # each pair's terms are summed over the cells of U in increasing order, gaps left out
+    one_run = slice(at[0][0], at[0][0] + at[0][1]) if len(at) == 1 else None
     out = []
     for x, y in pairs:
-        t_re, t_im = t[g_row[y]:g_row[y] + 2]
-        terms = rows[x] * (g2 * t[y] - 2.0 * (g.real * t_re + g.imag * t_im)) + rows[y] * g2 * t[x]
-        # summed over the cells of U in increasing order, gaps left out
-        parts = [terms[p:p + count] for p, count in at]
-        out.append(float(np.sum(parts[0] if len(parts) == 1 else np.concatenate(parts))) / n**2)
+        r = g_row[y]
+        terms = rows[x] * (g2 * t[y] - 2.0 * (g_re * t[r] + g_im * t[r + 1])) + rows[y] * g2 * t[x]
+        terms = terms[one_run] if one_run else np.concatenate([terms[p:p + c] for p, c in at])
+        out.append(float(np.sum(terms)) / n**2)
     return out
 
 
