@@ -22,6 +22,7 @@ from circle_potential import (
     poincare_check,
     spike_function,
 )
+from circle_potential.capacity import _CG_CELLS
 
 
 def _instance(grid, e_length=0.12, i_length=1.2, delta=0.2):
@@ -241,4 +242,4 @@ def test_poincare_capacity_is_the_l2_value_exactly():
         assert full.value.best_estimate.minimizer is not None
         assert value.value.best_estimate.minimizer is None
         assert value.value.best_estimate.value == full.value.best_estimate.value
-    assert min(sizes) <= 512 < max(sizes)
+    assert min(sizes) <= _CG_CELLS < max(sizes)
