@@ -22,6 +22,7 @@ tolerance. No criterion records timing, so reports are byte-reproducible;
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import time
@@ -582,8 +583,10 @@ def _determinism_probe(grid_n: int, seed: int, solver: SolverConfig) -> bytes:
     n = min(512, grid_n)
     grid = CircleGrid(n)
     e = GridSet.from_arcs(grid, ArcFamily((Arc.centered(0.3, 0.45), Arc.centered(-1.5, 0.3))))
-    cl = classical_capacity(e, 0.5, solver).to_json()
-    l2 = l2_capacity(e, 0.5, solver).to_json()
+    ests = (classical_capacity(e, 0.5, solver), l2_capacity(e, 0.5, solver))
+    # to_json leaves the minimizers out, so their bytes go in by hash
+    cl, l2 = ({**est.to_json(), "minimizer_sha256": hashlib.sha256(est.minimizer).hexdigest()}
+              for est in ests)
     f, _ = random_trig_polynomial(grid, 5, np.random.default_rng(seed))
     energy_val = dirichlet_energy_global(f, 0.5)
     e_small = GridSet.from_arcs(grid, Arc.centered(0.3, 0.02), "cover")
@@ -609,9 +612,9 @@ def _determinism_probe(grid_n: int, seed: int, solver: SolverConfig) -> bytes:
 
 
 def determinism(ctx: AcceptanceContext) -> tuple[bool, dict]:
-    """A fixed probe pipeline (capacities, energies, series, one
-    Poincare check) serialized twice with the same seed must agree
-    byte for byte."""
+    """A fixed probe pipeline (capacities with hashes of their
+    minimizers, energies, series, one Poincare check) serialized twice
+    with the same seed must agree byte for byte."""
     first = _determinism_probe(ctx.grid_n, ctx.seed, ctx.solver)
     second = _determinism_probe(ctx.grid_n, ctx.seed, ctx.solver)
     return first == second, {"probe_bytes": len(first), "identical": first == second}

@@ -45,9 +45,15 @@ estimate of its last solve with every entry positive, or None when no
 solve gave one.
 
 Every block M_AA is symmetric positive definite (the full circulants
-are, and principal blocks inherit it). Active sets of up to _CG_CELLS
-cells are solved by a dense factorization of the block, the only kernel
-matrix ever formed; larger ones by conjugate gradients, whose products
+are, and principal blocks inherit it). ``_block_solve`` routes an
+active set of k cells by its size and its runs. Up to _CG_CELLS cells,
+a set that is one cyclic run (an arc, across -pi too) is, in cyclic
+order, the symmetric Toeplitz system of the table's first k entries,
+solved by Levinson recursion (``scipy.linalg.solve_toeplitz``) in
+O(k^2) time and O(k) memory, weakly stable on such matrices (Cybenko
+1980; Bunch 1985); any other set of up to _CG_CELLS cells by a dense
+Bunch-Kaufman factorization of its block, the only kernel matrix ever
+formed. Larger sets are solved by conjugate gradients, whose products
 with M_AA, like every other product with K or G, are FFT convolutions
 (``energy._circulant_apply``). They are preconditioned by the circulant
 that the same FFT window embeds M_AA in (T. Chan 1988; R. Chan & Ng
@@ -79,9 +85,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy import linalg
 
-from .circle import GridSet
+from .circle import GridSet, _cell_runs
 from .errors import ConvergenceError, PreconditionError
-from .energy import _check_kernel_exponent, _circulant_apply, _circulant_block, _window
+from .energy import _check_kernel_exponent, _circulant_apply, _circulant_block, _table, _window
 
 
 class KernelExponents(NamedTuple):
@@ -170,8 +176,9 @@ def _empty_estimate(method: str, alpha: float, n: int, energy_or_norm: float) ->
 
 
 # Active sets of more cells than this are solved by conjugate gradients,
-# smaller ones by a dense factorization of the block, which is faster
-# there (crossover measured on one thread; table in CHANGES.md).
+# smaller ones by Levinson recursion (one run) or a dense factorization
+# of the block (several runs), which are faster there (crossovers
+# measured on one thread; tables in CHANGES.md).
 _CG_CELLS = 512
 # Conjugate gradients stop at ||r|| <= _CG_RTOL ||b||, far inside the KKT
 # tolerance. The cap is about eighteen times the most iterations measured:
@@ -210,20 +217,36 @@ def _conjugate_gradient(apply, precondition, b: np.ndarray):
 
 
 def _block_solve(table: str, n: int, exponent: float, cells: np.ndarray, rhs: float):
-    """x with M_AA x = rhs on ``cells``, or None when the solve fails. Up
-    to _CG_CELLS cells the block is formed and factored; above, conjugate
-    gradients apply M_AA and the preconditioner by
-    ``energy._circulant_apply`` over one window of the cells, so no k x k
-    array exists, and on all n cells the preconditioner alone solves the
-    system."""
-    b = np.full(len(cells), rhs)
-    if len(cells) > _CG_CELLS:
+    """x with M_AA x = rhs on sorted ``cells``, or None when the solve
+    fails. Up to _CG_CELLS cells, one cyclic run is solved as the
+    Toeplitz system of the table's first k entries and any other set by
+    forming and factoring the block; above, conjugate gradients apply
+    M_AA and the preconditioner by ``energy._circulant_apply`` over one
+    window of the cells, and on all n cells the preconditioner alone
+    solves the system. Only the dense route forms a k x k array."""
+    k = len(cells)
+    b = np.full(k, rhs)
+    if k > _CG_CELLS:
         op = (table, n, exponent, _window(n, cells))
-        if len(cells) == n:  # the preconditioner's circulant is M_AA itself
+        if k == n:  # the preconditioner's circulant is M_AA itself
             return _circulant_apply(*op, b, inverse=True)
         return _conjugate_gradient(partial(_circulant_apply, *op),
                                    partial(_circulant_apply, *op, inverse=True), b)
+    # one cyclic run: one sorted run (cut 0), or two that meet across
+    # cell n - 1 -> 0, the run starting after the first one's cut cells
+    first, last = int(cells[0]), int(cells[-1])
+    if last - first == k - 1:
+        cut = 0
+    elif first == 0 and last == n - 1 and len(runs := _cell_runs(cells)) == 2:
+        cut = runs[0][1]
+    else:
+        cut = None
     try:
+        if cut is not None:
+            # in cyclic order the block is Toeplitz; b is constant, so
+            # only x goes back to sorted order
+            x = linalg.solve_toeplitz(_table(table, n, exponent)[:k], b, check_finite=False)
+            return np.roll(x, cut) if cut else x
         # Bunch-Kaufman on the symmetric block, factored in place: its
         # transpose is the same matrix in LAPACK's column-major order
         return linalg.solve(_circulant_block(table, n, exponent, cells).T, b,
@@ -237,8 +260,8 @@ def _kkt_polish(op: tuple, rhs: float, tol: float, max_solves: int):
 
     M is ``op = (table, n, exponent, cells)`` of ``energy``'s operator.
     Starting from every cell, solves M_AA x = rhs on the active cells
-    (``_block_solve``: dense up to _CG_CELLS cells, conjugate gradients
-    above), drops cells with nonpositive solution and adds off-active
+    (``_block_solve``: Levinson or dense up to _CG_CELLS cells, conjugate
+    gradients above), drops cells with nonpositive solution and adds off-active
     cells whose residual r = rhs - M x, formed with x over every cell,
     exceeds tol * max(rhs, sum(x)). Stops when no cell is added, when a
     solve fails (singular block, or conjugate gradients meet nonpositive

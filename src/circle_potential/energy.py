@@ -23,7 +23,9 @@ Every double sum is a circulant quadratic form: a table indexed by
 (i - j) mod N between cell values. ``_circulant_apply`` is the one place
 a table meets a vector, by single-threaded FFT with numpy's pairwise
 sums around it, so results are byte-reproducible for given inputs;
-``_circulant_block`` builds dense blocks of the same matrices. The FFT
+``_circulant_block`` builds dense blocks of the same matrices, and the
+block of one run of k cells is the Toeplitz matrix of ``_table``'s
+first k entries. The FFT
 runs over a window of the cells, found by one rule (``_window_span``)
 from their runs: arcs give their runs in O(1), and a cell set's
 ``Window`` is made once and reused by every product on that set.
@@ -248,15 +250,21 @@ def _circulant_apply(table: str, n: int, exponent: float | tuple, cells, x: np.n
     return out if isinstance(exponent, tuple) else out[0]
 
 
+def _table(table: str, n: int, exponent: float) -> np.ndarray:
+    """The even table t of the matrix t[(a - b) mod n] that
+    ``_circulant_apply`` applies, as handed out (``_faulted``)."""
+    base, power = _TABLES[table]
+    return _faulted(base(n, float(exponent)), power)
+
+
 def _circulant_block(table: str, n: int, exponent: float, cells: np.ndarray) -> np.ndarray:
     """The dense block t[|cells[a] - cells[b]|] of the matrix that
     ``_circulant_apply`` applies. The tables are even, so this needs no
     modulo; int32 differences keep the k x k temporary half its size."""
-    base, power = _TABLES[table]
     c = np.asarray(cells, dtype=np.int32)
     d = c[:, None] - c[None, :]
     np.abs(d, out=d)
-    return _faulted(base(n, float(exponent)), power)[d]
+    return _table(table, n, exponent)[d]
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,27 @@ def test_determinism(report):
     _assert_passed(report, "determinism")
 
 
+@pytest.mark.parametrize("name", ["classical_capacity", "l2_capacity"])
+def test_determinism_compares_minimizer_bytes(monkeypatch, name):
+    """A capacity whose minimizer differs between the two probe runs, by
+    an ulp or two in one entry, with its value and JSON unchanged, fails
+    the determinism criterion."""
+    solve = getattr(acceptance, name)
+    calls = []
+
+    def drifting(*args):
+        est = solve(*args)
+        calls.append(None)
+        est.minimizer[0] += len(calls) * np.spacing(est.minimizer[0])
+        return est
+
+    ctx = AcceptanceContext(grid_n=512)
+    assert acceptance.determinism(ctx)[0]
+    monkeypatch.setattr(acceptance, name, drifting)
+    passed, details = acceptance.determinism(ctx)
+    assert calls and not passed and not details["identical"]
+
+
 def test_all_criteria_present(report):
     assert [c["name"] for c in report["criteria"]] == criterion_names()
     assert report["grid_n"] == 4096

@@ -387,6 +387,20 @@ def test_kernel_fault_scales_both_capacities(grid256, solver, scale):
     assert abs(l2_fault - l2_base / (1.0 + scale) ** 2) <= 1e-6 * l2_fault
 
 
+def _one_run_sets(grid):
+    """Sets that are one cyclic run of cells: an arc across -pi (two
+    sorted runs), one cell, and, where the grid has room, a run of
+    exactly _CG_CELLS cells across -pi."""
+    n, k = grid.n_points, capacity._CG_CELLS
+    sets = {
+        "arc-across-pi": GridSet.from_arcs(grid, Arc(2.9, -2.7)),
+        "single-cell": GridSet.from_indices(grid, [n - 1]),
+    }
+    if n > k:
+        sets["run-across-pi-at-crossover"] = GridSet.from_indices(grid, (np.arange(k) - k // 2) % n)
+    return sets
+
+
 def _agreement_sets(grid):
     sets = {
         "full": GridSet.full(grid),
@@ -395,6 +409,7 @@ def _agreement_sets(grid):
             GridSet.from_arcs(grid, Arc(-2.4, -1.9))
         ),
         "cantor-4": cantor_grid_set(CantorSpec(rule=PowerChoice(0.5), depth=4, offset=3), grid),
+        **_one_run_sets(grid),
     }
     # an arc and scattered cells on each side of the dense/CG crossover
     k = capacity._CG_CELLS
@@ -410,8 +425,8 @@ def _agreement_sets(grid):
 def test_capacities_match_dense_route(n, solver, monkeypatch):
     """The matrix-free solvers agree to 1e-9 relative with a direct dense
     solve (``oracles.capacity_value_dense``). Sets just above the
-    crossover are solved by conjugate gradients, sets at it by the dense
-    block."""
+    crossover are solved by conjugate gradients, sets at it by Levinson
+    recursion (one run) or the dense block (scattered cells)."""
     cg_sizes = []
     cg = capacity._conjugate_gradient
     monkeypatch.setattr(
@@ -436,6 +451,59 @@ def test_capacities_match_dense_route(n, solver, monkeypatch):
             assert cg_sizes == [], name
         if name.endswith("-above"):
             assert capacity._CG_CELLS + 1 in cg_sizes, name
+
+
+def _capacity_matches_dense(e, solver):
+    """Assert both capacities of e agree with the dense oracle to 1e-9
+    at classical exponents 0, 0.25, 0.5 and L2 alpha 0.5, 1."""
+    n, idx = e.grid.n_points, e.indices
+    for exponent in (0.0, 0.25, 0.5):
+        kappa = np.asarray(kernel_column(n, exponent))
+        want = oracles.capacity_value_dense(kappa, idx, "classical")
+        got = classical_capacity(e, exponent, solver).value
+        assert abs(got - want) <= 1e-9 * want, (e.count, exponent, got, want)
+    for alpha in (0.5, 1.0):
+        kappa = np.asarray(kernel_column(n, kernel_exponents(alpha).l2_convolution))
+        want = oracles.capacity_value_dense(kappa, idx, "l2")
+        got = l2_capacity(e, alpha, solver).value
+        assert abs(got - want) <= 1e-9 * want, (e.count, alpha, got, want)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+def test_one_run_sets_take_toeplitz_route(n, solver, monkeypatch):
+    """A set that is one cyclic run of at most _CG_CELLS cells is solved
+    as a Toeplitz system: no dense block is formed and no conjugate
+    gradients run, across -pi too, and both capacities agree to 1e-9
+    with the dense oracle (at N = 4096 as well, with the run of exactly
+    _CG_CELLS cells at exponent 0 the worst-conditioned case)."""
+    routes = []
+    block, cg = capacity._circulant_block, capacity._conjugate_gradient
+    monkeypatch.setattr(capacity, "_circulant_block",
+                        lambda *args: routes.append("dense") or block(*args))
+    monkeypatch.setattr(capacity, "_conjugate_gradient",
+                        lambda *args: routes.append("cg") or cg(*args))
+    for name, e in _one_run_sets(CircleGrid(n)).items():
+        routes.clear()
+        _capacity_matches_dense(e, solver)
+        assert routes == [], (name, routes)
+
+
+def test_several_runs_keep_the_dense_block(monkeypatch, solver):
+    """_CG_CELLS cells in two runs are still solved by the dense block,
+    and the same count in one run is not."""
+    grid, k = CircleGrid(1024), capacity._CG_CELLS
+    sizes = []
+    block = capacity._circulant_block
+    monkeypatch.setattr(capacity, "_circulant_block",
+                        lambda table, n, exponent, cells: sizes.append(len(cells))
+                        or block(table, n, exponent, cells))
+    halves = np.arange(k // 2)
+    two_runs = GridSet.from_indices(grid, np.concatenate([halves, 600 + halves]))
+    for e, want in ((two_runs, [k]), (GridSet.from_indices(grid, 300 + np.arange(k)), [])):
+        for solve in (classical_capacity, l2_capacity):
+            sizes.clear()
+            solve(e, 0.5, solver)
+            assert sizes == want, (e.count, solve.__name__, sizes)
 
 
 def test_half_circle_certifies_on_first_solve(grid256, solver):

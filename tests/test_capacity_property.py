@@ -1,6 +1,8 @@
-"""Property test: the active-set polish alone solves both capacities.
+"""Property tests: the active-set polish alone solves both capacities, and
+one-run sets by the Toeplitz route.
 
-Derandomized, so every run draws the same 100 examples (about 2 s).
+Derandomized, so every run draws the same 100 examples per test (about 3 s
+in all).
 """
 
 import math
@@ -79,3 +81,40 @@ def test_polish_alone_matches_dense_oracle(case):
     kappa = np.asarray(kernel_column(e.grid.n_points, exponent))
     want = oracles.capacity_value_dense(kappa, e.indices, est.method)
     assert abs(est.value - want) <= 1e-9 * want, (e.count, solve.__name__, alpha, est.value, want)
+
+
+@st.composite
+def _arc_case(draw):
+    """An arc of 1 to _CG_CELLS cells (fewer than N) at any cell, across
+    -pi when it runs past cell N - 1, a whole-cell rotation that takes it
+    off -pi or puts it across (a single cell: next to it), a capacity and
+    its exponent."""
+    n = draw(st.sampled_from([64, 256, 1024]))
+    most = min(capacity._CG_CELLS, n - 1)
+    size = draw(st.integers(1, most) | st.just(most))
+    start = draw(st.integers(0, n - 1))
+    e = GridSet.from_indices(CircleGrid(n), (start + np.arange(size)) % n)
+    if start + size > n:
+        to = draw(st.integers(0, n - size))
+    else:
+        to = n - draw(st.integers(1, max(1, size - 1)))
+    shift = to - start
+    if draw(st.booleans()):
+        return e, shift, classical_capacity, draw(st.just(0.0) | st.floats(1e-9, 0.75))
+    return e, shift, l2_capacity, draw(st.floats(_SMALLEST_EXPONENT, 1.0))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(case=_arc_case())
+def test_one_run_route_matches_dense_oracle_and_rotation(case):
+    """Arcs of up to _CG_CELLS cells take the Toeplitz route: they agree
+    to 1e-9 with the dense oracle, and rotating them by whole cells
+    across -pi changes the value only by roundoff."""
+    e, shift, solve, alpha = case
+    est = solve(e, alpha)
+    exponent = alpha if solve is classical_capacity else kernel_exponents(alpha).l2_convolution
+    kappa = np.asarray(kernel_column(e.grid.n_points, exponent))
+    want = oracles.capacity_value_dense(kappa, e.indices, est.method)
+    assert abs(est.value - want) <= 1e-9 * want, (e.count, solve.__name__, alpha, est.value, want)
+    rotated = solve(e.rotated(shift), alpha).value
+    assert abs(rotated - est.value) <= 1e-13 * est.value, (e.count, shift, rotated, est.value)
