@@ -43,8 +43,8 @@ from .circle import RESOLUTION_CELLS, Arc, ArcFamily, CircleGrid, GridSet
 from .energy import (
     BoundarySamples,
     DiscreteMeasure,
+    _block_energies,
     _circulant_block,
-    _self_energies,
     dirichlet_energy_global,
     dirichlet_energy_local,
     energy_weight,
@@ -126,7 +126,7 @@ def exact_diagonalization(ctx: AcceptanceContext) -> tuple[bool, dict]:
     tol = 0.01 * REFERENCE_GRID / min(max(ctx.grid_n, 256), REFERENCE_GRID)
     alphas = (0.25, 0.5, 1.0)
     monomials = np.stack([monomial(grid, n).values for n in range(1, 9)])
-    energies = _self_energies(monomials, ctx.grid_n, np.arange(ctx.grid_n), alphas)
+    energies = _block_energies(monomials, [[(0, ctx.grid_n)]], [(0, 0)], alphas)[:, 0]
     worst = 0.0
     worst_case = None
     for alpha, row in zip(alphas, energies.tolist()):

@@ -436,17 +436,6 @@ def _finish_l2(e, alpha, exponent, lam, g_lam, residual, iterations):
     return replace(_l2_estimate(e, alpha, exponent, lam, g_lam, residual, iterations), minimizer=f)
 
 
-def potential_on_set(estimate: CapacityEstimate, e: GridSet) -> np.ndarray:
-    """Convolution potential of the l2 minimizer on the cells of E
-    (feasibility diagnostic: should be >= 1 - tolerance everywhere)."""
-    if estimate.method != "l2":
-        raise PreconditionError("potential check applies to l2 estimates")
-    n = e.grid.n_points
-    exponent = kernel_exponents(estimate.alpha).l2_convolution
-    potential = _circulant_apply("kernel", n, exponent, np.arange(n), estimate.minimizer)
-    return potential[e.indices] / n
-
-
 @dataclass(frozen=True)
 class ComparabilityReport:
     c_classical: float

@@ -51,11 +51,6 @@ def normalize_angle(x: float) -> float:
     return r
 
 
-def angles_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
-    """True when the circular distance between two angles is within ``tol``."""
-    return abs(normalize_angle(float(a) - float(b))) <= tol
-
-
 def chord_distance(s, t) -> float:
     """Euclidean distance |e^{is} - e^{it}| between two circle points.
 
@@ -317,12 +312,6 @@ class CircleGrid:
     def cell_width(self) -> float:
         return TWO_PI / self.n_points
 
-    def cell_index(self, t) -> int:
-        """Index of the cell whose closed interval contains angle ``t``
-        (ties at a cell edge resolve to the counterclockwise cell)."""
-        rel = (float(t) + math.pi) % TWO_PI
-        return int(round(rel / self.cell_width)) % self.n_points
-
     def mask_of(self, target: CircleSet, mode: str = "centers") -> np.ndarray:
         """Boolean mask of cells selected by an arc or family.
 
@@ -387,39 +376,37 @@ class CircleGrid:
         and settled by the scan's own float test.
         """
         n = self.n_points
-        h = self.cell_width
+        h = TWO_PI / n
 
-        def angle(j):  # the float of self.angles[j]
-            return -math.pi + TWO_PI * j / n
-
-        def rel(i):  # the scan's offset of the i-th cell from j0
+        def rel(i):  # the scan's offset of the i-th cell from j0: angle - start, in [0, 2pi)
             j = j0 + i
-            r = angle(j - n if j >= n else j) - start
+            r = -math.pi + TWO_PI * (j - n if j >= n else j) / n - start
             return r + TWO_PI if r < 0.0 else r
 
-        def prefix(inside, guess):  # the count of leading cells with inside(rel)
+        def prefix(top, strict, guess):  # the count of leading cells with rel < top (<= top)
             i = min(max(guess, 0), n)
-            while i > 0 and not inside(rel(i - 1)):
+            while i > 0 and not (rel(i - 1) < top if strict else rel(i - 1) <= top):
                 i -= 1
-            while i < n and inside(rel(i)):
+            while i < n and (rel(i) < top if strict else rel(i) <= top):
                 i += 1
             return i
 
+        # the first center at or after ``start``; -pi + 2pi j / n is the float of angles[j]
         j0 = min(max(math.ceil((start + math.pi) / h), 0), n)
-        while j0 > 0 and angle(j0 - 1) >= start:
+        while j0 > 0 and -math.pi + TWO_PI * (j0 - 1) / n >= start:
             j0 -= 1
-        while j0 < n and angle(j0) < start:
+        while j0 < n and -math.pi + TWO_PI * j0 / n < start:
             j0 += 1
         j0 %= n
         r0 = rel(0)
         if mode == "centers":
             skip = 0 if r0 > 0.0 else 1  # a center on ``start`` is not inside
-            stop = prefix(lambda r: r < length, math.ceil((length - r0) / h))
+            stop = prefix(length, True, math.ceil((length - r0) / h))
             return (j0 + skip) % n, max(stop - skip, 0)
         half = h / 2.0
         top, bottom = length + half, TWO_PI - half
-        stop = prefix(lambda r: r <= top, math.floor((top - r0) / h) + 1)
-        tail = prefix(lambda r: r < bottom, math.ceil((bottom - r0) / h))
+        stop = prefix(top, False, math.floor((top - r0) / h) + 1)
+        tail = prefix(bottom, True, math.ceil((bottom - r0) / h))
         if stop >= tail:  # the prefix and the suffix cover every cell
             return 0, n
         return (j0 + tail) % n, n - tail + stop
@@ -473,10 +460,13 @@ class CircleGrid:
 
     def resolved_runs(self, target: CircleSet, what: str) -> list[tuple[int, int]]:
         """The cells of ``resolved_cells`` as sorted runs (``_cell_runs``);
-        for an arc they cost O(1), with no index array."""
-        if not isinstance(target, Arc):
+        for an arc or the full circle they cost O(1), with no index array."""
+        if isinstance(target, Arc):
+            runs = self._arc_runs(target, "centers")
+        elif isinstance(target, ArcFamily) and target.full:
+            runs = [(0, self.n_points)]
+        else:
             return _cell_runs(self.resolved_cells(target, what))
-        runs = self._arc_runs(target, "centers")
         _check_resolved(sum(count for _, count in runs), what)
         return runs
 

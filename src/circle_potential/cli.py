@@ -130,6 +130,8 @@ def _load_json_arg(text: str):
         obj = json.loads(candidate)
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"malformed JSON argument: {exc}")
+    except RecursionError:
+        raise PreconditionError("JSON argument is nested too deeply")
     if not isinstance(obj, (dict, list)):
         raise PreconditionError("JSON argument must be an object or an array")
     return obj

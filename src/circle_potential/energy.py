@@ -25,7 +25,8 @@ a table meets a vector, by single-threaded FFT with numpy's pairwise
 sums around it, so results are byte-reproducible for given inputs;
 ``_circulant_block`` builds dense blocks of the same matrices, and the
 block of one run of k cells is the Toeplitz matrix of ``_table``'s
-first k entries. The FFT
+first k entries. Every localized energy, I = J or not, of one function
+or of a stack, is one ``_block_energies`` call. The FFT
 runs over a window of the cells, found by one rule (``_window_span``)
 from their runs: arcs give their runs in O(1), and a cell set's
 ``Window`` is made once and reused by every product on that set.
@@ -37,12 +38,11 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
-from .circle import (FULL_CIRCLE, TWO_PI, Arc, ArcFamily, CircleGrid, GridSet, _cell_runs,
-                     _merge_runs)
+from .circle import FULL_CIRCLE, TWO_PI, Arc, ArcFamily, CircleGrid, _cell_runs, _merge_runs
 from .errors import PreconditionError, SingularityError
 
 EnergyDomain = Union[Arc, ArcFamily]
@@ -240,9 +240,12 @@ def _circulant_apply(table: str, n: int, exponent: float | tuple, cells, x: np.n
     the forward transform is made once and a list of results, one per
     exponent, is returned."""
     win = cells if isinstance(cells, Window) else _window(n, cells)
-    buf = np.zeros(x.shape[:-1] + (win.m,))
-    buf[..., win.pos] = x
-    ft = np.fft.rfft(buf)
+    if isinstance(win.pos, slice) and win.pos.start == 0:
+        ft = np.fft.rfft(x, win.m)  # the transform pads x at the end itself
+    else:
+        buf = np.zeros(x.shape[:-1] + (win.m,))
+        buf[..., win.pos] = x
+        ft = np.fft.rfft(buf)
     out = []
     for e in exponent if isinstance(exponent, tuple) else (exponent,):
         spec = _faulted(_spectrum_base(table, n, float(e), win.m), _TABLES[table][1])
@@ -287,10 +290,6 @@ class BoundarySamples:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_function(cls, grid: CircleGrid, fn: Callable[[np.ndarray], np.ndarray]) -> "BoundarySamples":
-        return cls(grid, np.asarray(fn(grid.angles), dtype=np.complex128))
-
-    @classmethod
     def constant(cls, grid: CircleGrid, c: complex) -> "BoundarySamples":
         return cls(grid, np.full(grid.n_points, complex(c), dtype=np.complex128))
 
@@ -308,40 +307,12 @@ def _check_energy_exponent(alpha: float) -> None:
         raise PreconditionError(f"energy exponent must be in (0, 1], got {alpha}")
 
 
-def _self_energies(values: np.ndarray, n: int, cells: np.ndarray, alphas) -> np.ndarray:
-    """D_{I,I,alpha} of each row of a (k, n) stack of samples, for each
-    exponent of ``alphas`` (each in (0, 1], checked by the caller): an
-    (len(alphas), k) array. ``cells`` are the sorted cells of I.
-
-    I = J in the localized energy: every cell is in both, T 1_I = T 1_J,
-    and with g = f - f[cells[0]] the sum is the general one with both
-    memberships 1, term for term. One ``_circulant_apply`` serves the
-    whole stack at every exponent: one forward transform of the rows
-    [1, g.real..., g.imag...] over I's window, one inverse per exponent.
-    The FFT and the row sums treat each row alone, so every entry is the
-    float of a one-row stack."""
-    k = len(values)
-    f = values[:, cells]
-    rows = np.empty((2 * k + 1, cells.size))
-    rows[0] = 1.0
-    g_re, g_im = rows[1:k + 1], rows[k + 1:]
-    # the parts of g = f - f[cells[0]], as complex subtraction forms them
-    np.subtract(f.real, f.real[:, :1], out=g_re)
-    np.subtract(f.imag, f.imag[:, :1], out=g_im)
-    g2 = g_re**2 + g_im**2
-    out = np.empty((len(alphas), k))
-    for e, t in enumerate(_circulant_apply("chord", n, tuple(alphas), cells, rows)):
-        g2_t = g2 * t[0]
-        terms = (g2_t - 2.0 * (g_re * t[1:k + 1] + g_im * t[k + 1:])) + g2_t
-        # gathers by index leave the rows strided; numpy sums a row
-        # pairwise, as it sums one function's terms, only when it is contiguous
-        out[e] = np.sum(np.ascontiguousarray(terms), axis=-1) / n**2
-    return out
-
-
-def _block_energies(f: BoundarySamples, blocks: list, pairs: list, alpha: float) -> list[float]:
-    """D_{X,Y,alpha}(f) for each pair (x, y) of indices into ``blocks``,
-    cell sets given as sorted runs (``CircleGrid.resolved_runs``).
+def _block_energies(values: np.ndarray, blocks: list, pairs: list, alphas: tuple) -> np.ndarray:
+    """D_{X,Y,alpha} of each row of a (k, N) stack of samples, for each
+    pair (x, y) of indices into ``blocks`` and each exponent of ``alphas``
+    (each in (0, 1], checked by the caller): a (len(alphas), len(pairs), k)
+    array. Blocks are cell sets given as sorted runs
+    (``CircleGrid.resolved_runs``); I = J is one block and the pair (0, 0).
 
     For g = f - f[c0], c0 the lowest cell of the union U of the blocks
     (D is unchanged, and g is exactly 0 where f is constant on U) and T
@@ -349,48 +320,67 @@ def _block_energies(f: BoundarySamples, blocks: list, pairs: list, alpha: float)
 
         sum_X |g|^2 (T 1_Y) + sum_Y |g|^2 (T 1_X) - 2 Re sum_X conj(g) (T g_Y),
 
-    g_Y = 1_Y g. The window is that of the runs of U, and the rows 1_X of
-    every block and the parts of g_Y of every block Y second in a pair are
-    written into it by slices, so one ``_circulant_apply`` serves every
-    pair. Each pair's terms are summed over the cells of U in increasing
-    order, so its value is the float of the same sum over their index
-    array. Besides the FFTs, a call costs O(rows x cells of U).
+    g_Y = 1_Y g. The window is that of the runs of U. The rows 1_X of
+    every block, then the parts of -2 g_Y of each row of the stack for
+    every block Y second in a pair, are written into it by slices, so one
+    ``_circulant_apply`` serves every pair, row and exponent: one forward
+    transform, one inverse per exponent. Scaling by a power of two is
+    exact, so T(-2 g_Y) is -2 T g_Y to the bit (short of overflow and
+    subnormals). With one block, U is that block and the masks 1_X, 1_Y
+    are not applied. Each entry's terms are summed over the cells of U in
+    increasing order; the FFT and the sums treat each row alone, so every
+    entry is the float of a one-row call. Besides the FFTs, a call costs
+    O(rows x cells of U).
     """
-    n = f.grid.n_points
+    k, n = values.shape
     union = _merge_runs(sum(blocks, []))
     start, m = _window_span(n, union)
     # each run of U is one slice of window positions [0, span)
     at = [((first - start) % n, count) for first, count in union]
     span = max(p + count for p, count in at)
-    vals = f.values[start:start + span]
+    vals = values[:, start:start + span]
     if start + span > n:
-        vals = np.concatenate((vals, f.values[:start + span - n]))
-    g = vals - f.values[union[0][0]]
-    g_re, g_im = g.real, g.imag
-    # rows 1_X per block, then g_Y.real, g_Y.imag at g_row[Y]; zero off U
+        vals = np.concatenate((vals, values[:, :start + span - n]), axis=1)
+    c0 = values[:, union[0][0], None]
+    g_re, g_im = vals.real - c0.real, vals.imag - c0.imag
+    g2 = g_re * g_re + g_im * g_im
+    # rows 1_X per block, then from g_row[Y] the k rows of -2 g_Y.real and
+    # the k of -2 g_Y.imag; zero off U
     g_row: dict[int, int] = {}
     for _, y in pairs:
         if y not in g_row:
-            g_row[y] = len(blocks) + 2 * len(g_row)
-    rows = np.zeros((len(blocks) + 2 * len(g_row), span))
+            g_row[y] = len(blocks) + 2 * k * len(g_row)
+    rows = np.zeros((len(blocks) + 2 * k * len(g_row), span))
     for b, runs in enumerate(blocks):
         r = g_row.get(b)
         for first, count in runs:
-            p = (first - start) % n
-            rows[b, p:p + count] = 1.0
+            s = slice((first - start) % n, (first - start) % n + count)
+            rows[b, s] = 1.0
             if r is not None:
-                rows[r, p:p + count] = g_re[p:p + count]
-                rows[r + 1, p:p + count] = g_im[p:p + count]
-    t = _circulant_apply("chord", n, alpha, Window(start, m, slice(0, span)), rows)
-    g2 = g_re**2 + g_im**2
-    # each pair's terms are summed over the cells of U in increasing order, gaps left out
-    one_run = slice(at[0][0], at[0][0] + at[0][1]) if len(at) == 1 else None
-    out = []
-    for x, y in pairs:
-        r = g_row[y]
-        terms = rows[x] * (g2 * t[y] - 2.0 * (g_re * t[r] + g_im * t[r + 1])) + rows[y] * g2 * t[x]
-        terms = terms[one_run] if one_run else np.concatenate([terms[p:p + c] for p, c in at])
-        out.append(float(np.sum(terms)) / n**2)
+                rows[r:r + k, s] = g_re[:, s]
+                rows[r + k:r + 2 * k, s] = g_im[:, s]
+    rows[len(blocks):] *= -2.0
+    lo = at[0][0] if len(at) == 1 else 0  # where the cells of U start in a term row
+    out = np.empty((len(alphas), len(pairs), k))
+    win = Window(start, m, slice(0, span))
+    for t, out_e in zip(_circulant_apply("chord", n, alphas, win, rows), out):
+        for i, (x, y) in enumerate(pairs):
+            # 1_X (g.real T(-2 g_Y).real + g.imag T(-2 g_Y).imag + |g|^2 T1_Y) + 1_Y |g|^2 T1_X;
+            # row slices x:x+1 keep one-row operands the same shape as the terms
+            r = g_row[y]
+            w = g_re * t[r:r + k]
+            w += g_im * t[r + k:r + 2 * k]
+            g2_t = g2 * t[y:y + 1]
+            w += g2_t
+            if len(blocks) == 1:  # X = Y = U: no masks, and the last term is |g|^2 T1_Y
+                w += g2_t
+            else:
+                w *= rows[x:x + 1]
+                w += g2 * (rows[y:y + 1] * t[x:x + 1])
+            if len(at) > 1:  # the cells of U in increasing order, gaps left out
+                w = np.concatenate([w[:, p:p + c] for p, c in at], axis=1)
+            np.add.reduce(w[:, lo:], axis=-1, out=out_e[i])
+    out /= n**2
     return out
 
 
@@ -406,19 +396,18 @@ def dirichlet_energy_local(
     pairs excluded; each normalized measure factor contributes 1/N.
     Both arcs must be resolved by at least ``circle.RESOLUTION_CELLS`` cells.
 
-    I = J takes ``_self_energies``. Otherwise I and J come as sorted runs
-    of cells (``CircleGrid.resolved_runs``: O(1) for an arc, whatever N)
-    and the energy is the two-block case of ``_block_energies``. Besides
-    the FFTs, a call costs O(cells of I u J).
+    I and J come as sorted runs of cells (``CircleGrid.resolved_runs``:
+    O(1) for an arc, whatever N) into ``_block_energies``: I = J is its
+    one-block case, I != J its two-block case. Besides the FFTs, a call
+    costs O(cells of I u J).
     """
     _check_energy_exponent(alpha)
     grid = f.grid
-    if arc_j is arc_i or (isinstance(arc_i, Arc) and arc_j == arc_i):
-        idx_i = grid.resolved_cells(arc_i, "arc I")
-        return float(_self_energies(f.values[None], grid.n_points, idx_i, (alpha,))[0, 0])
     runs_i = grid.resolved_runs(arc_i, "arc I")
+    if arc_j is arc_i or (isinstance(arc_i, Arc) and arc_j == arc_i):
+        return float(_block_energies(f.values[None], [runs_i], [(0, 0)], (alpha,))[0, 0, 0])
     runs_j = grid.resolved_runs(arc_j, "arc J")
-    return _block_energies(f, [runs_i, runs_j], [(0, 1)], alpha)[0]
+    return float(_block_energies(f.values[None], [runs_i, runs_j], [(0, 1)], (alpha,))[0, 0, 0])
 
 
 def dirichlet_energy_global(f: BoundarySamples, alpha: float) -> float:
@@ -550,21 +539,6 @@ class DiscreteMeasure:
     def uniform(cls, grid: CircleGrid) -> "DiscreteMeasure":
         return cls(grid, np.full(grid.n_points, 1.0 / grid.n_points))
 
-    @classmethod
-    def on_set(cls, e: GridSet) -> "DiscreteMeasure":
-        if e.is_empty():
-            raise PreconditionError("cannot put a probability measure on the empty set")
-        w = np.zeros(e.grid.n_points)
-        w[e.mask] = 1.0 / e.count
-        return cls(e.grid, w)
-
-    @classmethod
-    def from_weights(cls, grid: CircleGrid, pairs: dict[int, float]) -> "DiscreteMeasure":
-        w = np.zeros(grid.n_points)
-        for idx, val in pairs.items():
-            w[idx] = val
-        return cls(grid, w)
-
     def rotated(self, cells: int) -> "DiscreteMeasure":
         return DiscreteMeasure(self.grid, np.roll(self.weights, cells))
 
@@ -576,41 +550,9 @@ def mu_energy(mu: DiscreteMeasure, alpha: float) -> float:
     centers; the diagonal uses the cell-averaged kernel (excluding it
     would understate atom self-energy and break capacity convergence).
     """
-    return mu_energy_report(mu, alpha)["value"]
-
-
-def mu_energy_report(mu: DiscreteMeasure, alpha: float) -> dict:
-    """Measure energy plus diagnostics splitting out the diagonal term."""
-    n = mu.grid.n_points
     support = np.nonzero(mu.weights)[0]
     w = mu.weights[support]
-    diagonal = float(kernel_column(n, float(alpha))[0] * np.sum(w * w))
-    return {
-        "value": float(np.sum(w * _circulant_apply("kernel", n, alpha, support, w))),
-        "alpha": alpha,
-        "grid_n": n,
-        "diagnostics": {"diagonal_estimate": diagonal},
-    }
-
-
-def measure_fourier_energy(c: FourierCoeffs, alpha: float) -> float:
-    """Spectral measure energy sum_{n>=1} |mu^(n)|^2 / n^(1-alpha),
-    truncated at the table's limit. The zero coefficient (total mass)
-    must be present."""
-    if not 0.0 < alpha <= 1.0:
-        raise PreconditionError(f"exponent must be in (0, 1], got {alpha}")
-    if 0 not in c.coeffs:
-        raise PreconditionError("coefficient table must include n = 0 (total mass)")
-    out = 0.0
-    for n in range(1, c.truncation + 1):
-        v = c[n]
-        out += abs(v) ** 2 / n ** (1.0 - alpha)
-    return out
-
-
-def measure_fourier_coeffs(mu: DiscreteMeasure, truncation: int | None = None) -> FourierCoeffs:
-    """mu^(n) = sum_j w_j e^{-i n t_j} for |n| <= truncation."""
-    return _coeffs_from_dft(np.fft.fft(mu.weights), truncation)
+    return float(np.sum(w * _circulant_apply("kernel", mu.grid.n_points, alpha, support, w)))
 
 
 def energy_report(

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .circle import Arc, CircleGrid
-from .energy import BoundarySamples, _block_energies, _check_energy_exponent, _self_energies
+from .energy import BoundarySamples, _block_energies, _check_energy_exponent
 from .errors import DegenerateInputError, ResolutionError, SetupError
 
 # Sum of the per-block energy bounds in the extension estimate:
@@ -137,16 +137,17 @@ def _extension_ratios(grid: CircleGrid, values: np.ndarray, setup: ExtensionSetu
     """``extension_ratio`` of each row of a (k, N) stack of samples at
     each exponent of ``alphas``: D_I, D_J and D_J / D_I as three
     (len(alphas), k) arrays. Each row is extended once for all exponents,
-    and each energy is one ``energy._self_energies`` call on the stack.
-    A row constant on I raises DegenerateInputError."""
+    and each energy is one one-block ``energy._block_energies`` call on
+    the stack. A row constant on I raises DegenerateInputError."""
     for alpha in alphas:
         _check_energy_exponent(alpha)
-    n = grid.n_points
-    d_i = _self_energies(values, n, grid.resolved_cells(setup.arc_i, "arc I"), alphas)
+    runs_i = grid.resolved_runs(setup.arc_i, "arc I")
+    d_i = _block_energies(values, [runs_i], [(0, 0)], alphas)[:, 0]
     if np.any(d_i == 0.0):
         raise DegenerateInputError("f is constant on I (zero seminorm)")
     f_tilde = _extend_rows(grid, values, setup)
-    d_j = _self_energies(f_tilde, n, grid.resolved_cells(setup.arc_j, "arc J"), alphas)
+    runs_j = grid.resolved_runs(setup.arc_j, "arc J")
+    d_j = _block_energies(f_tilde, [runs_j], [(0, 0)], alphas)[:, 0]
     return d_i, d_j, d_j / d_i
 
 
@@ -168,8 +169,9 @@ def six_term_decomposition(
               grid.resolved_runs(setup.arc_l, "reflected arc L"),
               grid.resolved_runs(setup.arc_r, "reflected arc R")]
     keys = ("d_ii", "d_ll", "d_rr", "d_il", "d_ir", "d_lr")
-    values = _block_energies(f_tilde, blocks, [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)], alpha)
-    parts = dict(zip(keys, values))
+    pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+    values = _block_energies(f_tilde.values[None], blocks, pairs, (alpha,))[0, :, 0]
+    parts = dict(zip(keys, values.tolist()))
     parts["total"] = (
         parts["d_ii"]
         + parts["d_ll"]

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import SolverConfig, _l2_value
-from .circle import Arc, GridSet, _check_resolved
-from .energy import BoundarySamples, _self_energies
+from .circle import Arc, GridSet
+from .energy import BoundarySamples, _block_energies
 from .errors import PreconditionError
 
 _VANISHING_TOL = 1e-8
@@ -96,7 +96,7 @@ def poincare_check(
         raise PreconditionError("f and E live on different grids")
     grid = f.grid
     n = grid.n_points
-    in_i = grid.mask_of(arc)  # I resolved once, for E cap I, the energy and the mean
+    in_i = grid.mask_of(arc)  # I as a mask, for E cap I and the mean; as runs for the energy
     idx = np.flatnonzero(in_i)
     e_in_i = GridSet(grid, e.mask & in_i)
     if e_in_i.is_empty():
@@ -107,8 +107,8 @@ def poincare_check(
             f"f does not vanish on E cap I (max |f| = {worst:.3g})"
         )
 
-    _check_resolved(idx.size, "arc I")
-    energy = float(_self_energies(f.values[None], n, idx, (alpha,))[0, 0])
+    runs = grid.resolved_runs(arc, "arc I")
+    energy = float(_block_energies(f.values[None], [runs], [(0, 0)], (alpha,))[0, 0, 0])
     cap = _l2_value(e_in_i, beta, cfg).value
     scale = arc.length ** (alpha - beta)
     if energy == 0.0:

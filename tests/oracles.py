@@ -14,7 +14,9 @@ spike that the index-distance spike replaced, the one-function
 extension and I = J energy that the stacked ones replaced, the
 mode-by-mode sum that the inverse FFT of trigonometric polynomials
 replaced, the six localized energy calls that one block transform
-replaced, and the Vitali covering check, which only tests use. The frozen
+replaced, and three checks that only tests use: the Vitali covering
+check, the spectral measure energy and the KKT potential of an L2
+minimizer. The frozen
 digits were produced by those same routes at high resolution and are
 pinned so that a regression in the library cannot silently move the
 targets.
@@ -28,8 +30,10 @@ from scipy.integrate import quad
 from circle_potential import (Arc, ArcFamily, PowerChoice, PreconditionError, RatioRule,
                               dirichlet_energy_local)
 from circle_potential.acceptance import _compositions
+from circle_potential.capacity import kernel_exponents
 from circle_potential.circle import ANGLE_TOL, TWO_PI, normalize_angle
-from circle_potential.energy import _TABLES, _faulted, _spectrum_base
+from circle_potential.energy import (_TABLES, _circulant_apply, _coeffs_from_dft, _faulted,
+                                     _spectrum_base)
 
 # Mean of the chord kernel (2 sin(t/2))^{-1/2} over the circle; also the
 # energy of the uniform probability measure for that kernel. Computed by
@@ -495,3 +499,34 @@ def six_term_direct(f_tilde, setup, alpha: float) -> dict[str, float]:
         + 2.0 * (parts["d_il"] + parts["d_ir"] + parts["d_lr"])
     )
     return parts
+
+
+def measure_fourier_coeffs(mu, truncation: int | None = None):
+    """mu^(n) = sum_j w_j e^{-i n t_j} for |n| <= truncation."""
+    return _coeffs_from_dft(np.fft.fft(mu.weights), truncation)
+
+
+def measure_fourier_energy(c, alpha: float) -> float:
+    """Spectral measure energy sum_{n>=1} |mu^(n)|^2 / n^(1-alpha),
+    truncated at the table's limit: the spectral check of ``mu_energy``.
+    The zero coefficient (total mass) must be present."""
+    if not 0.0 < alpha <= 1.0:
+        raise PreconditionError(f"exponent must be in (0, 1], got {alpha}")
+    if 0 not in c.coeffs:
+        raise PreconditionError("coefficient table must include n = 0 (total mass)")
+    out = 0.0
+    for n in range(1, c.truncation + 1):
+        out += abs(c[n]) ** 2 / n ** (1.0 - alpha)
+    return out
+
+
+def potential_on_set(estimate, e) -> np.ndarray:
+    """Convolution potential of an L2 minimizer on the cells of E, the
+    feasibility check of the KKT conditions (>= 1 - tolerance
+    everywhere)."""
+    if estimate.method != "l2":
+        raise PreconditionError("potential check applies to l2 estimates")
+    n = e.grid.n_points
+    exponent = kernel_exponents(estimate.alpha).l2_convolution
+    potential = _circulant_apply("kernel", n, exponent, np.arange(n), estimate.minimizer)
+    return potential[e.indices] / n

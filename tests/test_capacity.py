@@ -28,7 +28,7 @@ from circle_potential import (
 )
 from circle_potential import capacity
 from circle_potential._threads import _BLAS_VARS
-from circle_potential.capacity import _finish_l2, potential_on_set
+from circle_potential.capacity import _finish_l2
 from circle_potential.energy import kernel_column, kernel_fault
 from circle_potential.uniqueness import CantorSpec, PowerChoice, cantor_grid_set
 
@@ -165,7 +165,7 @@ def test_l2_full_circle_closed_form(grid1024, solver):
 def test_l2_feasibility_certificate(grid256, solver):
     e = GridSet.from_arcs(grid256, Arc(-1.2, 0.3))
     est = l2_capacity(e, 0.5, solver)
-    pot = potential_on_set(est, e)
+    pot = oracles.potential_on_set(est, e)
     assert np.min(pot) >= 1.0 - 1e-6
     assert est.value > 0.0
     assert est.kkt_residual <= solver.tolerance
@@ -216,7 +216,7 @@ def test_l2_refuses_convolution_exponent_that_rounds_to_one(solver):
 def test_potential_check_rejects_classical(grid64, solver):
     est = classical_capacity(GridSet.full(grid64), 0.5, solver)
     with pytest.raises(PreconditionError):
-        potential_on_set(est, GridSet.full(grid64))
+        oracles.potential_on_set(est, GridSet.full(grid64))
 
 
 def test_comparability_report_bracket(grid256, solver):
@@ -360,14 +360,14 @@ def test_potential_on_set_matches_direct_loop(n, rng, solver):
     kappa = np.asarray(kernel_column(n, 0.75))
     est = l2_capacity(e, 0.5, solver)
     ref = oracles.potential_direct(kappa, est.minimizer, e.indices)
-    assert np.max(np.abs(potential_on_set(est, e) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(oracles.potential_on_set(est, e) - ref)) <= 1e-12 * np.max(np.abs(ref))
     f = rng.uniform(0.0, 1.0, size=n)
     rough = CapacityEstimate(
         value=1.0, method="l2", alpha=0.5, grid_n=n, iterations=0,
         kkt_residual=0.0, energy_or_norm=1.0, minimizer=f,
     )
     ref = oracles.potential_direct(kappa, f, e.indices)
-    assert np.max(np.abs(potential_on_set(rough, e) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(oracles.potential_on_set(rough, e) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("scale", [0.5, -0.25])

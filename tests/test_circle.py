@@ -18,7 +18,7 @@ from circle_potential import (
     normalize_angle,
     vitali_disjoint_subfamily,
 )
-from circle_potential.circle import angles_close
+from circle_potential.circle import ANGLE_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,8 +39,9 @@ def test_normalize_angle_cut_values():
 
 
 def test_angles_close_across_cut():
-    assert angles_close(math.pi - 1e-14, -math.pi + 1e-14)
-    assert not angles_close(1.0, 1.1)
+    """The circular distance normalize_angle(a - b) is small across the cut."""
+    assert abs(normalize_angle((math.pi - 1e-14) - (-math.pi + 1e-14))) <= ANGLE_TOL
+    assert not abs(normalize_angle(1.0 - 1.1)) <= ANGLE_TOL
 
 
 def test_chord_distance_basics():
@@ -162,7 +163,7 @@ def test_grid_angles_and_cell_index(grid64):
     assert t[0] == -math.pi
     assert np.allclose(np.diff(t), grid64.cell_width)
     for j in (0, 1, 17, 63):
-        assert grid64.cell_index(t[j]) == j
+        assert grid64.indices_of(Arc.centered(t[j], grid64.cell_width / 2)).tolist() == [j]
 
 
 def test_center_mask_counts_cells(grid256):

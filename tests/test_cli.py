@@ -548,6 +548,48 @@ def test_malformed_specs_exit_2(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+_POINCARE = ["poincare-check", "--alpha", "0.75", "--beta", "0.5", "--gamma", "0.75",
+             "--fn", "builtin:spike,delta=0.1", "--grid-n", "64"]
+
+
+def _nested_unions(depth: int) -> str:
+    spec = '{"arcs": [{"center": 0.0, "length": 0.5}]}'
+    for _ in range(depth):
+        spec = '{"union": [' + spec + ']}'
+    return spec
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _CAPACITY + ["--set", "FILE"],
+        _POINCARE + ["--set", "half", "--arc", "FILE"],
+        _CAPACITY + ["--set", "half", "--config", "FILE"],
+        _UNIQUENESS + ["FILE"],
+        ["series", "carleson", "--arcs", "FILE"],
+    ],
+    ids=["set", "arc", "config", "spec", "arcs"],
+)
+def test_deeply_nested_json_exits_2(capsys, tmp_path, argv):
+    """JSON nested past the decoder's recursion limit is a precondition
+    error (exit 2) with no traceback, for every option that reads JSON.
+    It is passed by file path, since one argv string is capped at
+    128 KiB: 100000 nested arrays, and for --set 600 nested unions, where
+    450 still run."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert "nested too deeply" in err and "Traceback" not in err
+    if argv[-2] == "--set":
+        path.write_text(_nested_unions(600))
+        code, out, err = run_cli(capsys, *argv[:-1], str(path))
+        assert (code, out) == (2, "") and "nested too deeply" in err
+        path.write_text(_nested_unions(450))
+        code, out, err = run_cli(capsys, *argv[:-1], str(path))
+        assert code == 0, err
+
+
 def test_emit_writes_the_json_round_trip(capsys):
     """One walk and one streamed encoding write the bytes that encoding,
     parsing with non-finite constants as null and encoding again wrote:

@@ -34,19 +34,17 @@ from circle_potential._threads import _BLAS_VARS
 from circle_potential.energy import (
     _TABLES,
     FourierCoeffs,
+    _block_energies,
     _chord_power_table_base,
     _circulant_apply,
     _circulant_block,
-    _self_energies,
     _spectrum_base,
     _window,
     energy_report,
     kernel_column,
     kernel_fault,
-    measure_fourier_coeffs,
-    measure_fourier_energy,
-    mu_energy_report,
 )
+from circle_potential.extension import ExtensionSetup, extend, six_term_decomposition
 
 
 def test_kernel_point_values():
@@ -408,23 +406,21 @@ def test_point_mass_energy_is_diagonal_entry(grid256):
     mu = DiscreteMeasure(grid256, w)
     kappa = kernel_column(256, 0.5)
     assert abs(mu_energy(mu, 0.5) - kappa[0]) < 1e-14
-    rep = mu_energy_report(mu, 0.5)
-    assert rep["diagnostics"]["diagonal_estimate"] == pytest.approx(kappa[0])
 
 
 def test_measure_fourier_coeffs_uniform(grid256):
     mu = DiscreteMeasure.uniform(grid256)
-    c = measure_fourier_coeffs(mu, truncation=16)
+    c = oracles.measure_fourier_coeffs(mu, truncation=16)
     assert abs(c[0] - 1.0) < 1e-14
     for n in range(1, 17):
         assert abs(c[n]) < 1e-12
-    assert measure_fourier_energy(c, 0.5) < 1e-20
+    assert oracles.measure_fourier_energy(c, 0.5) < 1e-20
 
 
 def test_measure_fourier_energy_requires_mass(grid64):
     c = FourierCoeffs({1: 0.5}, 1)
     with pytest.raises(PreconditionError):
-        measure_fourier_energy(c, 0.5)
+        oracles.measure_fourier_energy(c, 0.5)
 
 
 def test_kernel_fault_hook_scales_energy(grid256):
@@ -432,7 +428,8 @@ def test_kernel_fault_hook_scales_energy(grid256):
     was cached by a clean call first."""
     f = monomial(grid256, 2)
     arc = Arc.centered(0.5, 1.3)
-    mu = DiscreteMeasure.on_set(GridSet.from_arcs(grid256, arc))
+    e = GridSet.from_arcs(grid256, arc)
+    mu = DiscreteMeasure(grid256, e.mask / e.count)
     base = dirichlet_energy_global(f, 0.5)
     local = dirichlet_energy_local(f, arc, arc, 0.5)
     energy = mu_energy(mu, 0.5)
@@ -509,10 +506,11 @@ def test_local_energy_matches_member_rows():
 @pytest.mark.parametrize("n", [256, 2048, 4096])
 @pytest.mark.parametrize("k", [1, 2, 20])
 def test_stacked_self_energies_match_one_row(n, k):
-    """D_{I,I} of a stack of k functions at three exponents is, entry for
-    entry, the float of one ``dirichlet_energy_local`` call per function
-    and exponent and of the one-function route before stacking: an arc,
-    an arc across -pi and the full circle."""
+    """D_{I,I} of a stack of k functions at three exponents, from the
+    one-block case of ``_block_energies``, is, entry for entry, the float
+    of one ``dirichlet_energy_local`` call per function and exponent and
+    of the one-function route before stacking: an arc, an arc across -pi
+    and the full circle."""
     rng = np.random.default_rng(n + k)
     grid = CircleGrid(n)
     fs = [random_trig_polynomial(grid, 6, rng)[0] for _ in range(k)]
@@ -520,12 +518,50 @@ def test_stacked_self_energies_match_one_row(n, k):
     alphas = (0.25, 0.5, 1.0)
     for arc in (Arc.centered(0.4, 1.3), Arc.centered(math.pi, 0.9), FULL_CIRCLE):
         cells = grid.resolved_cells(arc, "arc I")
-        got = _self_energies(stack, n, cells, alphas)
+        got = _block_energies(stack, [grid.resolved_runs(arc, "arc I")], [(0, 0)], alphas)[:, 0]
         assert got.shape == (3, k)
         for e, alpha in enumerate(alphas):
             for r, f in enumerate(fs):
                 assert got[e, r] == dirichlet_energy_local(f, arc, arc, alpha), (arc, alpha, r)
                 assert got[e, r] == oracles.self_energy_one_row(f, cells, alpha), (arc, alpha, r)
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+@pytest.mark.parametrize("k", [1, 2, 20])
+def test_stacked_block_energies_match_one_row(n, k):
+    """D_{I,J} for I != J and the six blocks of the extension, for a stack
+    of k functions at three exponents, are entry for entry the floats of
+    one ``dirichlet_energy_local`` or ``six_term_decomposition`` call per
+    function and exponent: overlapping arcs, disjoint arcs, an arc across
+    -pi against a family, and the I/L/R partition of two setups."""
+    rng = np.random.default_rng(7 * n + k)
+    grid = CircleGrid(n)
+    fs = [random_trig_polynomial(grid, 6, rng)[0] for _ in range(k)]
+    fs = [BoundarySamples(grid, f.values + float(rng.uniform(0, 9))) for f in fs]
+    stack = np.stack([f.values for f in fs])
+    alphas = (0.25, 0.5, 1.0)
+    fam = ArcFamily((Arc.centered(-1.0, 0.7), Arc.centered(1.5, 0.4)))
+    for arc_i, arc_j in ((Arc.centered(0.3, 0.8), Arc.centered(0.6, 0.5)),
+                         (Arc.centered(-2.0, 0.6), Arc.centered(2.2, 0.9)),
+                         (Arc.centered(math.pi, 0.9), fam)):
+        blocks = [grid.resolved_runs(arc_i, "arc I"), grid.resolved_runs(arc_j, "arc J")]
+        got = _block_energies(stack, blocks, [(0, 1)], alphas)
+        assert got.shape == (3, 1, k)
+        for e, alpha in enumerate(alphas):
+            for r, f in enumerate(fs):
+                want = dirichlet_energy_local(f, arc_i, arc_j, alpha)
+                assert got[e, 0, r] == want, (arc_i, alpha, r)
+    keys = ("d_ii", "d_ll", "d_rr", "d_il", "d_ir", "d_lr")
+    pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+    for setup in (ExtensionSetup(theta=0.45, gamma=0.3), ExtensionSetup(theta=0.6, gamma=0.4)):
+        blocks = [grid.resolved_runs(a, "block") for a in (setup.arc_i, setup.arc_l, setup.arc_r)]
+        exts = [extend(f, setup) for f in fs]
+        got = _block_energies(np.stack([x.values for x in exts]), blocks, pairs, alphas)
+        assert got.shape == (3, 6, k)
+        for e, alpha in enumerate(alphas):
+            for r, ext in enumerate(exts):
+                want = six_term_decomposition(ext, setup, alpha)
+                assert got[e, :, r].tolist() == [want[key] for key in keys], (setup, alpha, r)
 
 
 @pytest.mark.parametrize("n", [1, 2, 64, 4096])
@@ -676,17 +712,14 @@ def test_fft_route_matches_direct_sums(n, alpha):
 
     exponent = 1.0 - alpha
     kappa = np.asarray(kernel_column(n, exponent))
-    measures = [DiscreteMeasure.from_weights(grid, {k: 1.0}) for k in (int(rng.integers(n)), n - 1)]
+    measures = [DiscreteMeasure(grid, np.eye(n)[k]) for k in (int(rng.integers(n)), n - 1)]
     for density in (0.02, 0.3, 1.0):
         w = rng.uniform(size=n) * (rng.uniform(size=n) < density)
         w[int(rng.integers(n))] = 1.0
         measures.append(DiscreteMeasure(grid, w / w.sum()))
     for mu in measures:
-        want, diagonal = oracles.mu_energy_direct(mu.weights, kappa)
-        rep = mu_energy_report(mu, exponent)
+        want, _ = oracles.mu_energy_direct(mu.weights, kappa)
         assert abs(mu_energy(mu, exponent) - want) <= 1e-12 * want
-        assert rep["value"] == mu_energy(mu, exponent)
-        assert rep["diagnostics"]["diagonal_estimate"] == diagonal
 
 
 def test_energies_independent_of_thread_count():
@@ -711,7 +744,8 @@ def test_energies_independent_of_thread_count():
             out.append(dirichlet_energy_local(f, arc_i, arc_j, 0.75))
         w = np.random.default_rng(8).uniform(size=4096)
         out.append(mu_energy(DiscreteMeasure(grid, w / w.sum()), 0.5))
-        out.append(mu_energy(DiscreteMeasure.on_set(GridSet.from_arcs(grid, fam)), 0.0))
+        e = GridSet.from_arcs(grid, fam)
+        out.append(mu_energy(DiscreteMeasure(grid, e.mask / e.count), 0.0))
         print(json.dumps(out))
         """
     )

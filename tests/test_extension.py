@@ -67,7 +67,7 @@ def test_extend_copies_i_and_reflects(grid1024):
     smooth truth)."""
     s = ExtensionSetup(theta=0.5, gamma=0.75)
     fn = lambda t: np.cos(3.0 * t) + 1j * np.sin(2.0 * t)
-    f = BoundarySamples.from_function(grid1024, fn)
+    f = BoundarySamples(grid1024, fn(grid1024.angles))
     ext = extend(f, s)
     mask_i = grid1024.mask_of(s.arc_i, mode="centers")
     assert np.array_equal(ext.values[mask_i], f.values[mask_i])
