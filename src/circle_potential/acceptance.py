@@ -127,6 +127,7 @@ def exact_diagonalization(ctx: AcceptanceContext) -> tuple[bool, dict]:
     alphas = (0.25, 0.5, 1.0)
     monomials = np.stack([monomial(grid, n).values for n in range(1, 9)])
     energies = _block_energies(monomials, [[(0, ctx.grid_n)]], [(0, 0)], alphas)[:, 0]
+    energies /= ctx.grid_n**2
     worst = 0.0
     worst_case = None
     for alpha, row in zip(alphas, energies.tolist()):

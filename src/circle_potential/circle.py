@@ -376,37 +376,39 @@ class CircleGrid:
         and settled by the scan's own float test.
         """
         n = self.n_points
-        h = TWO_PI / n
+        h = self.cell_width
 
-        def rel(i):  # the scan's offset of the i-th cell from j0: angle - start, in [0, 2pi)
+        def angle(j):  # the float of self.angles[j]
+            return -math.pi + TWO_PI * j / n
+
+        def rel(i):  # the scan's offset of the i-th cell from j0
             j = j0 + i
-            r = -math.pi + TWO_PI * (j - n if j >= n else j) / n - start
+            r = angle(j - n if j >= n else j) - start
             return r + TWO_PI if r < 0.0 else r
 
-        def prefix(top, strict, guess):  # the count of leading cells with rel < top (<= top)
+        def prefix(inside, guess):  # the count of leading cells with inside(rel)
             i = min(max(guess, 0), n)
-            while i > 0 and not (rel(i - 1) < top if strict else rel(i - 1) <= top):
+            while i > 0 and not inside(rel(i - 1)):
                 i -= 1
-            while i < n and (rel(i) < top if strict else rel(i) <= top):
+            while i < n and inside(rel(i)):
                 i += 1
             return i
 
-        # the first center at or after ``start``; -pi + 2pi j / n is the float of angles[j]
         j0 = min(max(math.ceil((start + math.pi) / h), 0), n)
-        while j0 > 0 and -math.pi + TWO_PI * (j0 - 1) / n >= start:
+        while j0 > 0 and angle(j0 - 1) >= start:
             j0 -= 1
-        while j0 < n and -math.pi + TWO_PI * j0 / n < start:
+        while j0 < n and angle(j0) < start:
             j0 += 1
         j0 %= n
         r0 = rel(0)
         if mode == "centers":
             skip = 0 if r0 > 0.0 else 1  # a center on ``start`` is not inside
-            stop = prefix(length, True, math.ceil((length - r0) / h))
+            stop = prefix(lambda r: r < length, math.ceil((length - r0) / h))
             return (j0 + skip) % n, max(stop - skip, 0)
         half = h / 2.0
         top, bottom = length + half, TWO_PI - half
-        stop = prefix(top, False, math.floor((top - r0) / h) + 1)
-        tail = prefix(bottom, True, math.ceil((bottom - r0) / h))
+        stop = prefix(lambda r: r <= top, math.floor((top - r0) / h) + 1)
+        tail = prefix(lambda r: r < bottom, math.ceil((bottom - r0) / h))
         if stop >= tail:  # the prefix and the suffix cover every cell
             return 0, n
         return (j0 + tail) % n, n - tail + stop
@@ -460,13 +462,10 @@ class CircleGrid:
 
     def resolved_runs(self, target: CircleSet, what: str) -> list[tuple[int, int]]:
         """The cells of ``resolved_cells`` as sorted runs (``_cell_runs``);
-        for an arc or the full circle they cost O(1), with no index array."""
-        if isinstance(target, Arc):
-            runs = self._arc_runs(target, "centers")
-        elif isinstance(target, ArcFamily) and target.full:
-            runs = [(0, self.n_points)]
-        else:
+        for an arc they cost O(1), with no index array."""
+        if not isinstance(target, Arc):
             return _cell_runs(self.resolved_cells(target, what))
+        runs = self._arc_runs(target, "centers")
         _check_resolved(sum(count for _, count in runs), what)
         return runs
 
@@ -487,7 +486,10 @@ def _check_resolved(count: int, what: str) -> None:
 
 def _cell_runs(cells: np.ndarray) -> list[tuple[int, int]]:
     """Sorted distinct cells as their maximal runs (first, count), in
-    order; no run passes cell N - 1, so a set across -pi has two."""
+    order; no run passes cell N - 1, so a set across -pi has two. One
+    run is found in O(1)."""
+    if len(cells) and cells[-1] - cells[0] == len(cells) - 1:
+        return [(int(cells[0]), len(cells))]
     breaks = np.flatnonzero(np.diff(cells) != 1) + 1
     firsts = cells[np.concatenate(([0], breaks))]
     counts = np.diff(np.concatenate(([0], breaks, [len(cells)])))

@@ -185,7 +185,12 @@ def parse_rule(text: str):
     raise PreconditionError(f"unknown rule kind {kind!r} (power, ratio, table)")
 
 
-def _set_from_obj(grid: CircleGrid, obj) -> GridSet:
+_MAX_SET_NESTING = 100  # unions inside unions; a deeper set is a precondition error
+
+
+def _set_from_obj(grid: CircleGrid, obj, depth: int = 0) -> GridSet:
+    if depth > _MAX_SET_NESTING:
+        raise PreconditionError(f"set JSON is nested too deeply (over {_MAX_SET_NESTING} unions)")
     if not isinstance(obj, dict):
         raise PreconditionError(f"set JSON must be an object, got {obj!r}")
     if "arcs" in obj:
@@ -209,7 +214,7 @@ def _set_from_obj(grid: CircleGrid, obj) -> GridSet:
     if "union" in obj:
         out = GridSet.empty(grid)
         for sub in _field(obj, "union", list):
-            out = out.union(_set_from_obj(grid, sub))
+            out = out.union(_set_from_obj(grid, sub, depth + 1))
         return out
     raise PreconditionError(
         "set JSON must contain one of 'arcs', 'cantor', 'union'"

@@ -20,16 +20,17 @@ Quantities computed here, all with the normalized arc measure |dz|/2pi:
   diagonal so atom self-energies track the continuum limit.
 
 Every double sum is a circulant quadratic form: a table indexed by
-(i - j) mod N between cell values. ``_circulant_apply`` is the one place
-a table meets a vector, by single-threaded FFT with numpy's pairwise
-sums around it, so results are byte-reproducible for given inputs;
+(i - j) mod N between cell values. ``_circulant_padded`` is the one
+place a table meets a vector, zero padded to its window (by
+``_circulant_apply``, or by ``_block_energies``, which serves every
+localized energy), by single-threaded FFT with numpy's pairwise sums
+around it, so results are byte-reproducible for given inputs;
 ``_circulant_block`` builds dense blocks of the same matrices, and the
 block of one run of k cells is the Toeplitz matrix of ``_table``'s
-first k entries. Every localized energy, I = J or not, of one function
-or of a stack, is one ``_block_energies`` call. The FFT
-runs over a window of the cells, found by one rule (``_window_span``)
-from their runs: arcs give their runs in O(1), and a cell set's
-``Window`` is made once and reused by every product on that set.
+first k entries. The FFT runs over a window of the cells, found by one
+rule (``_window_span``) from their runs: arcs give their runs in O(1),
+and a cell set's ``Window`` is made once and reused by every product on
+that set.
 """
 
 from __future__ import annotations
@@ -220,11 +221,11 @@ def _window(n: int, cells: np.ndarray) -> Window:
     """The window of sorted distinct ``cells`` with their positions: one
     slice when they are one run, else an index array. Made once per cell
     set and handed to every ``_circulant_apply`` on that set."""
-    first, last = int(cells[0]), int(cells[-1])
-    if last - first == len(cells) - 1:
-        start, m = _window_span(n, [(first, len(cells))])
-        return Window(start, m, slice(first - start, last + 1 - start))
-    start, m = _window_span(n, _cell_runs(cells))
+    runs = _cell_runs(cells)
+    start, m = _window_span(n, runs)
+    if len(runs) == 1:
+        first, count = runs[0]
+        return Window(start, m, slice(first - start, first + count - start))
     return Window(start, m, (cells - start) % n)
 
 
@@ -240,17 +241,24 @@ def _circulant_apply(table: str, n: int, exponent: float | tuple, cells, x: np.n
     the forward transform is made once and a list of results, one per
     exponent, is returned."""
     win = cells if isinstance(cells, Window) else _window(n, cells)
-    if isinstance(win.pos, slice) and win.pos.start == 0:
-        ft = np.fft.rfft(x, win.m)  # the transform pads x at the end itself
-    else:
-        buf = np.zeros(x.shape[:-1] + (win.m,))
-        buf[..., win.pos] = x
-        ft = np.fft.rfft(buf)
+    buf = np.zeros(x.shape[:-1] + (win.m,))
+    buf[..., win.pos] = x
+    out = _circulant_padded(table, n, exponent, buf, win.pos, inverse)
+    return out if isinstance(exponent, tuple) else out[0]
+
+
+def _circulant_padded(table: str, n: int, exponent: float | tuple, buf: np.ndarray, pos,
+                      inverse: bool = False) -> list:
+    """``_circulant_apply`` of rows already zero padded to their window,
+    buf of shape (..., m): the list of results at positions ``pos``, one
+    per exponent, from one forward transform."""
+    m = buf.shape[-1]
+    ft = np.fft.rfft(buf)
     out = []
     for e in exponent if isinstance(exponent, tuple) else (exponent,):
-        spec = _faulted(_spectrum_base(table, n, float(e), win.m), _TABLES[table][1])
-        out.append(np.fft.irfft(ft / spec if inverse else ft * spec, win.m)[..., win.pos])
-    return out if isinstance(exponent, tuple) else out[0]
+        spec = _faulted(_spectrum_base(table, n, float(e), m), _TABLES[table][1])
+        out.append(np.fft.irfft(ft / spec if inverse else ft * spec, m)[..., pos])
+    return out
 
 
 def _table(table: str, n: int, exponent: float) -> np.ndarray:
@@ -308,11 +316,12 @@ def _check_energy_exponent(alpha: float) -> None:
 
 
 def _block_energies(values: np.ndarray, blocks: list, pairs: list, alphas: tuple) -> np.ndarray:
-    """D_{X,Y,alpha} of each row of a (k, N) stack of samples, for each
-    pair (x, y) of indices into ``blocks`` and each exponent of ``alphas``
-    (each in (0, 1], checked by the caller): a (len(alphas), len(pairs), k)
-    array. Blocks are cell sets given as sorted runs
-    (``CircleGrid.resolved_runs``); I = J is one block and the pair (0, 0).
+    """N^2 D_{X,Y,alpha} of each row of a (k, N) stack of samples, for
+    each pair (x, y) of indices into ``blocks`` and each exponent of
+    ``alphas`` (each in (0, 1], checked by the caller): a (len(alphas),
+    len(pairs), k) array, which the caller divides by N^2 (for one entry
+    a float division, cheaper than an array operation). Blocks are cell
+    sets given as sorted runs; I = J is one block and the pair (0, 0).
 
     For g = f - f[c0], c0 the lowest cell of the union U of the blocks
     (D is unchanged, and g is exactly 0 where f is constant on U) and T
@@ -320,16 +329,15 @@ def _block_energies(values: np.ndarray, blocks: list, pairs: list, alphas: tuple
 
         sum_X |g|^2 (T 1_Y) + sum_Y |g|^2 (T 1_X) - 2 Re sum_X conj(g) (T g_Y),
 
-    g_Y = 1_Y g. The window is that of the runs of U. The rows 1_X of
-    every block, then the parts of -2 g_Y of each row of the stack for
-    every block Y second in a pair, are written into it by slices, so one
-    ``_circulant_apply`` serves every pair, row and exponent: one forward
-    transform, one inverse per exponent. Scaling by a power of two is
-    exact, so T(-2 g_Y) is -2 T g_Y to the bit (short of overflow and
-    subnormals). With one block, U is that block and the masks 1_X, 1_Y
-    are not applied. Each entry's terms are summed over the cells of U in
-    increasing order; the FFT and the sums treat each row alone, so every
-    entry is the float of a one-row call. Besides the FFTs, a call costs
+    g_Y = 1_Y g. The rows 1_X of every block, then the parts of g_Y of
+    each row of the stack for every block Y second in a pair, are written
+    by slices into one zero buffer as wide as the FFT window of the runs
+    of U, so one transform (``_circulant_padded``) serves every pair, row
+    and exponent: one forward transform, one inverse per exponent. With
+    one block, U is that block and the masks 1_X, 1_Y are not applied.
+    Each entry's terms are summed over the cells of U in increasing
+    order; the FFT and the sums treat each row alone, so every entry is
+    the float of a one-row call. Besides the FFTs, a call costs
     O(rows x cells of U).
     """
     k, n = values.shape
@@ -344,43 +352,40 @@ def _block_energies(values: np.ndarray, blocks: list, pairs: list, alphas: tuple
     c0 = values[:, union[0][0], None]
     g_re, g_im = vals.real - c0.real, vals.imag - c0.imag
     g2 = g_re * g_re + g_im * g_im
-    # rows 1_X per block, then from g_row[Y] the k rows of -2 g_Y.real and
-    # the k of -2 g_Y.imag; zero off U
+    # rows 1_X per block, then from g_row[Y] k rows of g_Y.real and k of g_Y.imag; zero off U
     g_row: dict[int, int] = {}
     for _, y in pairs:
         if y not in g_row:
             g_row[y] = len(blocks) + 2 * k * len(g_row)
-    rows = np.zeros((len(blocks) + 2 * k * len(g_row), span))
+    rows = np.zeros((len(blocks) + 2 * k * len(g_row), m))
     for b, runs in enumerate(blocks):
         r = g_row.get(b)
         for first, count in runs:
-            s = slice((first - start) % n, (first - start) % n + count)
-            rows[b, s] = 1.0
+            p = (first - start) % n
+            rows[b, p:p + count] = 1.0
             if r is not None:
-                rows[r:r + k, s] = g_re[:, s]
-                rows[r + k:r + 2 * k, s] = g_im[:, s]
-    rows[len(blocks):] *= -2.0
+                rows[r:r + k, p:p + count] = g_re[:, p:p + count]
+                rows[r + k:r + 2 * k, p:p + count] = g_im[:, p:p + count]
     lo = at[0][0] if len(at) == 1 else 0  # where the cells of U start in a term row
     out = np.empty((len(alphas), len(pairs), k))
-    win = Window(start, m, slice(0, span))
-    for t, out_e in zip(_circulant_apply("chord", n, alphas, win, rows), out):
+    for t, out_e in zip(_circulant_padded("chord", n, alphas, rows, slice(0, span)), out):
         for i, (x, y) in enumerate(pairs):
-            # 1_X (g.real T(-2 g_Y).real + g.imag T(-2 g_Y).imag + |g|^2 T1_Y) + 1_Y |g|^2 T1_X;
+            # 1_X (-2 (g.real T g_Y.real + g.imag T g_Y.imag) + |g|^2 T1_Y) + 1_Y |g|^2 T1_X;
             # row slices x:x+1 keep one-row operands the same shape as the terms
             r = g_row[y]
             w = g_re * t[r:r + k]
             w += g_im * t[r + k:r + 2 * k]
+            w *= -2.0
             g2_t = g2 * t[y:y + 1]
             w += g2_t
             if len(blocks) == 1:  # X = Y = U: no masks, and the last term is |g|^2 T1_Y
                 w += g2_t
             else:
-                w *= rows[x:x + 1]
-                w += g2 * (rows[y:y + 1] * t[x:x + 1])
+                w *= rows[x:x + 1, :span]
+                w += g2 * (rows[y:y + 1, :span] * t[x:x + 1])
             if len(at) > 1:  # the cells of U in increasing order, gaps left out
                 w = np.concatenate([w[:, p:p + c] for p, c in at], axis=1)
             np.add.reduce(w[:, lo:], axis=-1, out=out_e[i])
-    out /= n**2
     return out
 
 
@@ -403,11 +408,11 @@ def dirichlet_energy_local(
     """
     _check_energy_exponent(alpha)
     grid = f.grid
-    runs_i = grid.resolved_runs(arc_i, "arc I")
-    if arc_j is arc_i or (isinstance(arc_i, Arc) and arc_j == arc_i):
-        return float(_block_energies(f.values[None], [runs_i], [(0, 0)], (alpha,))[0, 0, 0])
-    runs_j = grid.resolved_runs(arc_j, "arc J")
-    return float(_block_energies(f.values[None], [runs_i, runs_j], [(0, 1)], (alpha,))[0, 0, 0])
+    blocks = [grid.resolved_runs(arc_i, "arc I")]
+    if not (arc_j is arc_i or (isinstance(arc_i, Arc) and arc_j == arc_i)):
+        blocks.append(grid.resolved_runs(arc_j, "arc J"))
+    n2d = _block_energies(f.values[None], blocks, [(0, len(blocks) - 1)], (alpha,))[0, 0, 0]
+    return float(n2d) / grid.n_points**2
 
 
 def dirichlet_energy_global(f: BoundarySamples, alpha: float) -> float:

@@ -142,12 +142,12 @@ def _extension_ratios(grid: CircleGrid, values: np.ndarray, setup: ExtensionSetu
     for alpha in alphas:
         _check_energy_exponent(alpha)
     runs_i = grid.resolved_runs(setup.arc_i, "arc I")
-    d_i = _block_energies(values, [runs_i], [(0, 0)], alphas)[:, 0]
+    d_i = _block_energies(values, [runs_i], [(0, 0)], alphas)[:, 0] / grid.n_points**2
     if np.any(d_i == 0.0):
         raise DegenerateInputError("f is constant on I (zero seminorm)")
     f_tilde = _extend_rows(grid, values, setup)
     runs_j = grid.resolved_runs(setup.arc_j, "arc J")
-    d_j = _block_energies(f_tilde, [runs_j], [(0, 0)], alphas)[:, 0]
+    d_j = _block_energies(f_tilde, [runs_j], [(0, 0)], alphas)[:, 0] / grid.n_points**2
     return d_i, d_j, d_j / d_i
 
 
@@ -170,8 +170,8 @@ def six_term_decomposition(
               grid.resolved_runs(setup.arc_r, "reflected arc R")]
     keys = ("d_ii", "d_ll", "d_rr", "d_il", "d_ir", "d_lr")
     pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
-    values = _block_energies(f_tilde.values[None], blocks, pairs, (alpha,))[0, :, 0]
-    parts = dict(zip(keys, values.tolist()))
+    sums = _block_energies(f_tilde.values[None], blocks, pairs, (alpha,))[0, :, 0]
+    parts = {key: s / grid.n_points**2 for key, s in zip(keys, sums.tolist())}
     parts["total"] = (
         parts["d_ii"]
         + parts["d_ll"]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import SolverConfig, _l2_value
-from .circle import Arc, GridSet
+from .circle import Arc, GridSet, _cell_runs, _check_resolved
 from .energy import BoundarySamples, _block_energies
 from .errors import PreconditionError
 
@@ -96,7 +96,7 @@ def poincare_check(
         raise PreconditionError("f and E live on different grids")
     grid = f.grid
     n = grid.n_points
-    in_i = grid.mask_of(arc)  # I as a mask, for E cap I and the mean; as runs for the energy
+    in_i = grid.mask_of(arc)  # I resolved once, for E cap I, the energy and the mean
     idx = np.flatnonzero(in_i)
     e_in_i = GridSet(grid, e.mask & in_i)
     if e_in_i.is_empty():
@@ -107,8 +107,9 @@ def poincare_check(
             f"f does not vanish on E cap I (max |f| = {worst:.3g})"
         )
 
-    runs = grid.resolved_runs(arc, "arc I")
-    energy = float(_block_energies(f.values[None], [runs], [(0, 0)], (alpha,))[0, 0, 0])
+    _check_resolved(idx.size, "arc I")
+    n2d = _block_energies(f.values[None], [_cell_runs(idx)], [(0, 0)], (alpha,))[0, 0, 0]
+    energy = float(n2d) / n**2
     cap = _l2_value(e_in_i, beta, cfg).value
     scale = arc.length ** (alpha - beta)
     if energy == 0.0:

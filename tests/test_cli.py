@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from circle_potential.cli import _emit, _strict, main
+from circle_potential.cli import _MAX_SET_NESTING, _emit, _strict, main
 
 
 def run_cli(capsys, *argv):
@@ -574,18 +574,21 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, argv):
     """JSON nested past the decoder's recursion limit is a precondition
     error (exit 2) with no traceback, for every option that reads JSON.
     It is passed by file path, since one argv string is capped at
-    128 KiB: 100000 nested arrays, and for --set 600 nested unions, where
-    450 still run."""
+    128 KiB: 100000 nested arrays, which the decoder rejects, and for
+    --set one union more than ``_MAX_SET_NESTING``, which the set parser
+    rejects whatever the interpreter's recursion limits, where that many
+    still run."""
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
     code, out, err = run_cli(capsys, *[str(path) if a == "FILE" else a for a in argv])
     assert (code, out) == (2, "")
     assert "nested too deeply" in err and "Traceback" not in err
     if argv[-2] == "--set":
-        path.write_text(_nested_unions(600))
+        path.write_text(_nested_unions(_MAX_SET_NESTING + 1))
         code, out, err = run_cli(capsys, *argv[:-1], str(path))
         assert (code, out) == (2, "") and "nested too deeply" in err
-        path.write_text(_nested_unions(450))
+        assert "Traceback" not in err
+        path.write_text(_nested_unions(_MAX_SET_NESTING))
         code, out, err = run_cli(capsys, *argv[:-1], str(path))
         assert code == 0, err
 

@@ -507,7 +507,8 @@ def test_local_energy_matches_member_rows():
 @pytest.mark.parametrize("k", [1, 2, 20])
 def test_stacked_self_energies_match_one_row(n, k):
     """D_{I,I} of a stack of k functions at three exponents, from the
-    one-block case of ``_block_energies``, is, entry for entry, the float
+    one-block case of ``_block_energies`` (its double sums divided by
+    N^2), is, entry for entry, the float
     of one ``dirichlet_energy_local`` call per function and exponent and
     of the one-function route before stacking: an arc, an arc across -pi
     and the full circle."""
@@ -518,7 +519,7 @@ def test_stacked_self_energies_match_one_row(n, k):
     alphas = (0.25, 0.5, 1.0)
     for arc in (Arc.centered(0.4, 1.3), Arc.centered(math.pi, 0.9), FULL_CIRCLE):
         cells = grid.resolved_cells(arc, "arc I")
-        got = _block_energies(stack, [grid.resolved_runs(arc, "arc I")], [(0, 0)], alphas)[:, 0]
+        got = _block_energies(stack, [grid.resolved_runs(arc, "arc I")], [(0, 0)], alphas)[:, 0] / n**2
         assert got.shape == (3, k)
         for e, alpha in enumerate(alphas):
             for r, f in enumerate(fs):
@@ -530,7 +531,8 @@ def test_stacked_self_energies_match_one_row(n, k):
 @pytest.mark.parametrize("k", [1, 2, 20])
 def test_stacked_block_energies_match_one_row(n, k):
     """D_{I,J} for I != J and the six blocks of the extension, for a stack
-    of k functions at three exponents, are entry for entry the floats of
+    of k functions at three exponents (the double sums of
+    ``_block_energies`` divided by N^2), are entry for entry the floats of
     one ``dirichlet_energy_local`` or ``six_term_decomposition`` call per
     function and exponent: overlapping arcs, disjoint arcs, an arc across
     -pi against a family, and the I/L/R partition of two setups."""
@@ -545,7 +547,7 @@ def test_stacked_block_energies_match_one_row(n, k):
                          (Arc.centered(-2.0, 0.6), Arc.centered(2.2, 0.9)),
                          (Arc.centered(math.pi, 0.9), fam)):
         blocks = [grid.resolved_runs(arc_i, "arc I"), grid.resolved_runs(arc_j, "arc J")]
-        got = _block_energies(stack, blocks, [(0, 1)], alphas)
+        got = _block_energies(stack, blocks, [(0, 1)], alphas) / n**2
         assert got.shape == (3, 1, k)
         for e, alpha in enumerate(alphas):
             for r, f in enumerate(fs):
@@ -556,7 +558,7 @@ def test_stacked_block_energies_match_one_row(n, k):
     for setup in (ExtensionSetup(theta=0.45, gamma=0.3), ExtensionSetup(theta=0.6, gamma=0.4)):
         blocks = [grid.resolved_runs(a, "block") for a in (setup.arc_i, setup.arc_l, setup.arc_r)]
         exts = [extend(f, setup) for f in fs]
-        got = _block_energies(np.stack([x.values for x in exts]), blocks, pairs, alphas)
+        got = _block_energies(np.stack([x.values for x in exts]), blocks, pairs, alphas) / n**2
         assert got.shape == (3, 6, k)
         for e, alpha in enumerate(alphas):
             for r, ext in enumerate(exts):

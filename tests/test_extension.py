@@ -163,10 +163,11 @@ def test_extension_ceiling_matches_per_call_loop(n):
 
 def test_extension_ceiling_does_only_distinct_work(monkeypatch):
     """Per gamma, one window product per arc (I, J) for all 20
-    polynomials and three exponents, and each polynomial extended once."""
+    polynomials and three exponents, and each polynomial extended once.
+    Every window product goes through ``_circulant_padded``."""
     applies, rows = [], []
-    apply, extend_rows = energy._circulant_apply, extension._extend_rows
-    monkeypatch.setattr(energy, "_circulant_apply",
+    apply, extend_rows = energy._circulant_padded, extension._extend_rows
+    monkeypatch.setattr(energy, "_circulant_padded",
                         lambda *a, **kw: applies.append(1) or apply(*a, **kw))
     monkeypatch.setattr(extension, "_extend_rows",
                         lambda grid, values, setup: rows.append(len(values))
