@@ -120,6 +120,43 @@ def _normalized_angles(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ccw_gaps(d: np.ndarray) -> np.ndarray:
+    """``np.remainder(d, TWO_PI)``, in place, for differences d of two
+    angles in [-pi, pi): such a d lies in [-2pi, 2pi] (2pi itself only by
+    rounding), so one shift gives np.remainder's floats at a fraction of
+    its cost. Only a zero may keep its sign, which no caller can tell: a
+    zero length is refused, and a zero gap compares alike either way."""
+    d[d >= TWO_PI] = 0.0
+    d[d < 0.0] += TWO_PI
+    return d
+
+
+def _arc_arrays(starts, ends) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, ends, lengths) of the arcs (starts[i], ends[i]), checked
+    and normalized as Arc checks and normalizes each one; lengths are the
+    floats of ``Arc.length``."""
+    starts = np.asarray(starts, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    if starts.ndim != 1 or starts.shape != ends.shape:
+        raise PreconditionError("arc endpoints must be two 1-d arrays of one length")
+    bad = np.flatnonzero(~(np.isfinite(starts) & np.isfinite(ends)))
+    if bad.size:
+        i = bad[0]
+        raise PreconditionError(
+            f"arc endpoints must be finite, got {float(starts[i])}, {float(ends[i])}"
+        )
+    starts, ends = _normalized_angles(starts), _normalized_angles(ends)
+    lengths = _ccw_gaps(ends - starts)
+    bad = np.flatnonzero(lengths <= 0.0)
+    if bad.size:
+        i = bad[0]
+        raise PreconditionError(
+            "arc must have positive length strictly below 2*pi "
+            f"(got start={float(starts[i])}, end={float(ends[i])})"
+        )
+    return starts, ends, lengths
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class ArcFamily:
     """An ordered collection of arcs, optionally validated as disjoint.
@@ -155,25 +192,7 @@ class ArcFamily:
         return fam
 
     def _set_arrays(self, starts, ends, pairwise_disjoint: bool, full: bool):
-        starts = np.asarray(starts, dtype=float)
-        ends = np.asarray(ends, dtype=float)
-        if starts.ndim != 1 or starts.shape != ends.shape:
-            raise PreconditionError("arc endpoints must be two 1-d arrays of one length")
-        bad = np.flatnonzero(~(np.isfinite(starts) & np.isfinite(ends)))
-        if bad.size:
-            i = bad[0]
-            raise PreconditionError(
-                f"arc endpoints must be finite, got {float(starts[i])}, {float(ends[i])}"
-            )
-        starts, ends = _normalized_angles(starts), _normalized_angles(ends)
-        lengths = np.remainder(ends - starts, TWO_PI)  # Arc.length, bit for bit
-        bad = np.flatnonzero(lengths <= 0.0)
-        if bad.size:
-            i = bad[0]
-            raise PreconditionError(
-                "arc must have positive length strictly below 2*pi "
-                f"(got start={float(starts[i])}, end={float(ends[i])})"
-            )
+        starts, ends, lengths = _arc_arrays(starts, ends)
         for value in (starts, ends, lengths):
             value.setflags(write=False)
         self.__dict__.update(starts=starts, ends=ends, lengths=lengths,
@@ -196,7 +215,7 @@ class ArcFamily:
             return
         order = np.argsort(self.starts, kind="stable")
         s = self.starts[order]
-        gaps = np.remainder(np.roll(s, -1) - s, TWO_PI)
+        gaps = _ccw_gaps(np.append(s[1:], s[0]) - s)
         overlap = np.flatnonzero(gaps < self.lengths[order] - ANGLE_TOL)
         if overlap.size:
             pos = int(overlap[0])
@@ -337,11 +356,8 @@ class CircleGrid:
             runs = map(self._run, target.starts.tolist(), target.lengths.tolist(),
                        [mode] * len(target))
         else:
-            first, count = self._runs(target.starts, target.lengths, mode)
-            # the cells of every run in turn: run r's first cell, then steps of one
-            cells = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
             mask = np.zeros(n, dtype=bool)
-            mask[cells % n] = True
+            mask[_run_cells(*self._runs(target.starts, target.lengths, mode)) % n] = True
             return mask
         mask = np.zeros(n, dtype=bool)
         for first, count in runs:
@@ -482,6 +498,12 @@ def _check_resolved(count: int, what: str) -> None:
         raise ResolutionError(
             f"{what} is resolved by only {count} cells (need >= {RESOLUTION_CELLS})"
         )
+
+
+def _run_cells(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The cells of runs (first, count) in turn, run r's first cell then
+    steps of one, not yet reduced modulo N."""
+    return np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
 
 
 def _cell_runs(cells: np.ndarray) -> list[tuple[int, int]]:

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .capacity import SolverConfig, classical_capacity, kernel_exponents
-from .circle import TWO_PI, Arc, ArcFamily, CircleGrid, GridSet
+from .circle import TWO_PI, Arc, ArcFamily, CircleGrid, GridSet, _arc_arrays, _run_cells
 from .errors import ConstructionError, PreconditionError
 
 LN2 = math.log(2.0)
@@ -49,6 +49,8 @@ _FIT_R2_MIN = 0.99
 _FIT_SLOPE_FLOOR = 1e-3
 _N_CHECKPOINTS = 48
 _POWER_GRID = [round(0.1 + 0.05 * k, 2) for k in range(19)]
+# the growth models fitted, in the order that breaks ties in R^2
+_MODELS = [("log", None), ("loglog", None)] + [("power", p) for p in _POWER_GRID]
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +80,7 @@ class PowerChoice:
         bad = ns[ns < 1]
         if bad.size:
             raise PreconditionError(f"power rule is defined for n >= 1, got {bad[0]}")
-        return (-ns * LN2 + _math_logs(ns)) / (1.0 - self.beta)
+        return (-ns * LN2 + np.log(ns)) / (1.0 - self.beta)
 
     def describe(self) -> str:
         return f"power:beta={self.beta}"
@@ -131,18 +133,13 @@ class TableRule:
             raise PreconditionError(
                 f"table rule is defined for 0 <= n < {len(self.lengths)}, got {bad[0]}"
             )
-        return _math_logs(np.asarray(self.lengths)[ns])
+        return np.log(np.asarray(self.lengths)[ns])
 
     def describe(self) -> str:
         return f"table:k={len(self.lengths)}"
 
 
 LengthRule = PowerChoice | RatioRule | TableRule
-
-
-def _math_logs(x: np.ndarray) -> np.ndarray:
-    """math.log at each entry (np.log can differ from it in the last bit)."""
-    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -179,37 +176,10 @@ class CantorSpec:
     stage_log_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise PreconditionError(f"depth must be >= 0, got {self.depth}")
-        if self.depth > MAX_CANTOR_DEPTH:
-            raise PreconditionError(
-                f"depth {self.depth} exceeds {MAX_CANTOR_DEPTH}: the final stage "
-                f"would hold 2^{self.depth} arcs"
-            )
         if self.offset is None:
             object.__setattr__(self, "offset", self.rule.min_index)
-        if self.offset < self.rule.min_index:
-            raise PreconditionError(
-                f"offset {self.offset} is below the rule's first defined index "
-                f"{self.rule.min_index}"
-            )
-        logs = self.rule.log_lengths(self.offset + np.arange(self.depth + 1))
-        bad = np.flatnonzero(logs[1:] > logs[:-1] - LN2 + 1e-12)
-        if bad.size:
-            k = int(bad[0])
-            raise ConstructionError(
-                f"length rule violates l_n <= l_(n-1)/2 at index {self.offset + k + 1} "
-                f"(l = {math.exp(logs[k + 1]):.6g} vs {math.exp(logs[k]) / 2.0:.6g})",
-                stage=self.offset + k + 1,
-            )
-        if self.scale_to_host:
-            logs = logs + (math.log(self.host_length) - logs[0])
-        if logs[0] > math.log(self.host_length) + 1e-12:
-            raise ConstructionError(
-                f"stage-0 length {math.exp(logs[0]):.6g} exceeds "
-                f"host length {self.host_length:.6g}",
-                stage=0,
-            )
+        logs = _stage_logs(self.rule, self.depth, self.offset, np.array([self.host_length]),
+                           self.scale_to_host)[0]
         logs.setflags(write=False)
         object.__setattr__(self, "stage_log_lengths", logs)
 
@@ -218,21 +188,74 @@ class CantorSpec:
         return TWO_PI if self.host is None else self.host.length
 
 
+def _stage_logs(rule: LengthRule, depth: int, offset: int, host_lengths: np.ndarray,
+                scale_to_host: bool) -> np.ndarray:
+    """The log length of each stage 0..depth realized in each host, one
+    row per host, with a CantorSpec's checks: depth and offset in range,
+    each stage at most half the one before (ConstructionError naming the
+    index) and stage 0 no longer than the host (ConstructionError for the
+    first such host). The rule's log l_(offset + k) is shifted so that
+    stage 0 fills the host when scale_to_host."""
+    if depth < 0:
+        raise PreconditionError(f"depth must be >= 0, got {depth}")
+    if depth > MAX_CANTOR_DEPTH:
+        raise PreconditionError(
+            f"depth {depth} exceeds {MAX_CANTOR_DEPTH}: the final stage "
+            f"would hold 2^{depth} arcs"
+        )
+    if offset < rule.min_index:
+        raise PreconditionError(
+            f"offset {offset} is below the rule's first defined index {rule.min_index}"
+        )
+    logs = rule.log_lengths(offset + np.arange(depth + 1))
+    bad = np.flatnonzero(logs[1:] > logs[:-1] - LN2 + 1e-12)
+    if bad.size:
+        k = int(bad[0])
+        raise ConstructionError(
+            f"length rule violates l_n <= l_(n-1)/2 at index {offset + k + 1} "
+            f"(l = {math.exp(logs[k + 1]):.6g} vs {math.exp(logs[k]) / 2.0:.6g})",
+            stage=offset + k + 1,
+        )
+    log_hosts = np.array(list(map(math.log, host_lengths.tolist())))
+    if scale_to_host:
+        logs = logs + (log_hosts - logs[0])[:, None]
+    else:
+        logs = np.tile(logs, (len(log_hosts), 1))
+    bad = np.flatnonzero(logs[:, 0] > log_hosts + 1e-12)
+    if bad.size:
+        i = bad[0]
+        raise ConstructionError(
+            f"stage-0 length {math.exp(logs[i, 0]):.6g} exceeds "
+            f"host length {host_lengths[i]:.6g}",
+            stage=0,
+        )
+    return logs
+
+
+def _final_stages(logs: np.ndarray, host_starts: np.ndarray,
+                  host_lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end angles, not yet normalized, of the final-stage arcs
+    of each host in turn, left to right, from its row of ``_stage_logs``:
+    stage k + 1 keeps both ends of every stage-k interval."""
+    lengths = np.array(list(map(math.exp, logs.ravel().tolist()))).reshape(logs.shape)
+    depth = logs.shape[1] - 1
+    if np.any(lengths[:, -1] <= 0.0):
+        raise ConstructionError("stage length underflows to zero", stage=depth)
+    lefts = ((host_lengths - lengths[:, 0]) / 2.0)[:, None]
+    for k in range(depth):
+        shift = (lengths[:, k] - lengths[:, k + 1])[:, None]
+        lefts = np.stack([lefts, lefts + shift], axis=2).reshape(len(lefts), -1)
+    starts = host_starts[:, None] + lefts
+    return starts.ravel(), (starts + lengths[:, -1:]).ravel()
+
+
 def cantor_build(spec: CantorSpec) -> ArcFamily:
     """The 2^depth arcs of the final construction stage, ordered left to
     right within the host."""
-    lengths = list(map(math.exp, spec.stage_log_lengths.tolist()))
-    if lengths[-1] <= 0.0:
-        raise ConstructionError(
-            "stage length underflows to zero", stage=spec.depth
-        )
-    host_start = -math.pi if spec.host is None else float(spec.host.start)
-    lefts = np.array([(spec.host_length - lengths[0]) / 2.0])
-    for k in range(spec.depth):
-        shift = lengths[k] - lengths[k + 1]
-        lefts = np.stack([lefts, lefts + shift], axis=1).ravel()
-    starts = host_start + lefts
-    return ArcFamily.from_endpoints(starts, starts + lengths[spec.depth])
+    host_start = -math.pi if spec.host is None else spec.host.start
+    return ArcFamily.from_endpoints(*_final_stages(
+        spec.stage_log_lengths[None, :], np.array([host_start]), np.array([spec.host_length])
+    ))
 
 
 def cantor_grid_set(spec: CantorSpec, grid: CircleGrid) -> GridSet:
@@ -305,22 +328,6 @@ def _checkpoint_indices(lo: int, hi: int, count: int) -> list[int]:
     return [n for n in ns if lo <= n <= hi]
 
 
-def _fit_model(x: np.ndarray, y: np.ndarray):
-    xm, ym = x.mean(), y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    if sxx == 0.0:
-        return None
-    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
-    intercept = float(ym - slope * xm)
-    resid = y - (intercept + slope * x)
-    sst = float(np.sum((y - ym) ** 2))
-    if sst == 0.0:
-        return None
-    r2 = 1.0 - float(np.sum(resid**2)) / sst
-    span = float(x.max() - x.min())
-    return slope, intercept, r2, span
-
-
 def classify_trend(partial_sums: Sequence[float], start_index: int = 1) -> tuple[str, dict]:
     """Assign a trend to a partial-sum sequence.
 
@@ -370,22 +377,26 @@ def classify_trend(partial_sums: Sequence[float], start_index: int = 1) -> tuple
     ns = ns[len(ns) // 2 :]
     if len(ns) < 4:
         return TREND_INCONCLUSIVE, {"model": "none", "reason": "too few checkpoints"}
-    y = np.array([sums[n - start_index] for n in ns])
+    y = sums[np.array(ns) - start_index]
     nf = np.array(ns, dtype=float)
-    candidates = [("log", np.log(nf), None), ("loglog", np.log(np.log(nf)), None)]
-    for p in _POWER_GRID:
-        candidates.append(("power", nf**p, p))
-    best = None
-    for name, x, p in candidates:
-        fit = _fit_model(x, y)
-        if fit is None:
-            continue
-        slope, intercept, r2, span = fit
-        if best is None or r2 > best[3]:
-            best = (name, p, slope, r2, intercept, span)
-    if best is None:
+    # one row per model of _MODELS, all fitted at once
+    x = np.stack([np.log(nf), np.log(np.log(nf))] + [nf**p for p in _POWER_GRID])
+    xm, ym = x.mean(axis=1), y.mean()
+    xc, yc = x - xm[:, None], y - ym
+    sxx, sst = np.sum(xc**2, axis=1), float(np.sum(yc**2))
+    fitted = np.flatnonzero(sxx != 0.0).tolist() if sst != 0.0 else []
+    if not fitted:
         return TREND_INCONCLUSIVE, {"model": "none", "reason": "degenerate fit"}
-    name, p, slope, r2, intercept, span = best
+    slopes = np.sum(xc * yc, axis=1) / np.where(sxx == 0.0, 1.0, sxx)
+    intercepts = ym - slopes * xm
+    r2s = 1.0 - np.sum((y - (intercepts[:, None] + slopes[:, None] * x)) ** 2, axis=1) / sst
+    best = fitted[0]
+    for k in fitted[1:]:  # the first best R^2
+        if r2s[k] > r2s[best]:
+            best = k
+    name, p = _MODELS[best]
+    slope, intercept, r2 = float(slopes[best]), float(intercepts[best]), float(r2s[best])
+    span = float(x[best].max() - x[best].min())
     record = {
         "model": name,
         "slope": slope,
@@ -474,11 +485,12 @@ def uniqueness_series(
         raise PreconditionError("empty arc family")
     arcs.require_disjoint()
     grid = e_parts[0].grid
+    first, count = grid._runs(arcs.starts, arcs.lengths, "cover")
     for k, part in enumerate(e_parts):
         if part.grid.n_points != grid.n_points:
             raise PreconditionError("set parts live on different grids")
-        hull = GridSet.from_arcs(grid, arcs.arcs[k], mode="cover")
-        if not part.is_subset_of(hull):
+        # arc k's covered cells are the first count[k] after rolling its run to the front
+        if np.roll(part.mask, -int(first[k]))[count[k]:].any():
             raise PreconditionError(
                 f"set part {k} is not contained in the covered cells of its arc"
             )
@@ -530,8 +542,7 @@ def log_reciprocal_arcs(n_max: int) -> ArcFamily:
     sum drifts to -inf like -log log N."""
     if n_max < 2:
         raise PreconditionError(f"n_max must be >= 2, got {n_max}")
-    # math.log, not np.log: the two differ in the last bit for a few n
-    inv = 1.0 / np.fromiter(map(math.log, range(2, n_max + 2)), dtype=float, count=n_max)
+    inv = 1.0 / np.log(np.arange(2.0, n_max + 2))
     return ArcFamily.from_endpoints(inv[1:], inv[:-1])
 
 
@@ -569,11 +580,34 @@ def cantor_parts_in_arcs(
 ) -> list[GridSet]:
     """Scaled copies of the rule's Cantor set, one per arc: each copy is
     built with scale_to_host so stage 0 fills its arc, then realized as
-    a cover-mode grid set (input shape for uniqueness_series)."""
+    a cover-mode grid set (input shape for uniqueness_series).
+
+    The copies are those of ``cantor_grid_set``, built together by the
+    same float operations in batches of at most 2^MAX_CANTOR_DEPTH arcs,
+    each with one run search (``CircleGrid._runs``); the hosts may
+    overlap. On an error the hosts are built one at a time, so it is the
+    first failing host's."""
+    if not len(arcs):
+        return []
+    offset = rule.min_index if offset is None else offset
     parts = []
-    for arc in arcs:
-        spec = CantorSpec(
-            rule=rule, depth=depth, host=arc, offset=offset, scale_to_host=True
-        )
-        parts.append(cantor_grid_set(spec, grid))
+    try:
+        logs = _stage_logs(rule, depth, offset, arcs.lengths, True)
+        per_batch = 2 ** (MAX_CANTOR_DEPTH - depth)
+        for lo in range(0, len(arcs), per_batch):
+            hosts = slice(lo, lo + per_batch)
+            starts, _, lengths = _arc_arrays(
+                *_final_stages(logs[hosts], arcs.starts[hosts], arcs.lengths[hosts])
+            )
+            first, count = grid._runs(starts, lengths, "cover")
+            masks = np.zeros((len(logs[hosts]), grid.n_points), dtype=bool)
+            # run r belongs to host r >> depth
+            cells = _run_cells(first, count) % grid.n_points
+            masks[np.repeat(np.arange(count.size) >> depth, count), cells] = True
+            parts.extend(GridSet(grid, mask) for mask in masks)
+    except PreconditionError:
+        for arc in arcs:
+            cantor_grid_set(CantorSpec(rule=rule, depth=depth, host=arc, offset=offset,
+                                       scale_to_host=True), grid)
+        raise
     return parts

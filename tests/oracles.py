@@ -14,9 +14,12 @@ spike that the index-distance spike replaced, the one-function
 extension and I = J energy that the stacked ones replaced, the
 mode-by-mode sum that the inverse FFT of trigonometric polynomials
 replaced, the six localized energy calls that one block transform
-replaced, and three checks that only tests use: the Vitali covering
-check, the spectral measure energy and the KKT potential of an L2
-minimizer. The frozen
+replaced, the per-arc Cantor parts and containment check and the
+remainder-based arc gaps that the batched and remainder-free array
+routes replaced, the model-by-model trend fit that one array pass
+replaced, and three checks that only tests use: the Vitali
+covering check, the spectral measure energy and the KKT potential of
+an L2 minimizer. The frozen
 digits were produced by those same routes at high resolution and are
 pinned so that a regression in the library cannot silently move the
 targets.
@@ -27,13 +30,15 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from circle_potential import (Arc, ArcFamily, PowerChoice, PreconditionError, RatioRule,
+from circle_potential import (Arc, ArcFamily, CantorSpec, GridSet, PowerChoice,
+                              PreconditionError, RatioRule, cantor_grid_set,
                               dirichlet_energy_local)
 from circle_potential.acceptance import _compositions
 from circle_potential.capacity import kernel_exponents
 from circle_potential.circle import ANGLE_TOL, TWO_PI, normalize_angle
 from circle_potential.energy import (_TABLES, _circulant_apply, _coeffs_from_dft, _faulted,
                                      _spectrum_base)
+from circle_potential.uniqueness import _N_CHECKPOINTS, _POWER_GRID, _checkpoint_indices
 
 # Mean of the chord kernel (2 sin(t/2))^{-1/2} over the circle; also the
 # energy of the uniform probability measure for that kernel. Computed by
@@ -227,8 +232,15 @@ def capacity_value_dense(kappa: np.ndarray, idx: np.ndarray, method: str) -> flo
 
 def log_reciprocal_arcs_direct(n_max: int) -> tuple:
     """The arcs (1/log(n+1), 1/log n), n = 2..n_max, one Arc at a time, as
-    ``log_reciprocal_arcs`` built them before families held arrays."""
-    return tuple(Arc(1.0 / math.log(n + 1), 1.0 / math.log(n)) for n in range(2, n_max + 1))
+    ``log_reciprocal_arcs`` built them before families held arrays, with
+    np.log of one float (the library's log; it can differ from math.log
+    by one ulp, which ``test_long_log_ranges_within_one_ulp_of_libm`` bounds)."""
+    return tuple(Arc(1.0 / _np_log(n + 1), 1.0 / _np_log(n)) for n in range(2, n_max + 1))
+
+
+def _np_log(x) -> float:
+    """np.log of one float."""
+    return float(np.log(float(x)))
 
 
 def geometric_arcs_direct(ratio: float, count: int, start: float = 0.0) -> tuple:
@@ -259,6 +271,69 @@ def cantor_arcs_direct(spec) -> tuple:
         shift = lengths[k] - lengths[k + 1]
         lefts = [y for x in lefts for y in (x, x + shift)]
     return tuple(Arc(host_start + x, host_start + x + lengths[-1]) for x in lefts)
+
+
+def cantor_parts_per_arc(rule, depth: int, arcs, grid, offset=None) -> list:
+    """Scaled Cantor copies one arc at a time (one CantorSpec,
+    ``cantor_build`` and cover mask each), as ``cantor_parts_in_arcs``
+    built them before it built every host in one batch."""
+    parts = []
+    for arc in arcs:
+        spec = CantorSpec(rule=rule, depth=depth, host=arc, offset=offset, scale_to_host=True)
+        parts.append(cantor_grid_set(spec, grid))
+    return parts
+
+
+def uncontained_part_direct(parts, arcs) -> int | None:
+    """The first part not inside the covered cells of its arc, one cover
+    GridSet per arc, as ``uniqueness_series`` checked containment before
+    it found every arc's run at once; None when all are contained."""
+    for k, (part, arc) in enumerate(zip(parts, arcs)):
+        if not part.is_subset_of(GridSet.from_arcs(part.grid, arc, mode="cover")):
+            return k
+    return None
+
+
+def overlapping_pair_remainder(fam) -> tuple | None:
+    """The pair ``ArcFamily.require_disjoint`` names, with the gaps
+    between sorted starts taken by np.remainder as it took them before;
+    None when the arcs are disjoint."""
+    if len(fam) < 2:
+        return None
+    order = np.argsort(fam.starts, kind="stable")
+    s = fam.starts[order]
+    gaps = np.remainder(np.roll(s, -1) - s, TWO_PI)
+    overlap = np.flatnonzero(gaps < fam.lengths[order] - ANGLE_TOL)
+    if not overlap.size:
+        return None
+    pos = int(overlap[0])
+    return int(order[pos]), int(order[(pos + 1) % len(fam)])
+
+
+def trend_fit_direct(sums: np.ndarray, start_index: int) -> tuple:
+    """(model, power, slope, intercept, R^2) of the growth model that
+    ``classify_trend`` fits best, fitting one model at a time on the
+    same checkpoints, as it did before it fitted all of them at once."""
+    last = start_index + len(sums) - 1
+    ns = _checkpoint_indices(max(start_index, 2), last, _N_CHECKPOINTS)
+    ns = ns[len(ns) // 2:]
+    y = np.array([sums[n - start_index] for n in ns])
+    nf = np.array(ns, dtype=float)
+    candidates = [("log", np.log(nf), None), ("loglog", np.log(np.log(nf)), None)]
+    candidates += [("power", nf**p, p) for p in _POWER_GRID]
+    best = None
+    for name, x, p in candidates:
+        xm, ym = x.mean(), y.mean()
+        sxx = float(np.sum((x - xm) ** 2))
+        sst = float(np.sum((y - ym) ** 2))
+        if sxx == 0.0 or sst == 0.0:
+            continue
+        slope = float(np.sum((x - xm) * (y - ym)) / sxx)
+        intercept = float(ym - slope * xm)
+        r2 = 1.0 - float(np.sum((y - (intercept + slope * x)) ** 2)) / sst
+        if best is None or r2 > best[4]:
+            best = (name, p, slope, intercept, r2)
+    return best
 
 
 def decreasing_length_order(arcs) -> list[int]:
@@ -358,12 +433,14 @@ def energy_local_members(f, arc_i, arc_j, alpha: float) -> float:
 
 
 def log_length_scalar(rule, n: int) -> float:
-    """log l_n of a length rule, one index at a time with math.log, with
-    the rule's refusal of an index outside its range."""
+    """log l_n of a length rule, one index at a time, with the rule's
+    refusal of an index outside its range. The log of n or of a table
+    length is np.log of one float, as the rules take it; the ratio
+    rule's two constants are math.log's."""
     if isinstance(rule, PowerChoice):
         if n < 1:
             raise PreconditionError(f"power rule is defined for n >= 1, got {n}")
-        return (-n * math.log(2.0) + math.log(n)) / (1.0 - rule.beta)
+        return (-n * math.log(2.0) + _np_log(n)) / (1.0 - rule.beta)
     if isinstance(rule, RatioRule):
         if n < 0:
             raise PreconditionError(f"ratio rule is defined for n >= 0, got {n}")
@@ -372,7 +449,7 @@ def log_length_scalar(rule, n: int) -> float:
         raise PreconditionError(
             f"table rule is defined for 0 <= n < {len(rule.lengths)}, got {n}"
         )
-    return math.log(rule.lengths[n])
+    return _np_log(rule.lengths[n])
 
 
 def spike_from_runs(e, delta: float) -> np.ndarray:

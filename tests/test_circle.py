@@ -18,7 +18,7 @@ from circle_potential import (
     normalize_angle,
     vitali_disjoint_subfamily,
 )
-from circle_potential.circle import ANGLE_TOL
+from circle_potential.circle import ANGLE_TOL, _arc_arrays, _normalized_angles
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,6 +129,59 @@ def test_family_overflow_rejected():
     arcs = tuple(Arc(k, k + 0.9) for k in range(8))
     with pytest.raises(PreconditionError):
         ArcFamily(arcs)
+
+
+# -pi, the floats next to -pi and pi, signed zeros and subnormals, and
+# angles whose arcs cross -pi
+_EDGE_ANGLES = np.array([-math.pi, math.nextafter(-math.pi, 0.0), -0.0, 0.0, 5e-324, -5e-324,
+                         1.0, math.nextafter(math.pi, 0.0), 3.0, -3.0])
+
+
+def test_family_lengths_are_the_remainder_bytes():
+    """Family lengths take one shift, not np.remainder. On random
+    endpoints (outside [-pi, pi) too) and on every pair of edge angles
+    they are np.remainder's floats byte for byte, and Arc.length's; where
+    np.remainder's length is zero (e == s, or a gap that rounds to 2 pi)
+    both routes refuse the arc."""
+    rng = np.random.default_rng(17)
+    k = len(_EDGE_ANGLES)
+    starts = np.concatenate((rng.uniform(-7.0, 7.0, 20000), np.repeat(_EDGE_ANGLES, k)))
+    ends = np.concatenate((rng.uniform(-7.0, 7.0, 20000), np.tile(_EDGE_ANGLES, k)))
+    want = np.remainder(_normalized_angles(ends) - _normalized_angles(starts), TWO_PI)
+    ok = want > 0.0
+    assert np.count_nonzero(~ok[-k * k:]) > k and not ok[-k * k + 7]  # e == s; (-pi, below pi)
+    _, _, lengths = _arc_arrays(starts[ok], ends[ok])
+    assert lengths.tobytes() == want[ok].tobytes()
+    assert lengths.tolist() == [Arc(a, b).length for a, b in zip(starts[ok], ends[ok])]
+    for a, b in zip(starts[~ok], ends[~ok]):
+        for build in (Arc, lambda a, b: ArcFamily.from_endpoints([a], [b])):
+            with pytest.raises(PreconditionError, match="positive length"):
+                build(a, b)
+
+
+def test_require_disjoint_names_the_remainder_pair():
+    """require_disjoint names the pair that gaps taken by np.remainder
+    named: on random families of 2 to 6 arcs (half with tied starts,
+    many overlapping, some across -pi), and on starts at -pi and just
+    below pi, whose difference rounds to 2 pi."""
+    rng = np.random.default_rng(23)
+    cases = [ArcFamily.from_endpoints([-math.pi, math.nextafter(math.pi, 0.0)], [-3.0, -3.1])]
+    ties = np.linspace(-math.pi, math.pi, 9)[:-1]
+    for trial in range(2000):
+        k = int(rng.integers(2, 7))
+        starts = rng.choice(ties, k) if trial % 2 else rng.uniform(-math.pi, math.pi, k)
+        cases.append(ArcFamily.from_endpoints(starts, starts + rng.uniform(0.01, 6.0 / k, k)))
+    outcomes = set()
+    for fam in cases:
+        pair = oracles.overlapping_pair_remainder(fam)
+        outcomes.add(pair is None)
+        if pair is None:
+            fam.require_disjoint()
+            continue
+        with pytest.raises(PreconditionError, match=f"^arcs {pair[0]} and {pair[1]} overlap$"):
+            fam.require_disjoint()
+    assert outcomes == {True, False}
+    assert oracles.overlapping_pair_remainder(cases[0]) == (0, 1)
 
 
 def test_vitali_selection_properties():

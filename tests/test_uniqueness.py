@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from circle_potential import (
     log_reciprocal_arcs,
     uniqueness_series,
 )
+from circle_potential import uniqueness
 from circle_potential.uniqueness import cantor_parts_in_arcs
 
 LN2 = math.log(2.0)
@@ -71,15 +73,18 @@ def test_table_rule_lengths():
             TableRule((1.0, bad, 0.1))
 
 
-@pytest.mark.parametrize("rule, ns", [
+_RULE_RANGES = [
     (PowerChoice(0.3), np.arange(1, 23001)),
     (RatioRule(0.37, l0=1.7), np.arange(0, 3000)),
     (TableRule(tuple(np.random.default_rng(4).uniform(1e-6, 2.0, 97).tolist())), np.arange(97)),
-])
+]
+
+
+@pytest.mark.parametrize("rule, ns", _RULE_RANGES)
 def test_rule_log_lengths_match_scalar_form(rule, ns):
-    """The array form returns the float of math.log taken one index at a
-    time, and refuses the first index outside the rule's range with the
-    message of the scalar form."""
+    """The array form returns the float of the scalar form taken one
+    index at a time, and refuses the first index outside the rule's
+    range with the message of the scalar form."""
     want = np.array([oracles.log_length_scalar(rule, int(n)) for n in ns])
     assert np.array_equal(rule.log_lengths(ns).view(np.int64), want.view(np.int64))
     first_bad = len(rule.lengths) if isinstance(rule, TableRule) else rule.min_index - 1
@@ -89,6 +94,38 @@ def test_rule_log_lengths_match_scalar_form(rule, ns):
     with pytest.raises(PreconditionError) as array:
         rule.log_lengths(bad)
     assert str(array.value) == str(scalar.value)
+
+
+def _libm_log_neighbours(xs) -> np.ndarray:
+    """math.log of each x (row 0) and the floats one ulp below (row 1)
+    and above it (row 2)."""
+    m = np.array([math.log(x) for x in np.asarray(xs, dtype=float).tolist()])
+    return np.stack([m, np.nextafter(m, -np.inf), np.nextafter(m, np.inf)])
+
+
+@pytest.mark.parametrize("rule, ns", _RULE_RANGES)
+def test_rule_log_lengths_within_one_ulp_of_libm(rule, ns):
+    """The rules take np.log over index ranges. Each log length is the
+    rule's formula applied to a log within one ulp of math.log's (the
+    ratio rule takes math.log of its two constants, so it is exact)."""
+    got = rule.log_lengths(ns)
+    if isinstance(rule, PowerChoice):
+        want = (-ns * LN2 + _libm_log_neighbours(ns)) / (1.0 - rule.beta)
+    elif isinstance(rule, RatioRule):
+        want = (math.log(rule.l0) + ns * math.log(rule.ratio))[None, :]
+    else:
+        want = _libm_log_neighbours(np.asarray(rule.lengths)[ns])
+    assert np.all((got == want).any(axis=0))
+
+
+def test_log_reciprocal_endpoints_within_one_ulp_of_libm():
+    """The endpoints 1/log n, n = 2..100,002, of the 10^5 log-reciprocal
+    arcs are 1/L for an L within one ulp of math.log(n)."""
+    fam = log_reciprocal_arcs(100_001)
+    inv = np.concatenate((fam.ends[:1], fam.starts))
+    assert np.array_equal(fam.ends[1:], fam.starts[:-1])
+    want = 1.0 / _libm_log_neighbours(np.arange(2, 100_003))
+    assert np.all((inv == want).any(axis=0))
 
 
 def test_power_rule_default_offset_is_inadmissible():
@@ -302,6 +339,30 @@ def test_classify_trend_inconclusive_on_oscillation():
     sums = np.sin(np.arange(1.0, 65.0))
     trend, _ = classify_trend(sums)
     assert trend == "inconclusive"
+
+
+def test_trend_fit_matches_model_by_model_loop():
+    """All growth models are fitted in one array pass; the model chosen
+    and its slope, intercept and R^2 are the floats of fitting one model
+    at a time, on random walks and on log, log log and power growth with
+    and without noise, of 10 to 10^5 sums from start indices 1 to 5."""
+    rng = np.random.default_rng(29)
+    fitted = 0
+    for trial in range(400):
+        start = int(rng.integers(1, 6))
+        n = start + np.arange(int(rng.integers(10, 100_000)), dtype=float)
+        growth = [np.log(n), np.log(np.log(n + 2.0)), n ** rng.uniform(0.05, 1.0),
+                  rng.standard_normal(n.size).cumsum()][trial % 4]
+        noise = rng.uniform(0.0, 1e-3) * rng.standard_normal(n.size)
+        sums = rng.uniform(-3.0, 3.0) * growth + noise
+        trend, fit = classify_trend(sums, start)
+        if fit["model"] in ("constant", "none"):
+            continue
+        fitted += 1
+        want = oracles.trend_fit_direct(sums, start)
+        assert (fit["model"], fit.get("power"), fit["slope"], fit["intercept"],
+                fit["r_squared"]) == want
+    assert fitted > 300
 
 
 def test_classify_trend_rejects_bad_input():
@@ -543,6 +604,84 @@ def test_uniqueness_series_validation(grid256, grid64, solver):
         uniqueness_series(mixed, fam2, 0.8, 0.8, solver)
     with pytest.raises(PreconditionError):
         uniqueness_series([part], fam, 0.8, 0.8, solver, n_terms=0)
+
+
+# hosts across -pi, overlapping hosts and hosts under one cell of 256,
+# then 40 disjoint log-reciprocal arcs
+_HOSTS = ArcFamily.from_endpoints(
+    np.concatenate(([2.95, -3.2, 0.1, 0.5, 1.7, 1.75], log_reciprocal_arcs(41).starts - 2.0)),
+    np.concatenate(([3.25, -2.9, 0.9, 0.7, 1.71, 1.7505], log_reciprocal_arcs(41).ends - 2.0)),
+)
+
+
+@pytest.mark.parametrize("rule, offset", [(PowerChoice(0.5), 3), (RatioRule(0.4), None)])
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("max_depth", [20, 6])
+def test_batched_cantor_parts_match_per_arc_route(rule, offset, n, max_depth):
+    """One batched build gives the masks of one CantorSpec, cantor_build
+    and cover mask per host, at depths 0 to 6: 1 to 64 arcs a host, so
+    the per-host masks are found on both sides of _RUNS_AT_ONCE. With the
+    depth bound at 6 the hosts come in batches of 1 to 64. An empty
+    family gives no parts."""
+    grid = CircleGrid(n)
+    for depth in range(7):
+        with mock.patch.object(uniqueness, "MAX_CANTOR_DEPTH", max_depth):
+            got = cantor_parts_in_arcs(rule, depth, _HOSTS, grid, offset)
+        want = oracles.cantor_parts_per_arc(rule, depth, _HOSTS, grid, offset)
+        assert len(got) == len(want) == len(_HOSTS)
+        for a, b in zip(got, want):
+            assert a.grid == grid
+            assert a.mask.tobytes() == b.mask.tobytes()
+    assert cantor_parts_in_arcs(rule, 3, ArcFamily(()), grid, offset) == []
+
+
+@pytest.mark.parametrize("max_depth", [20, 3])
+@pytest.mark.parametrize("rule, depth, offset, hosts", [
+    # l_2 = l_1 at the default offset: halving fails at index 2, for every host
+    (PowerChoice(0.5), 2, None, _HOSTS),
+    # the second stage underflows to zero
+    (RatioRule(1e-200), 2, None, _HOSTS),
+    # arcs shorter than the ulp of their angle inside the second host
+    (RatioRule(0.1), 3, None,
+     ArcFamily.from_endpoints([0.5, 3.0, -1.0], [0.6, 3.0 + 1e-13, -0.9])),
+    # the first host's final arcs (1e-320) vanish next to their angle and
+    # the second host's final length underflows: the first host's error
+    (RatioRule(1e-160), 2, None, ArcFamily.from_endpoints([0.5, 2.0], [1.5, 2.0 + 1e-5])),
+])
+def test_batched_cantor_parts_raise_the_per_arc_error(rule, depth, offset, hosts, max_depth,
+                                                      grid256):
+    """A failing build raises the error, message and stage of the first
+    host that fails when the hosts are built one at a time, also when
+    that host is in a later batch (the depth bound at 3)."""
+    with pytest.raises(PreconditionError) as want:
+        oracles.cantor_parts_per_arc(rule, depth, hosts, grid256, offset)
+    with pytest.raises(PreconditionError) as got, \
+            mock.patch.object(uniqueness, "MAX_CANTOR_DEPTH", max_depth):
+        cantor_parts_in_arcs(rule, depth, hosts, grid256, offset)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert getattr(got.value, "stage", None) == getattr(want.value, "stage", None)
+
+
+def test_uniqueness_series_names_the_first_uncontained_part(solver):
+    """Each part is checked against its arc's covered cells, found for
+    every arc at once: the part named is the one a cover GridSet per arc
+    names, for a stray cell just before or just after any arc's run,
+    including arcs across -pi and one under a cell."""
+    grid = CircleGrid(64)
+    fam = ArcFamily.from_endpoints([3.0, -2.0, 0.2, 1.0, 1.51], [-3.05, -1.2, 0.9, 1.4, 1.52])
+    hulls = [GridSet.from_arcs(grid, arc, mode="cover") for arc in fam]
+    assert oracles.uncontained_part_direct(hulls, fam) is None
+    for k, hull in enumerate(hulls):
+        # the cells just before and just after the run
+        strays = np.flatnonzero(~hull.mask & (np.roll(hull.mask, 1) | np.roll(hull.mask, -1)))
+        assert len(strays) == 2
+        for stray in strays.tolist():
+            parts = list(hulls)
+            parts[k] = hull.union(GridSet.from_indices(grid, [stray]))
+            assert oracles.uncontained_part_direct(parts, fam) == k
+            with pytest.raises(PreconditionError, match=f"set part {k} is not contained"):
+                uniqueness_series(parts, fam, 0.8, 0.8, solver)
 
 
 def test_cantor_parts_feed_the_series(grid1024, solver):
