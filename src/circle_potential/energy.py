@@ -471,9 +471,10 @@ def fourier_energy(c: FourierCoeffs, alpha: float) -> float:
     """Weighted coefficient norm sum |c_n|^2 (1 + |n|)^alpha over the
     stored frequencies (a norm, not a seminorm: the n = 0 term counts)."""
     _check_energy_exponent(alpha)
-    return float(
-        sum(abs(v) ** 2 * (1.0 + abs(k)) ** alpha for k, v in c.coeffs.items())
-    )
+    terms = [abs(v) ** 2 * (1.0 + abs(k)) ** alpha for k, v in c.coeffs.items()]
+    # cumsum adds left to right (the built-in sum compensates from Python
+    # 3.12 on), so the total does not depend on the Python version
+    return float(np.cumsum([0.0, *terms])[-1])
 
 
 def fourier_from_samples(f: BoundarySamples, truncation: int | None = None) -> FourierCoeffs:
@@ -510,11 +511,10 @@ def _coeffs_from_dft(spec: np.ndarray, truncation: int | None) -> FourierCoeffs:
     m = n_pts // 4 if truncation is None else int(truncation)
     if m > n_pts // 2:
         raise PreconditionError(f"truncation {m} exceeds N/2 = {n_pts // 2}")
-    coeffs: dict[int, complex] = {}
-    for k in range(-m, m + 1):
-        phase = -1.0 if k % 2 else 1.0
-        coeffs[k] = complex(phase * spec[k % n_pts])
-    return FourierCoeffs(coeffs, m)
+    k = np.arange(-m, m + 1)
+    # a product, not a negation, so a zero part keeps the sign it had
+    c = spec[k % n_pts] * np.where(k % 2, -1.0, 1.0)
+    return FourierCoeffs(dict(zip(k.tolist(), c.tolist())), m)
 
 
 @dataclass(frozen=True)

@@ -193,9 +193,10 @@ def _stage_logs(rule: LengthRule, depth: int, offset: int, host_lengths: np.ndar
     """The log length of each stage 0..depth realized in each host, one
     row per host, with a CantorSpec's checks: depth and offset in range,
     each stage at most half the one before (ConstructionError naming the
-    index) and stage 0 no longer than the host (ConstructionError for the
-    first such host). The rule's log l_(offset + k) is shifted so that
-    stage 0 fills the host when scale_to_host."""
+    index) and, unless scale_to_host, stage 0 no longer than the host
+    (ConstructionError for the first such host). The rule's log
+    l_(offset + k) is shifted so that stage 0 fills the host when
+    scale_to_host."""
     if depth < 0:
         raise PreconditionError(f"depth must be >= 0, got {depth}")
     if depth > MAX_CANTOR_DEPTH:
@@ -218,9 +219,10 @@ def _stage_logs(rule: LengthRule, depth: int, offset: int, host_lengths: np.ndar
         )
     log_hosts = np.array(list(map(math.log, host_lengths.tolist())))
     if scale_to_host:
-        logs = logs + (log_hosts - logs[0])[:, None]
-    else:
-        logs = np.tile(logs, (len(log_hosts), 1))
+        # stage 0 fills its host by construction; the shifted log may miss
+        # log H by an ulp of |log l_offset|, over any fixed slack
+        return logs + (log_hosts - logs[0])[:, None]
+    logs = np.tile(logs, (len(log_hosts), 1))
     bad = np.flatnonzero(logs[:, 0] > log_hosts + 1e-12)
     if bad.size:
         i = bad[0]

@@ -382,6 +382,22 @@ def test_fourier_energy_formula():
     assert abs(fourier_energy(c, 0.5) - want) < 1e-14
 
 
+def test_fourier_energy_adds_left_to_right():
+    """The total is the left-to-right sum of the terms on every Python
+    version: on this white noise a compensated sum (the built-in sum()
+    from Python 3.12 on) gives another float."""
+    grid = CircleGrid(4096)
+    rng = np.random.default_rng(7)
+    f = BoundarySamples(grid, rng.standard_normal(4096) + 1j * rng.standard_normal(4096))
+    c = fourier_from_samples(f)
+    terms = [abs(v) ** 2 * (1.0 + abs(k)) ** 0.5 for k, v in c.coeffs.items()]
+    left_to_right = 0.0
+    for t in terms:
+        left_to_right += t
+    assert fourier_energy(c, 0.5) == left_to_right
+    assert math.fsum(terms) != left_to_right
+
+
 def test_uniform_measure_energy_pin(grid1024):
     """Energy of the uniform probability measure at kernel exponent 1/2
     equals the kernel mean; frozen to the quadrature value."""

@@ -241,8 +241,23 @@ def test_cantor_scale_to_host():
         assert a.length <= host.length
 
 
+@pytest.mark.parametrize("offset", [3000, 10000, 30000])
+def test_cantor_scale_to_host_at_large_offsets(offset):
+    """A scaled stage 0 fills its host, whatever the offset: the shifted
+    log may miss log H by an ulp of |log l_offset| (once refused as
+    "stage-0 length 2.90985 exceeds host length 2.90985"), and the built
+    set still lies in the host's cover."""
+    grid = CircleGrid(4096)
+    for length in np.linspace(0.01, 3.0, 200).tolist():
+        host = Arc.centered(0.3, length)
+        spec = CantorSpec(PowerChoice(0.5), 2, host=host, offset=offset, scale_to_host=True)
+        cover = GridSet.from_arcs(grid, host, mode="cover")
+        assert cantor_grid_set(spec, grid).is_subset_of(cover)
+
+
 def test_cantor_host_too_small():
-    with pytest.raises(ConstructionError) as info:
+    with pytest.raises(ConstructionError,
+                       match=r"^stage-0 length 1 exceeds host length 0\.5$") as info:
         CantorSpec(rule=RatioRule(0.4, l0=1.0), depth=1, host=Arc(0.0, 0.5))
     assert info.value.stage == 0
 
