@@ -34,7 +34,6 @@ import numpy as np
 from . import energy
 from .capacity import (
     SolverConfig,
-    _l2_value,
     classical_capacity,
     comparability_report,
     l2_capacity,
@@ -253,7 +252,7 @@ def capacity_monotonicity(ctx: AcceptanceContext) -> tuple[bool, dict]:
         big = GridSet.from_arcs(grid, Arc.centered(center, big_len), "cover")
         for method, solve, a in (
             ("classical", classical_capacity, 0.5),
-            ("l2", _l2_value, 0.5),
+            ("l2", l2_capacity, 0.5),
         ):
             c_small = solve(small, a, ctx.solver).value
             c_big = solve(big, a, ctx.solver).value
@@ -266,7 +265,7 @@ def capacity_monotonicity(ctx: AcceptanceContext) -> tuple[bool, dict]:
     ]
     for method, solve, a in (
         ("classical", classical_capacity, 0.5),
-        ("l2", _l2_value, 0.5),
+        ("l2", l2_capacity, 0.5),
     ):
         caps = [solve(s, a, ctx.solver).value for s in sets]
         for d in range(len(caps) - 1):

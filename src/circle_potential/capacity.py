@@ -13,15 +13,15 @@ Two capacities of a grid set E, both with the normalized arc measure:
   bound-constrained concave quadratic
       max_{lam >= 0}  sum(lam) - lam^T G lam / (4N),
   where G restricts the "autocorr" table of ``energy``, the circular
-  autocorrelation of the kernel column. The primal density is
-  recovered as f = (1/2) K^T lam and reported as the minimizer; callers
-  that read only the value (``_l2_value``: the Poincare verifier,
-  ``comparability_report``, the release gate) skip that N-point product.
+  autocorrelation of the kernel column. The primal density
+  f = (1/2) K^T lam is the minimizer.
 
 After normalization both are one problem: find x >= 0 with M x >= rhs
 on E and equality on the support of x. The classical problem is
 M = K, rhs = 1, with weights w = x / sum(x) and minimal energy
-1 / sum(x); the L2 dual is M = G, rhs = 2N, with lam = x. One active-set
+1 / sum(x); the L2 dual is M = G, rhs = 2N, with lam = x. An estimate
+holds that solution on E's cells (w, or lam) and builds the N-cell
+minimizer from it only when it is read. One active-set
 polish (Lawson-Hanson style) solves both, starting from every cell of
 E, as Riesz equilibrium measures charge the whole set: solve
 M_AA x = rhs, drop cells with x <= 0, add cells whose residual
@@ -78,8 +78,8 @@ matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, asdict, dataclass, field, replace
-from functools import partial
+from dataclasses import InitVar, asdict, dataclass, field
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -124,12 +124,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class CapacityEstimate:
-    """Capacity value with solver diagnostics.
+    """Capacity value with solver diagnostics and the polish's solution.
 
     value = 1/energy for the classical method (energy_or_norm holds the
     minimal energy) and the squared norm itself for the l2 method.
-    ``minimizer`` is the full-grid equilibrium weights (classical) or
-    the optimal density f (l2; None from the value-only ``_l2_value``).
+    ``weights`` is the solution on E's ``cells``: the equilibrium weights
+    (classical) or the dual lam (l2). ``minimizer`` is built from them on
+    its first read and kept: the full-grid equilibrium weights, or the
+    optimal density f = (1/2) K^T lam. The density is made from the
+    kernel table in force at that read, so one first read inside
+    ``energy.kernel_fault`` (as in the release gate's determinism probe)
+    sees the faulted kernel.
     """
 
     value: float
@@ -139,8 +144,20 @@ class CapacityEstimate:
     iterations: int
     kkt_residual: float
     energy_or_norm: float
-    minimizer: np.ndarray | None = None
+    cells: np.ndarray
+    weights: np.ndarray
     notes: tuple[str, ...] = field(default=())
+
+    @cached_property
+    def minimizer(self) -> np.ndarray:
+        n = self.grid_n
+        full = np.zeros(n)
+        full[self.cells] = self.weights
+        if self.method == "l2" and self.cells.size:
+            # the kernel is even, so K^T lam is a convolution
+            exponent = kernel_exponents(self.alpha).l2_convolution
+            return 0.5 * _circulant_apply("kernel", n, exponent, np.arange(n), full)
+        return full
 
     def to_json(self) -> dict:
         return {
@@ -153,21 +170,6 @@ class CapacityEstimate:
             "energy_or_norm": self.energy_or_norm,
             "notes": list(self.notes),
         }
-
-
-def _empty_estimate(method: str, alpha: float, n: int, energy_or_norm: float) -> CapacityEstimate:
-    """The empty set has capacity 0 by convention."""
-    return CapacityEstimate(
-        value=0.0,
-        method=method,
-        alpha=alpha,
-        grid_n=n,
-        iterations=0,
-        kkt_residual=0.0,
-        energy_or_norm=energy_or_norm,
-        minimizer=np.zeros(n),
-        notes=("empty set",),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +310,31 @@ def _kkt_polish(op: tuple, rhs: float, tol: float, max_solves: int):
     return *last, solves
 
 
-def _solve(name: str, op: tuple, rhs: float, finish, cfg: SolverConfig) -> CapacityEstimate:
+def _solve(method: str, alpha: float, op: tuple, rhs: float, cfg: SolverConfig) -> CapacityEstimate:
     """Driver shared by both capacities: one polish of every cell of
-    ``op``, capped at cfg.max_iterations solves, returned as
-    ``finish(x, mx, residual, solves)`` when it certifies. Otherwise raises
-    ConvergenceError carrying the estimate of the polish's last positive
-    solve, or None when there was none."""
+    ``op``, capped at cfg.max_iterations solves, returned as the estimate
+    of its solution when it certifies. Otherwise raises ConvergenceError
+    carrying the estimate of the polish's last positive solve, or None
+    when there was none. The empty set has capacity 0 by convention."""
+    _, n, _, cells = op
+    classical = method == "classical"
+    if cells.size == 0:
+        return CapacityEstimate(0.0, method, alpha, n, 0, 0.0, math.inf if classical else 0.0,
+                                cells, np.zeros(0), notes=("empty set",))
     x, mx, residual, solves = _kkt_polish(op, rhs, cfg.tolerance, cfg.max_iterations)
-    best = None if x is None else finish(x, mx, residual, solves)
+    best = None
+    if x is not None:
+        if classical:  # weights x / sum(x), minimal energy 1 / sum(x)
+            total = float(np.sum(x))
+            norm = 1.0 / total
+            value, weights = 1.0 / norm, x / total
+        else:  # lam = x, and mx = G lam is the polish's last residual product
+            value = norm = float(np.sum(x) - np.sum(x * mx) / (4.0 * n))
+            weights = x
+        best = CapacityEstimate(value, method, alpha, n, solves, residual, norm, cells, weights)
     if best is None or not residual <= cfg.tolerance:
         raise ConvergenceError(
-            f"{name} capacity solver did not reach tolerance {cfg.tolerance}",
+            f"{method} capacity solver did not reach tolerance {cfg.tolerance}",
             best_estimate=best,
         )
     return best
@@ -352,33 +368,8 @@ def classical_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None
         raise PreconditionError(
             f"classical kernel exponent must be 0 or at least S_MIN = {S_MIN:g}, got {alpha}"
         )
-    cfg = cfg or SolverConfig()
-    n = e.grid.n_points
-    if e.is_empty():
-        return _empty_estimate("classical", alpha, n, math.inf)
-    op = ("kernel", n, alpha, e.indices)
-    return _solve("classical", op, 1.0, partial(_finish_classical, e, alpha), cfg)
-
-
-def _finish_classical(e, alpha, x, kx, residual, iterations):
-    """Estimate from the polish solution x, whose entries are
-    nonnegative and not all zero, and its certificate (K x is unused)."""
-    n = e.grid.n_points
-    total = float(np.sum(x))
-    energy_val = 1.0 / total
-    minimizer = np.zeros(n)
-    minimizer[e.indices] = x / total
-    return CapacityEstimate(
-        value=1.0 / energy_val,
-        method="classical",
-        alpha=alpha,
-        grid_n=n,
-        iterations=iterations,
-        kkt_residual=residual,
-        energy_or_norm=energy_val,
-        minimizer=minimizer,
-        notes=(),
-    )
+    op = ("kernel", e.grid.n_points, alpha, e.indices)
+    return _solve("classical", alpha, op, 1.0, cfg or SolverConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -391,49 +382,16 @@ def l2_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None) -> Ca
     Riesz potential (kernel exponent 1 - alpha/2) dominates 1 on E.
 
     Solved through the nonnegative dual described in the module
-    docstring; the reported minimizer is the optimal density on the
+    docstring; the estimate's minimizer is the optimal density on the
     full grid, and at convergence its potential exceeds 1 - tolerance
     on every cell of E.
     """
-    return _l2_value(e, alpha, cfg, density=True)
-
-
-def _l2_value(e: GridSet, alpha: float, cfg: SolverConfig | None = None,
-              density: bool = False) -> CapacityEstimate:
-    """``l2_capacity`` for callers that read only the value: the same
-    solve and the same float, but the N-point density is built only with
-    ``density`` (``_finish_l2``); without it the estimate's minimizer is
-    None (the empty set's is still zeros), in a ConvergenceError's
-    estimate too."""
     if not 0.0 < alpha <= 1.0:
         raise PreconditionError(f"alpha must be in (0, 1], got {alpha}")
     exponent = kernel_exponents(alpha).l2_convolution
     _check_kernel_exponent(exponent)  # 1 - alpha/2 rounds to 1.0 for alpha <= 2^-53
-    cfg = cfg or SolverConfig()
     n = e.grid.n_points
-    if e.is_empty():
-        return _empty_estimate("l2", alpha, n, 0.0)
-    op = ("autocorr", n, exponent, e.indices)
-    finish = _finish_l2 if density else _l2_estimate
-    return _solve("l2", op, 2.0 * n, partial(finish, e, alpha, exponent), cfg)
-
-
-def _l2_estimate(e, alpha, exponent, lam, g_lam, residual, iterations):
-    """Estimate from the dual solution lam, G lam (the polish's last
-    residual product) and its certificate, without the density."""
-    n = e.grid.n_points
-    value = float(np.sum(lam) - np.sum(lam * g_lam) / (4.0 * n))
-    return CapacityEstimate(value, "l2", alpha, n, iterations, residual, energy_or_norm=value)
-
-
-def _finish_l2(e, alpha, exponent, lam, g_lam, residual, iterations):
-    """``_l2_estimate`` with the density f = (1/2) K^T lam as minimizer;
-    the kernel is even, so this is a convolution."""
-    n = e.grid.n_points
-    lam_full = np.zeros(n)
-    lam_full[e.indices] = lam
-    f = 0.5 * _circulant_apply("kernel", n, exponent, np.arange(n), lam_full)
-    return replace(_l2_estimate(e, alpha, exponent, lam, g_lam, residual, iterations), minimizer=f)
+    return _solve("l2", alpha, ("autocorr", n, exponent, e.indices), 2.0 * n, cfg or SolverConfig())
 
 
 @dataclass(frozen=True)
@@ -453,7 +411,7 @@ def comparability_report(e: GridSet, beta: float, cfg: SolverConfig | None = Non
     capacity at parameter beta, plus their ratio."""
     exps = kernel_exponents(beta)
     c_cl = classical_capacity(e, exps.classical, cfg).value
-    c_l2 = _l2_value(e, beta, cfg).value
+    c_l2 = l2_capacity(e, beta, cfg).value
     ratio = math.inf if c_l2 == 0.0 else c_cl / c_l2
     return ComparabilityReport(
         c_classical=c_cl,

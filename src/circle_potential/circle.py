@@ -216,7 +216,7 @@ class ArcFamily:
         order = np.argsort(self.starts, kind="stable")
         s = self.starts[order]
         gaps = _ccw_gaps(np.append(s[1:], s[0]) - s)
-        overlap = np.flatnonzero(gaps < self.lengths[order] - ANGLE_TOL)
+        overlap = np.flatnonzero(~_clear(gaps, self.lengths[order]))
         if overlap.size:
             pos = int(overlap[0])
             raise PreconditionError(f"arcs {order[pos]} and {order[(pos + 1) % n]} overlap")
@@ -279,35 +279,36 @@ FULL_CIRCLE = ArcFamily(pairwise_disjoint=True, full=True)
 CircleSet = Union[Arc, ArcFamily]
 
 
+def _clear(gaps: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The one disjointness rule for open arcs: an arc of each length ends
+    by the start of the arc ``gaps`` ahead of it counterclockwise, or
+    within ANGLE_TOL past it (a shared endpoint is not an overlap)."""
+    return gaps >= lengths - ANGLE_TOL
+
+
 def vitali_disjoint_subfamily(fam: ArcFamily) -> ArcFamily:
     """Greedy Vitali selection: a pairwise-disjoint subfamily whose
     3-fold dilations cover every arc of the input.
 
     Arcs are scanned by decreasing length (ties broken by smaller start
-    angle) and kept when disjoint from everything already kept. The
-    classical covering property then holds: any discarded arc meets a
-    kept arc at least as long, so it lies inside that arc's 3-dilation.
-    Empty input yields the empty family.
+    angle) and kept when disjoint from everything already kept, by the
+    rule ``ArcFamily.require_disjoint`` applies, so a family accepted as
+    pairwise disjoint comes back whole. The classical covering property
+    then holds: any discarded arc meets a kept arc at least as long, so
+    it lies inside that arc's 3-dilation. Empty input yields the empty
+    family.
     """
     if fam.full:
         return fam
-    kept: list[Arc] = []
-    for cand in map(fam.arcs.__getitem__, fam.by_decreasing_length().tolist()):
-        if all(_open_disjoint(cand, k) for k in kept):
-            kept.append(cand)
-    kept.sort(key=lambda a: a.start)
-    return ArcFamily(tuple(kept), pairwise_disjoint=True)
-
-
-def _open_disjoint(a: Arc, b: Arc) -> bool:
-    """Disjointness of open arcs; shared endpoints do not count as overlap."""
-    rel = (b.start - a.start) % TWO_PI
-    if rel == 0.0:
-        return False
-    if rel < a.length:
-        return False
-    back = (a.start - b.start) % TWO_PI
-    return back >= b.length
+    starts, lengths = fam.starts, fam.lengths
+    kept: list[int] = []
+    for i in fam.by_decreasing_length().tolist():
+        s, k = starts[i], np.array(kept, dtype=int)
+        if (np.all(_clear(_ccw_gaps(starts[k] - s), lengths[i]))
+                and np.all(_clear(_ccw_gaps(s - starts[k]), lengths[k]))):
+            kept.append(i)
+    kept.sort(key=starts.__getitem__)
+    return ArcFamily(map(fam.arcs.__getitem__, kept), pairwise_disjoint=True)
 
 
 @dataclass(frozen=True)
@@ -565,8 +566,12 @@ class GridSet:
 
     @classmethod
     def from_indices(cls, grid: CircleGrid, indices: Iterable[int]) -> "GridSet":
-        mask = np.zeros(grid.n_points, dtype=bool)
-        mask[np.asarray(list(indices), dtype=int)] = True
+        n = grid.n_points
+        idx = np.asarray(list(indices))
+        if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n):
+            raise PreconditionError(f"cell indices must be integers in [0, {n})")
+        mask = np.zeros(n, dtype=bool)
+        mask[idx.astype(int)] = True
         return cls(grid, mask)
 
     @property

@@ -229,25 +229,22 @@ def _window(n: int, cells: np.ndarray) -> Window:
     return Window(start, m, (cells - start) % n)
 
 
-def _circulant_apply(table: str, n: int, exponent: float | tuple, cells, x: np.ndarray,
-                     inverse: bool = False):
+def _circulant_apply(table: str, n: int, exponent: float, cells, x: np.ndarray,
+                     inverse: bool = False) -> np.ndarray:
     """y[..., a] = sum_b t[(cells[a] - cells[b]) mod n] x[..., b] over sorted
     distinct ``cells``, t the table of ``_spectrum_base``, by FFT over
     their ``Window`` (pass the window itself in place of the cells to
     reuse it): zero padded, circular convolution of length m is the
     linear one. With ``inverse`` the padded x is divided by that
     length-m circulant's spectrum instead, which restricted to ``cells``
-    is the conjugate-gradient preconditioner. For a tuple of exponents
-    the forward transform is made once and a list of results, one per
-    exponent, is returned."""
+    is the conjugate-gradient preconditioner."""
     win = cells if isinstance(cells, Window) else _window(n, cells)
     buf = np.zeros(x.shape[:-1] + (win.m,))
     buf[..., win.pos] = x
-    out = _circulant_padded(table, n, exponent, buf, win.pos, inverse)
-    return out if isinstance(exponent, tuple) else out[0]
+    return _circulant_padded(table, n, (exponent,), buf, win.pos, inverse)[0]
 
 
-def _circulant_padded(table: str, n: int, exponent: float | tuple, buf: np.ndarray, pos,
+def _circulant_padded(table: str, n: int, exponents: tuple, buf: np.ndarray, pos,
                       inverse: bool = False) -> list:
     """``_circulant_apply`` of rows already zero padded to their window,
     buf of shape (..., m): the list of results at positions ``pos``, one
@@ -255,7 +252,7 @@ def _circulant_padded(table: str, n: int, exponent: float | tuple, buf: np.ndarr
     m = buf.shape[-1]
     ft = np.fft.rfft(buf)
     out = []
-    for e in exponent if isinstance(exponent, tuple) else (exponent,):
+    for e in exponents:
         spec = _faulted(_spectrum_base(table, n, float(e), m), _TABLES[table][1])
         out.append(np.fft.irfft(ft / spec if inverse else ft * spec, m)[..., pos])
     return out

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import SolverConfig, _l2_value
+from .capacity import SolverConfig, l2_capacity
 from .circle import Arc, GridSet, _cell_runs, _check_resolved
 from .energy import BoundarySamples, _block_energies
 from .errors import PreconditionError
@@ -110,7 +110,7 @@ def poincare_check(
     _check_resolved(idx.size, "arc I")
     n2d = _block_energies(f.values[None], [_cell_runs(idx)], [(0, 0)], (alpha,))[0, 0, 0]
     energy = float(n2d) / n**2
-    cap = _l2_value(e_in_i, beta, cfg).value
+    cap = l2_capacity(e_in_i, beta, cfg).value
     scale = arc.length ** (alpha - beta)
     if energy == 0.0:
         lhs = 0.0

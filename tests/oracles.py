@@ -603,7 +603,13 @@ def potential_on_set(estimate, e) -> np.ndarray:
     everywhere)."""
     if estimate.method != "l2":
         raise PreconditionError("potential check applies to l2 estimates")
+    return density_potential(estimate.minimizer, estimate.alpha, e)
+
+
+def density_potential(f: np.ndarray, alpha: float, e) -> np.ndarray:
+    """Convolution potential, at L2 parameter alpha, of a density f on
+    the full grid, on the cells of E."""
     n = e.grid.n_points
-    exponent = kernel_exponents(estimate.alpha).l2_convolution
-    potential = _circulant_apply("kernel", n, exponent, np.arange(n), estimate.minimizer)
+    exponent = kernel_exponents(alpha).l2_convolution
+    potential = _circulant_apply("kernel", n, exponent, np.arange(n), f)
     return potential[e.indices] / n

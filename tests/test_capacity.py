@@ -28,7 +28,6 @@ from circle_potential import (
 )
 from circle_potential import capacity
 from circle_potential._threads import _BLAS_VARS
-from circle_potential.capacity import _finish_l2
 from circle_potential.energy import kernel_column, kernel_fault
 from circle_potential.uniqueness import CantorSpec, PowerChoice, cantor_grid_set
 
@@ -348,7 +347,8 @@ def test_l2_density_matches_direct_loop(n, rng):
     idx = e.indices
     kappa = kernel_column(n, 0.75)
     lam = rng.uniform(0.0, 2.0, size=len(idx))
-    f = _finish_l2(e, 0.5, 0.75, lam, np.zeros_like(lam), 0.0, 0).minimizer  # G lam: unused by f
+    f = CapacityEstimate(value=1.0, method="l2", alpha=0.5, grid_n=n, iterations=0, kkt_residual=0.0,
+                         energy_or_norm=1.0, cells=idx, weights=lam).minimizer
     ref = oracles.l2_density_direct(np.asarray(kappa), idx, lam)
     assert np.max(np.abs(f - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -362,12 +362,8 @@ def test_potential_on_set_matches_direct_loop(n, rng, solver):
     ref = oracles.potential_direct(kappa, est.minimizer, e.indices)
     assert np.max(np.abs(oracles.potential_on_set(est, e) - ref)) <= 1e-12 * np.max(np.abs(ref))
     f = rng.uniform(0.0, 1.0, size=n)
-    rough = CapacityEstimate(
-        value=1.0, method="l2", alpha=0.5, grid_n=n, iterations=0,
-        kkt_residual=0.0, energy_or_norm=1.0, minimizer=f,
-    )
     ref = oracles.potential_direct(kappa, f, e.indices)
-    assert np.max(np.abs(oracles.potential_on_set(rough, e) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(oracles.density_potential(f, 0.5, e) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("scale", [0.5, -0.25])
@@ -778,33 +774,31 @@ def test_polish_window_matches_gap_search(monkeypatch, cg_cells):
             assert got.minimizer.tobytes() == want.minimizer.tobytes(), (name, solve.__name__)
 
 
-def test_l2_value_uses_the_polish_product(monkeypatch):
+def test_l2_capacity_uses_the_polish_product(monkeypatch):
     """The L2 value takes G lam from the polish's last residual product;
     it is the product recomputed from lam, bit for bit, and so is the
     value sum(lam) - lam^T G lam / (4N)."""
-    finish = capacity._finish_l2
+    polish = capacity._kkt_polish
     seen = []
 
-    def recorded(e, alpha, exponent, lam, g_lam, residual, iterations):
-        est = finish(e, alpha, exponent, lam, g_lam, residual, iterations)
-        seen.append((e, exponent, lam, g_lam, est.value))
-        return est
+    def recorded(op, rhs, tol, max_solves):
+        lam, g_lam, residual, solves = polish(op, rhs, tol, max_solves)
+        seen.append((op, lam, g_lam))
+        return lam, g_lam, residual, solves
 
-    monkeypatch.setattr(capacity, "_finish_l2", recorded)
+    monkeypatch.setattr(capacity, "_kkt_polish", recorded)
     grid = CircleGrid(4096)
-    for e in (*_polish_sets(grid).values(), GridSet.full(grid)):
-        l2_capacity(e, 0.75)
+    values = [l2_capacity(e, 0.75).value for e in (*_polish_sets(grid).values(), GridSet.full(grid))]
     assert len(seen) == 4
-    for e, exponent, lam, g_lam, value in seen:
-        n = e.grid.n_points
-        again = capacity._circulant_apply("autocorr", n, exponent, e.indices, lam)
+    for ((table, n, exponent, cells), lam, g_lam), value in zip(seen, values):
+        assert table == "autocorr"
+        again = capacity._circulant_apply("autocorr", n, exponent, cells, lam)
         assert g_lam.tobytes() == again.tobytes()
         assert value == float(np.sum(lam) - np.sum(lam * again) / (4.0 * n))
 
 
-def test_comparability_l2_is_the_l2_value_exactly():
-    """``comparability_report`` skips the L2 density but reports the
-    float ``l2_capacity`` does: spike arcs, arcs and a Cantor set, by
+def test_comparability_l2_is_l2_capacity_exactly():
+    """``comparability_report`` reports the float ``l2_capacity`` does: spike arcs, arcs and a Cantor set, by
     the dense block and by conjugate gradients."""
     grid = CircleGrid(4096)
     spikes = ArcFamily(tuple(Arc.centered(-0.4 + 0.3 * j, 0.012) for j in range(3)))

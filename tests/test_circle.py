@@ -207,6 +207,33 @@ def test_vitali_selection_properties():
         assert oracles.dilation_covers_family(sel, fam)
 
 
+def test_vitali_keeps_every_family_accepted_as_disjoint():
+    """Vitali selects by the disjointness rule ``require_disjoint``
+    applies, so any family ``ArcFamily`` accepts as pairwise disjoint
+    comes back whole: arcs tiling the circle, some across -pi, with
+    shared endpoints that overshoot by up to ANGLE_TOL (accepted) or by
+    more (refused), and some arcs left out."""
+    rng = np.random.default_rng(29)
+    cases = [(Arc(0.0, 0.30000000000000004), Arc(0.3, 0.5))]
+    for _ in range(400):
+        k = int(rng.integers(2, 9))
+        cuts = np.sort(rng.uniform(-math.pi, math.pi, k))
+        over = rng.choice([0.0, 1e-15, 0.5 * ANGLE_TOL, 0.9 * ANGLE_TOL, 3.0 * ANGLE_TOL], k)
+        ends = np.append(cuts[1:], cuts[0]) + over
+        keep = rng.uniform(size=k) < 0.8
+        cases.append(tuple(Arc(a, b) for a, b, kept in zip(cuts, ends, keep) if kept))
+    accepted = 0
+    for arcs in cases:
+        try:
+            fam = ArcFamily(arcs, pairwise_disjoint=True)
+        except PreconditionError:
+            continue
+        accepted += 1
+        sel = vitali_disjoint_subfamily(fam)
+        assert sorted(sel.arcs, key=lambda a: a.start) == sorted(fam.arcs, key=lambda a: a.start)
+    assert 100 < accepted < len(cases)
+
+
 def test_vitali_full_circle_passthrough():
     assert vitali_disjoint_subfamily(FULL_CIRCLE) is FULL_CIRCLE
 
@@ -338,6 +365,16 @@ def test_grid_set_rotation_shifts_indices(grid64):
     r = s.rotated(5)
     assert set(r.indices) == {5, 6, 7, 45}
     assert r.rotated(-5).indices.tolist() == s.indices.tolist()
+
+
+def test_grid_set_from_indices_refuses_bad_cells(grid64):
+    """Cell indices must be integers in [0, N): none wraps around, is
+    truncated or escapes as a bare IndexError."""
+    for bad in ([-1], [64], [1.5], [0, 2.0], ["3"]):
+        with pytest.raises(PreconditionError):
+            GridSet.from_indices(grid64, bad)
+    assert GridSet.from_indices(grid64, np.array([63, 0], dtype=np.uint8)).indices.tolist() == [0, 63]
+    assert GridSet.from_indices(grid64, []).is_empty()
 
 
 def test_grid_set_mismatched_grids_rejected(grid64, grid256):

@@ -221,11 +221,10 @@ def _value_route_instances(grid):
     ]
 
 
-def test_poincare_capacity_is_the_l2_value_exactly():
-    """The verifier's capacity skips the L2 density but is the float
-    ``l2_capacity`` reports for E cap I, on both solver routes; a
-    value-route ConvergenceError carries the same value, without a
-    minimizer."""
+def test_poincare_capacity_is_l2_capacity_exactly():
+    """The verifier's capacity is the float ``l2_capacity`` reports for
+    E cap I, on both solver routes; the verifier's ConvergenceError
+    carries the same estimate, value and minimizer bytes."""
     grid = CircleGrid(4096)
     sizes = []
     for e, arc in _value_route_instances(grid):
@@ -239,7 +238,7 @@ def test_poincare_capacity_is_the_l2_value_exactly():
             l2_capacity(e_in_i, 0.5, cfg)
         with pytest.raises(ConvergenceError) as value:
             poincare_check(f, e, arc, 0.75, 0.5, 0.75, cfg)
-        assert full.value.best_estimate.minimizer is not None
-        assert value.value.best_estimate.minimizer is None
-        assert value.value.best_estimate.value == full.value.best_estimate.value
+        want, got = full.value.best_estimate, value.value.best_estimate
+        assert got.minimizer.tobytes() == want.minimizer.tobytes()
+        assert got.value == want.value
     assert min(sizes) <= _CG_CELLS < max(sizes)

@@ -78,6 +78,13 @@ def test_readme_runs_a_capacity_on_every_polish_route(runnable):
     assert {"Levinson across -pi", "dense", "conjugate gradients", "full circle"} <= routes
 
 
+def test_readme_writes_a_minimizer_for_each_capacity_method(runnable):
+    """A ``capacity --out`` example for each method, so the weights CSV
+    and the density CSV are compared under one and two threads."""
+    outs = {_value(args, "--method") for args in runnable if args[0] == "capacity" and "--out" in args}
+    assert {"classical", "l2"} <= outs
+
+
 # stands in for the CLI: prints the thread count when told to, and writes
 # it to its --out file when told to; exits 3 on an inherited OMP_ variable
 FAKE_CLI = textwrap.dedent("""
