@@ -122,7 +122,7 @@ class SolverConfig:
             raise PreconditionError(f"unknown step_rule {step_rule!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CapacityEstimate:
     """Capacity value with solver diagnostics and the polish's solution.
 

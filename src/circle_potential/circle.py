@@ -532,7 +532,7 @@ def _merge_runs(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSet:
     """A subset of the circle represented by a boolean mask over grid cells.
 

@@ -275,7 +275,7 @@ def _circulant_block(table: str, n: int, exponent: float, cells: np.ndarray) -> 
     return _table(table, n, exponent)[d]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundarySamples:
     """Complex samples of a boundary function at the grid cell centers."""
 
@@ -514,7 +514,7 @@ def _coeffs_from_dft(spec: np.ndarray, truncation: int | None) -> FourierCoeffs:
     return FourierCoeffs(dict(zip(k.tolist(), c.tolist())), m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Nonnegative weights on grid cells summing to 1 (a probability
     measure with atoms at cell centers)."""

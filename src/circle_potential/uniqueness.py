@@ -271,7 +271,7 @@ def cantor_grid_set(spec: CantorSpec, grid: CircleGrid) -> GridSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesDiagnostic:
     """Partial sums S_{start_index}..S_{start_index + len - 1}, the
     assigned trend, and the fit (or window) evidence behind it."""

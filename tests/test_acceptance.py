@@ -9,11 +9,16 @@ goes to stdout (visible with -s or on failure).
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from circle_potential import PreconditionError, ResolutionError, acceptance
+from circle_potential._threads import _BLAS_VARS
 from circle_potential.acceptance import AcceptanceContext, criterion_names, json_bytes, run_all
 from circle_potential.cli import main
 from circle_potential.energy import _circulant_block
@@ -291,6 +296,96 @@ def test_lattice_oracle_matches_einsum_route():
         a = rng.standard_normal((c, c))
         K = a @ a.T + 0.1 * np.eye(c)
         assert acceptance._lattice_min_energy(K, 48) == lattice_min_einsum(K, 48), c
+
+
+def _split_kernel(case, c, rng):
+    """A c-cell kernel whose last two cells a, b put the oracle's split
+    quadratic alpha + beta t + gamma t^2 in one regime:
+    - ``concave``: an indefinite K with gamma < 0;
+    - ``flat``: small integers with K_aa + K_bb = 2 K_ab, so gamma = 0;
+    - ``spanning`` and ``wide``: a tiny positive gamma, 4 and 32 margins
+      over S^2 (the oracle's margin at M = 1), whose windows span every
+      row and about half the longest;
+    - ``below`` and ``above``: the vertex of the prefix-free row (s = 0)
+      at -S/2 and 3S/2, outside [0, S].
+    All but ``flat`` are scaled to max|K| = 1."""
+    a, b = c - 2, c - 1
+    if case == "flat":
+        K = rng.integers(-3, 4, (c, c)).astype(float)
+        K += K.T  # an even diagonal, so the mean of K_aa and K_bb is whole
+        K[a, b] = K[b, a] = (K[a, a] + K[b, b]) / 2
+    else:
+        K = rng.standard_normal((c, c))
+        K += K.T
+    if case == "concave":
+        K[a, b] = K[b, a] = (K[a, a] + K[b, b]) / 2 + 1.0
+    elif case in ("below", "above"):
+        block = [[5.0, 2.0], [2.0, 1.0]] if case == "below" else [[1.0, 2.0], [2.0, 5.0]]
+        K[a:, a:] = block
+    if case != "flat":
+        K /= np.max(np.abs(K))
+    if case in ("spanning", "wide"):
+        margin = 4.0 * (c * c + 18 * c + 57) * 2.0**-53
+        K[a, b] = K[b, a] = (K[a, a] + K[b, b]) / 2 - (2.0 if case == "spanning" else 16.0) * margin
+    return K
+
+
+_SPLIT_CASES = ("concave", "flat", "spanning", "wide", "below", "above")
+
+
+@pytest.mark.parametrize("case", _SPLIT_CASES)
+def test_lattice_oracle_window_regimes(case):
+    """The split scorer returns the chunked einsum route's float, bit for
+    bit, in every regime its window argument covers: gamma < 0 on an
+    indefinite K, gamma = 0 (a linear score), tiny positive gammas whose
+    windows span whole rows or most of them, and a vertex outside
+    [0, R] on either side; two to six cells, 5, 8 and 20 subdivisions."""
+    rng = np.random.default_rng(_SPLIT_CASES.index(case))
+    for c in range(2, 7):
+        for subdivisions in (5, 8, 20):
+            K = _split_kernel(case, c, rng)
+            gamma = K[c - 2, c - 2] + K[c - 1, c - 1] - 2.0 * K[c - 2, c - 1]
+            if case == "concave":
+                assert np.linalg.eigvalsh(K)[0] < 0.0 and gamma < 0.0
+            elif case == "flat":
+                assert gamma == 0.0
+            elif case in ("spanning", "wide"):
+                assert 0.0 < gamma < 1e-11
+            got = acceptance._lattice_min_energy(K, subdivisions)
+            assert got == lattice_min_einsum(K, subdivisions), (c, subdivisions)
+
+
+def test_lattice_oracle_independent_of_thread_count():
+    """The six lattice minima of the gate's small_instance_oracle are the
+    same floats under one and two BLAS threads (the couplings are one
+    matrix product per batch)."""
+    script = textwrap.dedent(
+        """
+        import numpy as np
+        from circle_potential import acceptance
+        from circle_potential.energy import _circulant_block
+
+        rng = acceptance.AcceptanceContext().rng(8)
+        out = []
+        for size in range(1, 7):
+            idx = np.sort(rng.choice(64, size=size, replace=False))
+            K = _circulant_block("kernel", 64, 0.5, idx)
+            out.append(acceptance._lattice_min_energy(K, 48).hex())
+        print(out)
+        """
+    )
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(base, CIRCLE_POTENTIAL_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0].count(b"0x") == 6
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("c", [2, 3, 4])

@@ -13,12 +13,14 @@ import oracles
 from circle_potential import (
     Arc,
     ArcFamily,
+    BoundarySamples,
     CapacityEstimate,
     CircleGrid,
     ConvergenceError,
     DiscreteMeasure,
     GridSet,
     PreconditionError,
+    SeriesDiagnostic,
     SolverConfig,
     classical_capacity,
     comparability_report,
@@ -846,3 +848,32 @@ def test_tiny_classical_exponents_are_refused():
         assert classical_capacity(e, 0.0).iterations == 1, name
     with pytest.raises(PreconditionError, match="S_MIN"):
         classical_capacity(GridSet.empty(CircleGrid(64)), 1e-20)
+
+
+def _arc_estimate():
+    return classical_capacity(GridSet.from_arcs(CircleGrid(256), Arc.centered(0.3, 0.4)), 0.5)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _arc_estimate,
+        lambda: GridSet.from_arcs(CircleGrid(256), Arc.centered(0.3, 0.4)),
+        lambda: BoundarySamples(CircleGrid(256), np.linspace(0.0, 1.0, 256)),
+        lambda: DiscreteMeasure(CircleGrid(256), np.full(256, 1.0 / 256)),
+        lambda: SeriesDiagnostic(partial_sums=np.arange(1.0, 5.0), trend="grows", fit={}, start_index=1),
+    ],
+    ids=["CapacityEstimate", "GridSet", "BoundarySamples", "DiscreteMeasure", "SeriesDiagnostic"],
+)
+def test_array_holding_dataclasses_compare_by_identity(make):
+    """The public frozen dataclasses that hold numpy arrays compare and
+    hash by identity, as ArcFamily does: a generated == would compare the
+    arrays and raise "truth value of an array ... is ambiguous", and the
+    generated hash would hash them and raise TypeError. Two objects built
+    alike are distinct; an object equals itself and finds itself in a
+    list and a set."""
+    a, b = make(), make()
+    assert a == a and not (a == b) and a != b
+    assert a in [a] and a not in [b]
+    assert hash(a) == hash(a)
+    assert len({a, a, b}) == 2
