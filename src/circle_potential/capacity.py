@@ -51,10 +51,13 @@ a set that is one cyclic run (an arc, across -pi too) is, in cyclic
 order, the symmetric Toeplitz system of the table's first k entries,
 solved by Levinson recursion (``scipy.linalg.solve_toeplitz``) in
 O(k^2) time and O(k) memory, weakly stable on such matrices (Cybenko
-1980; Bunch 1985); any other set of up to _CG_CELLS cells by a dense
-Bunch-Kaufman factorization of its block, the only kernel matrix ever
-formed. Larger sets are solved by conjugate gradients, whose products
-with M_AA, like every other product with K or G, are FFT convolutions
+1980; Bunch 1985); any other set of up to _CG_CELLS cells by LAPACK's
+pivoted Cholesky of its block (dpstrf; Hammarling, Higham & Lucas 2007)
+and dpotrs, the only kernel matrix ever formed, which fails below full
+numerical rank. Not dpotrf: OpenBLAS threads its own from 128 cells, and
+its bytes then depend on the thread count; dpstrf is reference LAPACK.
+Larger sets are solved by conjugate gradients, whose products with
+M_AA, like every other product with K or G, are FFT convolutions
 (``energy._circulant_apply``). They are preconditioned by the circulant
 that the same FFT window embeds M_AA in (T. Chan 1988; R. Chan & Ng
 1996): its inverse, applied to the zero-padded vector and restricted to
@@ -188,6 +191,9 @@ _CG_CELLS = 512
 # arcs, arc pairs and depth-4 Cantor sets took at most 29.
 _CG_RTOL = 1e-13
 _CG_MAX_ITERATIONS = 5000
+# Dense blocks: LAPACK's pivoted Cholesky and its triangular solves
+# (not dpotrf; see the module docstring).
+_pstrf, _potrs = linalg.get_lapack_funcs(("pstrf", "potrs"), dtype=np.float64)
 
 
 def _conjugate_gradient(apply, precondition, b: np.ndarray):
@@ -222,10 +228,11 @@ def _block_solve(table: str, n: int, exponent: float, cells: np.ndarray, rhs: fl
     """x with M_AA x = rhs on sorted ``cells``, or None when the solve
     fails. Up to _CG_CELLS cells, one cyclic run is solved as the
     Toeplitz system of the table's first k entries and any other set by
-    forming and factoring the block; above, conjugate gradients apply
-    M_AA and the preconditioner by ``energy._circulant_apply`` over one
-    window of the cells, and on all n cells the preconditioner alone
-    solves the system. Only the dense route forms a k x k array."""
+    forming the block and factoring it by pivoted Cholesky, which fails
+    below full rank; above, conjugate gradients apply M_AA and the
+    preconditioner by ``energy._circulant_apply`` over one window of the
+    cells, and on all n cells the preconditioner alone solves the
+    system. Only the dense route forms a k x k array."""
     k = len(cells)
     b = np.full(k, rhs)
     if k > _CG_CELLS:
@@ -243,18 +250,25 @@ def _block_solve(table: str, n: int, exponent: float, cells: np.ndarray, rhs: fl
         cut = runs[0][1]
     else:
         cut = None
-    try:
-        if cut is not None:
-            # in cyclic order the block is Toeplitz; b is constant, so
-            # only x goes back to sorted order
+    if cut is not None:
+        # in cyclic order the block is Toeplitz; b is constant, so only x
+        # goes back to sorted order
+        try:
             x = linalg.solve_toeplitz(_table(table, n, exponent)[:k], b, check_finite=False)
-            return np.roll(x, cut) if cut else x
-        # Bunch-Kaufman on the symmetric block, factored in place: its
-        # transpose is the same matrix in LAPACK's column-major order
-        return linalg.solve(_circulant_block(table, n, exponent, cells).T, b,
-                            assume_a="sym", overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
+        except np.linalg.LinAlgError:
+            return None
+        return np.roll(x, cut) if cut else x
+    # pivoted Cholesky P^T M_AA P = U^T U, factored in place: the block's
+    # transpose is the same matrix in LAPACK's column-major order. info > 0
+    # is a computed rank below k (or a block not semidefinite). b is
+    # constant, so only the solution y of U^T U y = b is unpermuted.
+    u, piv, _, info = _pstrf(_circulant_block(table, n, exponent, cells).T, overwrite_a=True)
+    if info != 0:
         return None
+    y, _ = _potrs(u, b)
+    x = np.empty(k)
+    x[piv - 1] = y
+    return x
 
 
 def _kkt_polish(op: tuple, rhs: float, tol: float, max_solves: int):
@@ -262,19 +276,21 @@ def _kkt_polish(op: tuple, rhs: float, tol: float, max_solves: int):
 
     M is ``op = (table, n, exponent, cells)`` of ``energy``'s operator.
     Starting from every cell, solves M_AA x = rhs on the active cells
-    (``_block_solve``: Levinson or dense up to _CG_CELLS cells, conjugate
-    gradients above), drops cells with nonpositive solution and adds off-active
-    cells whose residual r = rhs - M x, formed with x over every cell,
-    exceeds tol * max(rhs, sum(x)). Stops when no cell is added, when a
-    solve fails (singular block, or conjugate gradients meet nonpositive
-    curvature or their iteration cap), when every cell is dropped, or
-    after max_solves solves. Returns (x, mx, residual, solves): x over
-    the local index range from the last solve with every entry positive,
-    mx = M x, the product its residual was formed from, and residual its
-    certificate (the module docstring's), all None when no solve was
-    positive, and the number of solves made. The residual is at most tol
-    only when the polish stopped clean. Every residual product reuses
-    one window of ``cells`` (``energy._window``).
+    (``_block_solve``: Levinson or pivoted Cholesky up to _CG_CELLS
+    cells, conjugate gradients above), drops cells with nonpositive
+    solution and adds off-active cells whose residual r = rhs - M x,
+    formed with x over every cell, exceeds tol * max(rhs, sum(x)). Stops
+    when no cell is added, when a solve fails (a singular Toeplitz
+    system, a dense block below full rank, or conjugate gradients
+    meeting nonpositive curvature or their iteration cap), when every
+    cell is dropped, or after max_solves solves. Returns (x, mx,
+    residual, solves): x over the local index range from the last solve
+    with every entry positive, mx = M x, the product its residual was
+    formed from, and residual its certificate (the module docstring's),
+    all None when no solve was positive, and the number of solves made.
+    The residual is at most tol only when the polish stopped clean.
+    Every residual product reuses one window of ``cells``
+    (``energy._window``).
     """
     table, n, exponent, cells = op
     k = len(cells)

@@ -444,9 +444,10 @@ def energy_weight(n: int, alpha: float) -> float:
     return float(np.sum(d)) / (math.gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierCoeffs:
-    """Sparse coefficient table on frequencies |n| <= truncation."""
+    """Sparse coefficient table on frequencies |n| <= truncation. It
+    holds a dict, so it compares and hashes by identity."""
 
     coeffs: dict[int, complex]
     truncation: int

@@ -17,7 +17,8 @@ replaced, the six localized energy calls that one block transform
 replaced, the per-arc Cantor parts and containment check and the
 remainder-based arc gaps that the batched and remainder-free array
 routes replaced, the model-by-model trend fit that one array pass
-replaced, and three checks that only tests use: the Vitali
+replaced, the Bunch-Kaufman solve of a dense capacity block that
+pivoted Cholesky replaced, and three checks that only tests use: the Vitali
 covering check, the spectral measure energy and the KKT potential of
 an L2 minimizer. The frozen
 digits were produced by those same routes at high resolution and are
@@ -28,6 +29,7 @@ targets.
 import math
 
 import numpy as np
+from scipy import linalg
 from scipy.integrate import quad
 
 from circle_potential import (Arc, ArcFamily, CantorSpec, GridSet, PowerChoice,
@@ -195,6 +197,13 @@ def restricted_dense(table: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     """The dense k x k matrix table[(i - j) mod n] over the cells idx, as
     the capacity solvers formed it before they became matrix-free."""
     return np.asarray(table)[(idx[:, None] - idx[None, :]) % n]
+
+
+def block_solve_bunch_kaufman(M: np.ndarray, rhs: float) -> np.ndarray:
+    """x with M x = rhs for a dense symmetric block M, by the
+    Bunch-Kaufman factorization of ``scipy.linalg.solve(assume_a="sym")``,
+    the solve the capacity polish made before pivoted Cholesky."""
+    return linalg.solve(M, np.full(len(M), rhs), assume_a="sym")
 
 
 def capacity_dense(M: np.ndarray, rhs: float, rounds: int = 50) -> np.ndarray:

@@ -18,6 +18,7 @@ from circle_potential import (
     CircleGrid,
     ConvergenceError,
     DiscreteMeasure,
+    FourierCoeffs,
     GridSet,
     PreconditionError,
     SeriesDiagnostic,
@@ -30,7 +31,7 @@ from circle_potential import (
 )
 from circle_potential import capacity
 from circle_potential._threads import _BLAS_VARS
-from circle_potential.energy import kernel_column, kernel_fault
+from circle_potential.energy import _table, kernel_column, kernel_fault
 from circle_potential.uniqueness import CantorSpec, PowerChoice, cantor_grid_set
 
 
@@ -517,6 +518,56 @@ def _two_arcs(grid):
     return GridSet.from_arcs(grid, Arc(0.3, 1.7)).union(GridSet.from_arcs(grid, Arc(-2.4, -1.9)))
 
 
+def _dense_block_sets():
+    """Depth-2 and depth-4 Cantor sets of 13 to 505 cells and 8 to 512
+    scattered cells: none is one cyclic run, so ``_block_solve`` factors
+    the dense block of each."""
+    sets = []
+    for n, depth, width in ((4096, 2, 0.02), (1024, 4, 0.5), (4096, 4, 1.0), (4096, 4, 2.0), (4096, 4, 2.2)):
+        spec = CantorSpec(rule=PowerChoice(0.5), depth=depth, host=Arc.centered(0.7, width),
+                          offset=3, scale_to_host=True)
+        sets.append(cantor_grid_set(spec, CircleGrid(n)))
+    scattered = np.random.default_rng(29).permutation(4096)
+    sets += [GridSet.from_indices(CircleGrid(4096), scattered[:k]) for k in (8, 64, 256, 512)]
+    return sets
+
+
+def test_dense_block_solve_matches_bunch_kaufman(monkeypatch):
+    """The pivoted Cholesky solve of a dense block agrees to 1e-12
+    relative with the Bunch-Kaufman solve it replaced
+    (``oracles.block_solve_bunch_kaufman``), on the kernel table at
+    exponents 0, 0.25 and 0.5 and on the autocorrelation table at the
+    L2 exponents of alpha 1 and 0.5."""
+    factored = []
+    pstrf = capacity._pstrf
+    monkeypatch.setattr(capacity, "_pstrf", lambda a, **kw: factored.append(len(a)) or pstrf(a, **kw))
+    sets = _dense_block_sets()
+    assert [e.count for e in sets] == [13, 42, 238, 458, 505, 8, 64, 256, 512]
+    for e in sets:
+        n, cells = e.grid.n_points, e.indices
+        for table, exponent, rhs in (("kernel", 0.0, 1.0), ("kernel", 0.25, 1.0), ("kernel", 0.5, 1.0),
+                                     ("autocorr", 0.5, 2.0 * n), ("autocorr", 0.75, 2.0 * n)):
+            want = oracles.block_solve_bunch_kaufman(
+                oracles.restricted_dense(_table(table, n, exponent), cells, n), rhs)
+            got = capacity._block_solve(table, n, exponent, cells, rhs)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (e.count, table, exponent)
+        assert factored[-5:] == [e.count] * 5
+
+
+@pytest.mark.parametrize("solve", [classical_capacity, l2_capacity])
+def test_rank_deficient_block_fails_the_polish(monkeypatch, solve):
+    """A dense block of rank below k (all ones) makes ``_block_solve``
+    return None, so the polish fails and the capacity raises
+    ConvergenceError with no estimate, as on a singular block before."""
+    e = _dense_block_sets()[1]
+    monkeypatch.setattr(capacity, "_circulant_block",
+                        lambda table, n, exponent, cells: np.ones((len(cells), len(cells))))
+    assert capacity._block_solve("kernel", e.grid.n_points, 0.5, e.indices, 1.0) is None
+    with pytest.raises(ConvergenceError) as info:
+        solve(e, 0.5)
+    assert info.value.best_estimate is None
+
+
 @pytest.mark.parametrize(
     "solve, rule",
     [
@@ -577,20 +628,30 @@ def test_polish_drops_and_readds_a_cell(monkeypatch, grid256, solver, solve):
 
 def test_capacities_independent_of_thread_count():
     """Capacity JSON and minimizer bytes are the same with one and with
-    two BLAS threads, on both sides of the dense/CG crossover and up to
-    the 8192-cell full circle."""
+    two BLAS threads on every route of ``_block_solve``: Levinson (an arc
+    below the crossover), the dense block (a depth-4 Cantor set of 458
+    cells in 16 runs, classical and L2), conjugate gradients (arcs above
+    the crossover) and the preconditioner alone (the full circle), up to
+    8192 cells."""
     script = textwrap.dedent(
         """
         import hashlib, json
         import numpy as np
-        from circle_potential import Arc, CircleGrid, GridSet, classical_capacity, l2_capacity
+        from circle_potential import (Arc, CantorSpec, CircleGrid, GridSet, PowerChoice,
+                                      cantor_grid_set, classical_capacity, l2_capacity)
 
         grid, large = CircleGrid(4096), CircleGrid(8192)
+        spec = CantorSpec(rule=PowerChoice(0.5), depth=4, host=Arc.centered(0.7, 2.0),
+                          offset=3, scale_to_host=True)
+        cantor = cantor_grid_set(spec, grid)
+        assert len(cantor.indices) == 458
         out = []
         for est in (
             classical_capacity(GridSet.full(grid), 0.5),
             l2_capacity(GridSet.from_arcs(grid, Arc(-1.5, 1.5)), 0.5),
             classical_capacity(GridSet.from_arcs(grid, Arc(0.2, 0.9)), 0.0),
+            classical_capacity(cantor, 0.5),
+            l2_capacity(cantor, 0.5),
             classical_capacity(GridSet.full(large), 0.5),
             l2_capacity(GridSet.from_indices(large, np.arange(7500)), 1.0),
         ):
@@ -608,7 +669,7 @@ def test_capacities_independent_of_thread_count():
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
-    assert len(json.loads(outputs[0])) == 5
+    assert len(json.loads(outputs[0])) == 7
     assert outputs[0] == outputs[1]
 
 
@@ -862,14 +923,17 @@ def _arc_estimate():
         lambda: BoundarySamples(CircleGrid(256), np.linspace(0.0, 1.0, 256)),
         lambda: DiscreteMeasure(CircleGrid(256), np.full(256, 1.0 / 256)),
         lambda: SeriesDiagnostic(partial_sums=np.arange(1.0, 5.0), trend="grows", fit={}, start_index=1),
+        lambda: FourierCoeffs({0: 1 + 0j}, 4),
     ],
-    ids=["CapacityEstimate", "GridSet", "BoundarySamples", "DiscreteMeasure", "SeriesDiagnostic"],
+    ids=["CapacityEstimate", "GridSet", "BoundarySamples", "DiscreteMeasure", "SeriesDiagnostic",
+         "FourierCoeffs"],
 )
 def test_array_holding_dataclasses_compare_by_identity(make):
-    """The public frozen dataclasses that hold numpy arrays compare and
-    hash by identity, as ArcFamily does: a generated == would compare the
-    arrays and raise "truth value of an array ... is ambiguous", and the
-    generated hash would hash them and raise TypeError. Two objects built
+    """The public frozen dataclasses that hold numpy arrays (or, for
+    FourierCoeffs, a dict) compare and hash by identity, as ArcFamily
+    does: a generated == would compare the arrays and raise "truth value
+    of an array ... is ambiguous", and the generated hash would hash
+    them (or the dict) and raise TypeError. Two objects built
     alike are distinct; an object equals itself and finds itself in a
     list and a set."""
     a, b = make(), make()
