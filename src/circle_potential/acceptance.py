@@ -23,6 +23,7 @@ tolerance. No criterion records timing, so reports are byte-reproducible;
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -337,178 +338,34 @@ def comparability_stability(ctx: AcceptanceContext) -> tuple[bool, dict]:
     }
 
 
-def _compositions(total: int, parts: int) -> list[np.ndarray]:
-    """For every s <= total, the compositions of s into ``parts``
-    nonnegative parts as the rows of a small-int array, in lexicographic
-    order. Built a part at a time: the compositions of s into p + 1 parts
-    are those with first part 0, then those of s - 1 with the first part
-    raised by one."""
-    dtype = np.min_scalar_type(total)
-    level = [np.zeros((1 if s == 0 else 0, 0), dtype=dtype) for s in range(total + 1)]
-    for p in range(parts):
-        nxt = []
-        for s in range(total + 1):
-            head = len(level[s])
-            block = np.zeros((head + (len(nxt[-1]) if s else 0), p + 1), dtype=dtype)
-            block[:head, 1:] = level[s]
-            if s:
-                block[head:] = nxt[-1]
-                block[head:, 0] += 1
-            nxt.append(block)
-        level = nxt
-    return level
+def _exact_min_energy(K: np.ndarray) -> tuple[float, np.ndarray]:
+    """Minimum of w^T K w over probability vectors w, and the w that
+    attains it, for a small SPD K, by brute force over supports.
 
-
-_PREFIX_BATCH = 4096  # prefixes scored per numpy pass
-
-
-def _lattice_min_energy(K: np.ndarray, subdivisions: int) -> float:
-    """Exhaustive minimum of w^T K w over the lattice of probability
-    vectors with denominators S = ``subdivisions`` (small instances only).
-
-    A lattice point p / S is a prefix of c - 2 parts summing to s (from
-    ``_compositions``) followed by the split (t, R - t) of the remainder
-    R = S - s over the last two cells a and b. With x the prefix / S,
-    P = x^T K x over the prefix, L = K x its couplings and r = R / S, the
-    energy of the split is q(t) = alpha + beta t + gamma t^2 with
-
-        alpha = P + r (2 L_b + K_bb r),
-        beta  = (2 (L_a - L_b) + 2 r (K_ab - K_bb)) / S,
-        gamma = (K_aa + K_bb - 2 K_ab) / S^2,
-
-    gamma being the same for every prefix. The prefixes are scored
-    ``_PREFIX_BATCH`` at a time in order of s, the couplings of a batch
-    by one matrix product, and each prefix scores only a window of its
-    row t = 0..R that holds every t able to come near the least score
-    (derived below). The points scoring within 4 (c^2 + 18 c + 57) 2^-53
-    max|K| of the least score, a margin that bounds the rounding of this
-    score and of the einsum (derived in the code), are rescored by
-    ``einsum("ij,jk,ik->i")`` on w = p / S, and the least of those values
-    is returned.
-
-    The window. No convexity is assumed: while the computed gamma is at
-    most 2 margin / S^2, gamma <= 0 included, the window is the whole
-    row. Otherwise write
-    M = max|K_jk|, u = 2^-53, g = 2 (2c + 6) u >= gamma_{2c+6} and
-    eps = 9 gamma_{2c+6} M, the rounding of a score; q, beta, gamma and
-    the vertex v = -beta / (2 gamma) are exact, and hats mark computed
-    values. The window holds every t of its row with q(t) <= q(t_min) +
-    1.5 margin, t_min being the row's exact minimizer:
-    - if v lies in [0, R], |t_min - v| <= 1/2, so gamma ((t - v)^2 -
-      1/4) <= 1.5 margin and |t - v| <= h = sqrt(1/4 + 1.5 margin / gamma);
-    - if v < 0, t_min = 0 and q(t) - q(0) = gamma t (t - 2 v) >=
-      gamma t^2, so t <= h; if v > R, likewise R - t <= h.
-    So it holds t_min, best is at most t_min's score, and it holds every
-    point of the near set: such a point scores at most best + margin,
-    rounded up by at most u (M + eps + margin) <= 2 u M, so q(t) <=
-    q(t_min) + margin + 2 u M + 2 eps <= q(t_min) + 1.5 margin (2 eps +
-    2 u M is under margin / 2). It holds the least-scoring points too,
-    so best is the least score over the whole lattice.
-
-    To place the window: the hatted beta and gamma are off by at most
-    4 g M / S and 4 g M / S^2, as each of their monomials passes through
-    at most 2c + 6 roundings and their absolute sums are at most 4 M / S
-    and 4 M / S^2. As gamma^ > 2 margin / S^2 >= 16 g M / S^2, gamma >=
-    3/4 gamma^, so h <= sqrt(1/4 + 2 margin / gamma^), and clip(v^, 0, R)
-    lies within 10 g M / (S gamma^) + 3 S u of clip(v, 0, R): a v beyond
-    2S on either side has v^ beyond S on the same side, and a nearer one
-    is off by at most (4 g M / S) / (2 gamma^) + 2S (4 g M / S^2) /
-    gamma^, plus u |v^| <= 3 S u for the division. The window is
-    therefore the floor(2 H) + 1 columns from ceil(v^ - H), moved into
-    [0, R], with
-
-        H = sqrt(1/4 + 2 margin / gamma^) + 16 g (S + M / (S gamma^)),
-
-    the pad 16 g S also covering the roundings of v^ - H and of H (at
-    most 4 u S each while the window is narrower than the row). For the
-    gate's kernels H is within 1e-9 of 1/2: two columns of up to 49. A
-    batch's rows shorter than its window score +inf past their end.
-    """
-    c = K.shape[0]
-    if c == 1:
-        return float(K[0, 0])
-    S = subdivisions
-    a, b = c - 2, c - 1
-    # With u = 2^-53, gamma_n = n u / (1 - n u) and M = max |K_jk|:
-    # - einsum: each term w_j K_jk w_k carries two roundings of w = p / S
-    #   and two products, and the sum of c^2 terms at most c^2 - 1
-    #   additions, so |einsum - q| <= gamma_{c^2+3} sum |terms| <=
-    #   gamma_{c^2+3} M, q being the exact p^T K p / S^2 and sum(w) = 1;
-    # - the split score: every monomial of its expansion passes through at
-    #   most 2c + 6 roundings, and with y = t / S <= 1 their absolute sum
-    #   is at most M (1 + 2y)^2 <= 9 M, so |score - q| <= 9 gamma_{2c+6} M.
-    #   The couplings' matrix product and the einsum for P sum c - 2 terms
-    #   in some order, possibly fused: each term still passes through at
-    #   most one product and c - 3 additions, as a running sum's would.
-    # The einsum minimizer then scores at most 2 (gamma_{c^2+3} +
-    # 9 gamma_{2c+6}) M above the least score; the margin doubles that
-    # to cover 1 / (1 - n u) and the rounding of best + margin.
-    big = float(np.max(np.abs(K)))
-    margin = 4.0 * (c * c + 3 + 9 * (2 * c + 6)) * 2.0**-53 * big
-    gamma = (K[a, a] + K[b, b] - 2.0 * K[a, b]) / S**2
-    width = S + 1  # the whole row
-    if gamma > 2.0 * margin / S**2:
-        g = 2.0 * (2 * c + 6) * 2.0**-53
-        half = math.sqrt(0.25 + 2.0 * margin / gamma) + 16.0 * g * (S + big / (S * gamma))
-        width = min(width, math.floor(2.0 * half) + 1)
-    Kt = np.ascontiguousarray(K[:a].T)
-    best = math.inf
-    near = []  # (points, scores) within margin of the running best
-    groups = _compositions(S, c - 2)
-    prefixes = np.concatenate([group.T for group in groups], axis=1)  # a column per prefix
-    sizes = [len(group) for group in groups]
-    remainders = np.repeat(np.arange(S, -1, -1, dtype=prefixes.dtype), sizes)
-    for i in range(0, prefixes.shape[1], _PREFIX_BATCH):
-        prefix = prefixes[:, i : i + _PREFIX_BATCH]
-        R = remainders[i : i + _PREFIX_BATCH].astype(float)
-        x = prefix / S
-        L = Kt @ x  # one column of couplings per prefix
-        r = R / S
-        alpha = np.einsum("ij,ij->j", x, L[:a]) + r * (2.0 * L[b] + K[b, b] * r)
-        beta = (2.0 * (L[a] - L[b]) + 2.0 * r * (K[a, b] - K[b, b])) / S
-        longest = int(R[0]) + 1  # the batch's first row is its longest
-        cols = min(width, longest)
-        if cols == longest:  # the window is the whole of every row
-            t = np.arange(cols, dtype=float)[:, None]
-        else:  # the columns from ceil(v - H), moved into [0, R]
-            t = beta / (-2.0 * gamma)
-            t -= half
-            np.ceil(t, out=t)
-            np.minimum(t, R - (cols - 1), out=t)
-            np.maximum(t, 0.0, out=t)
-            t = t + np.arange(cols, dtype=float)[:, None]
-        scores = beta + gamma * t  # alpha + t (beta + gamma t), one row per column
-        scores *= t
-        scores += alpha
-        if cols > R[-1] + 1:  # rows shorter than the window
-            scores[t > R] = math.inf
-        lowest = float(scores.min())
-        best = min(best, lowest)
-        if lowest > best + margin:
-            continue
-        k, rows = np.nonzero(scores <= best + margin)
-        ts = np.broadcast_to(t, scores.shape)[k, rows]
-        points = np.empty((len(rows), c), dtype=np.int64)
-        points[:, :a] = prefix[:, rows].T
-        points[:, a] = ts
-        points[:, b] = R[rows] - ts
-        near.append((points, scores[k, rows]))
-    points = np.concatenate([p[v <= best + margin] for p, v in near])
-    # einsum can round a row differently with the operand's length (at
-    # c = 2, one- and two-row operands against longer ones), so rescore in
-    # chunks of one first part, the shape of the chunked einsum route
-    # (tests/oracles.py: at c = 2 each chunk is one row)
-    w = points / S
-    best = math.inf
-    for f in np.unique(points[:, 0]):
-        chunk = w[points[:, 0] == f]
-        best = min(best, float(np.einsum("ij,jk,ik->i", chunk, K, chunk).min()))
-    return best
+    On the minimizer's support S, K_SS y = 1 has a positive solution and
+    w = y / sum(y). So every support is tried, one stacked solve per
+    support size; each positive y gives a feasible w, whose energy is
+    evaluated directly. The least energy is returned with its w on all
+    of K's cells. It shares no code with the capacity polish."""
+    c = len(K)
+    best, arg = math.inf, None
+    for size in range(1, c + 1):
+        s = np.array(list(itertools.combinations(range(c), size)))
+        block = K[s[:, :, None], s[:, None, :]]
+        y = np.linalg.solve(block, np.ones((len(s), size, 1)))[..., 0]
+        ok = np.all(y > 0.0, axis=1)
+        w = y[ok] / y[ok].sum(axis=1, keepdims=True)
+        energies = np.einsum("ij,ijk,ik->i", w, block[ok], w)
+        if len(energies) and energies.min() < best:
+            i = int(np.argmin(energies))
+            best, arg = float(energies[i]), np.zeros(c)
+            arg[s[ok][i]] = w[i]
+    return best, arg
 
 
 def small_instance_oracle(ctx: AcceptanceContext) -> tuple[bool, dict]:
-    """Classical capacity on up-to-6-cell sets at N = 64 against brute
-    lattice minimization (48 subdivisions), within 1%."""
+    """Classical capacity on up-to-6-cell sets at N = 64 against the
+    exact minimum energy over every support, within 1%."""
     n = 64
     grid = CircleGrid(n)
     rng = ctx.rng(8)
@@ -519,10 +376,10 @@ def small_instance_oracle(ctx: AcceptanceContext) -> tuple[bool, dict]:
         e = GridSet.from_indices(grid, idx)
         est = classical_capacity(e, 0.5, ctx.solver)
         K = _circulant_block("kernel", n, 0.5, idx)
-        brute = 1.0 / _lattice_min_energy(K, 48)
-        rel = abs(est.value - brute) / brute
+        exact = 1.0 / _exact_min_energy(K)[0]
+        rel = abs(est.value - exact) / exact
         worst = max(worst, rel)
-        rows.append({"cells": size, "solver": est.value, "lattice": brute, "rel": rel})
+        rows.append({"cells": size, "solver": est.value, "exact": exact, "rel": rel})
     return worst <= 0.01, {"max_rel_error": worst, "tolerance": 0.01, "rows": rows}
 
 

@@ -550,34 +550,26 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> Config:
-    cfg = Config()
-    if getattr(args, "config", None):
-        raw = _load_json_arg(args.config)
-        solver_raw = _field(raw, "solver", dict, {})
-        cfg = Config(
-            grid_n=_field(raw, "grid_n", int, cfg.grid_n),
-            fourier_m=_field(raw, "fourier_m", int, None),
-            seed=_field(raw, "seed", int, cfg.seed),
-            solver=SolverConfig(
-                tolerance=_field(solver_raw, "tolerance", float, cfg.solver.tolerance),
-                max_iterations=_field(
-                    solver_raw, "max_iterations", int, cfg.solver.max_iterations
-                ),
-            ),
-        )
+    """The explicit flags over the config file's values over the
+    defaults, validated once: the file's fourier_m is kept and checked
+    against the final grid."""
+    raw = _load_json_arg(args.config) if getattr(args, "config", None) else {}
+    solver_raw = _field(raw, "solver", dict, {})
 
-    def pick(name, default):
-        value = getattr(args, name, None)
-        return default if value is None else value
+    def pick(name, obj, kind, default):
+        value = _field(obj, name, kind, default)  # malformed fails even under a flag
+        flag = getattr(args, name, None)
+        return value if flag is None else flag
 
-    grid_n = pick("grid_n", cfg.grid_n)
-    seed = pick("seed", cfg.seed)
-    solver = SolverConfig(
-        tolerance=pick("tolerance", cfg.solver.tolerance),
-        max_iterations=pick("max_iterations", cfg.solver.max_iterations),
+    return Config(
+        grid_n=pick("grid_n", raw, int, Config.grid_n),
+        fourier_m=_field(raw, "fourier_m", int, None),
+        seed=pick("seed", raw, int, Config.seed),
+        solver=SolverConfig(
+            tolerance=pick("tolerance", solver_raw, float, SolverConfig.tolerance),
+            max_iterations=pick("max_iterations", solver_raw, int, SolverConfig.max_iterations),
+        ),
     )
-    fourier_m = cfg.fourier_m if grid_n == cfg.grid_n else None
-    return Config(grid_n=grid_n, fourier_m=fourier_m, seed=seed, solver=solver)
 
 
 def build_parser() -> UsageParser:

@@ -19,8 +19,10 @@ least-squares fit of S_n against log n, log log n, and n^p growth
 models over the last half of 48 log-spaced checkpoints. Divergence is
 declared only when the best fit has R^2 >= 0.99 and a slope whose
 total movement over the fitted window is non-negligible; everything
-else is reported as inconclusive. Term magnitudes are formed in log
-space throughout, since 2^n overflows long before the series settle.
+else is reported as inconclusive. A Cantor capacity term is formed
+from its logarithm, so neither 2^n nor l_n is formed on its own, but
+the partial sums are linear: for a divergent rule whose terms grow
+geometrically they overflow (README, Numerical notes; ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -417,7 +419,9 @@ def classify_trend(partial_sums: Sequence[float], start_index: int = 1) -> tuple
 def cantor_capacity_series(rule: LengthRule, s: float, n_terms: int) -> SeriesDiagnostic:
     """Partial sums of sum_n 2^{-n} l_n^{-s}; divergence means the Cantor
     set of the rule has zero s-capacity. Terms are exp(-n log 2
-    - s log l_n), formed in log space."""
+    - s log l_n), from their logarithms, but summed linearly: terms that
+    grow geometrically overflow the sums, and PreconditionError follows
+    (ROADMAP item 3)."""
     if not 0.0 <= s < 1.0:
         raise PreconditionError(f"s must be in [0, 1), got {s}")
     start = max(1, rule.min_index)

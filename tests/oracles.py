@@ -4,9 +4,9 @@ Everything here is computed by routes that do not share code with the
 package internals: closed forms, scipy quadrature called directly on
 the defining integrals, high-precision series tails, the per-Arc
 routes that array-backed arc families replaced, the chunked-einsum
-lattice minimum that the split scorer of ``acceptance`` replaced (it
-shares only the enumeration ``_compositions``, which a product filter
-checks in test_acceptance.py), the grid-wide routes that the
+lattice minimum that the gate's exact minimum over supports replaced
+(its enumeration ``compositions`` is checked against a product filter,
+``product_lattice``), the grid-wide routes that the
 run-based cell selection and the span-sized local energy replaced
 (they share only the windowed spectrum tables of ``energy``), and the
 scalar length rules that the rules' array form replaced, the run-based
@@ -26,6 +26,7 @@ pinned so that a regression in the library cannot silently move the
 targets.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -35,7 +36,6 @@ from scipy.integrate import quad
 from circle_potential import (Arc, ArcFamily, CantorSpec, GridSet, PowerChoice,
                               PreconditionError, RatioRule, cantor_grid_set,
                               dirichlet_energy_local)
-from circle_potential.acceptance import _compositions
 from circle_potential.capacity import kernel_exponents
 from circle_potential.circle import ANGLE_TOL, TWO_PI, normalize_angle
 from circle_potential.energy import (_TABLES, _circulant_apply, _coeffs_from_dft, _faulted,
@@ -358,6 +358,36 @@ def carleson_partial_sums_direct(arcs) -> np.ndarray:
     return np.cumsum(lengths * np.log(lengths))
 
 
+def compositions(total: int, parts: int) -> list[np.ndarray]:
+    """For every s <= total, the compositions of s into ``parts``
+    nonnegative parts as the rows of a small-int array, in lexicographic
+    order. Built a part at a time: the compositions of s into p + 1 parts
+    are those with first part 0, then those of s - 1 with the first part
+    raised by one."""
+    dtype = np.min_scalar_type(total)
+    level = [np.zeros((1 if s == 0 else 0, 0), dtype=dtype) for s in range(total + 1)]
+    for p in range(parts):
+        nxt = []
+        for s in range(total + 1):
+            head = len(level[s])
+            block = np.zeros((head + (len(nxt[-1]) if s else 0), p + 1), dtype=dtype)
+            block[:head, 1:] = level[s]
+            if s:
+                block[head:] = nxt[-1]
+                block[head:, 0] += 1
+            nxt.append(block)
+        level = nxt
+    return level
+
+
+def product_lattice(c: int, subdivisions: int) -> np.ndarray:
+    """The compositions of ``subdivisions`` into c parts from an
+    itertools.product filter, which also yields them in lexicographic
+    order."""
+    points = itertools.product(range(subdivisions + 1), repeat=c)
+    return np.array([p for p in points if sum(p) == subdivisions])
+
+
 def lattice_min_einsum(K: np.ndarray, subdivisions: int) -> float:
     """Exhaustive minimum of w^T K w over the lattice of probability
     vectors with denominators ``subdivisions`` (small instances only).
@@ -367,7 +397,7 @@ def lattice_min_einsum(K: np.ndarray, subdivisions: int) -> float:
     [f, r] for r a composition of ``subdivisions - f`` into c - 1 parts.
     """
     c = K.shape[0]
-    rest = _compositions(subdivisions, c - 1)
+    rest = compositions(subdivisions, c - 1)
     best = math.inf
     for f in range(subdivisions + 1):
         tail = rest[subdivisions - f]

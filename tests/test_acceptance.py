@@ -7,7 +7,7 @@ selftest` and this module always agree. One summary line per criterion
 goes to stdout (visible with -s or on failure).
 """
 
-import itertools
+import dataclasses
 import json
 import os
 import subprocess
@@ -22,7 +22,7 @@ from circle_potential._threads import _BLAS_VARS
 from circle_potential.acceptance import AcceptanceContext, criterion_names, json_bytes, run_all
 from circle_potential.cli import main
 from circle_potential.energy import _circulant_block
-from oracles import lattice_min_einsum
+from oracles import compositions, lattice_min_einsum, product_lattice
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +85,8 @@ def test_comparability_stability(report):
 
 
 def test_small_instance_oracle(report):
-    """Tiny supports against exhaustive lattice minimization of the
-    energy form."""
+    """Classical capacities of one- to six-cell sets against the exact
+    minimum of the energy form over every support."""
     _assert_passed(report, "small_instance_oracle")
 
 
@@ -249,116 +249,75 @@ def test_runner_reports_resolution_errors_and_goes_on(monkeypatch):
     assert report["all_passed"] is False
 
 
-def _product_lattice(c, subdivisions):
-    """The lattice's points from an itertools.product filter, which also
-    yields the compositions in lexicographic order."""
-    points = itertools.product(range(subdivisions + 1), repeat=c)
-    return np.array([p for p in points if sum(p) == subdivisions])
-
-
 @pytest.mark.parametrize("seed", [500_000, 4])
 def test_lattice_oracle_matches_product_enumeration(seed):
     """The compositions built a part at a time are a brute product
     filter's points in the same order, for one to six cells and every
-    subdivision up to 8, and the oracle scores that lattice to the
-    chunked einsum route's float on two random kernel sets. One einsum
-    over all the points is no reference: at two cells numpy rounds a row
-    differently depending on how many rows the operand has."""
+    subdivision up to 8, and the chunked einsum route scores that
+    lattice's minimum, up to the rounding of one einsum row (one einsum
+    over all the points rounds a row differently at two cells)."""
     rng = np.random.default_rng(seed)
     for c in range(1, 7):
         a = rng.standard_normal((c, c))
         K = a @ a.T + 0.1 * np.eye(c)
+        margin = 4.0 * (c * c + 3) * 2.0**-53 * np.max(np.abs(K))
         for subdivisions in range(1, 9):
-            points = acceptance._compositions(subdivisions, c)[subdivisions]
-            assert np.array_equal(points, _product_lattice(c, subdivisions)), (c, subdivisions)
-            got = acceptance._lattice_min_energy(K, subdivisions)
-            assert got == lattice_min_einsum(K, subdivisions), (c, subdivisions)
+            points = product_lattice(c, subdivisions)
+            assert np.array_equal(compositions(subdivisions, c)[subdivisions], points)
+            w = points / subdivisions
+            want = np.einsum("ij,jk,ik->i", w, K, w).min()
+            assert abs(lattice_min_einsum(K, subdivisions) - want) <= margin, (c, subdivisions)
 
 
 def test_lattice_oracle_single_cell_is_the_unit_weight():
-    """With one cell the lattice is the single point w = [1]."""
-    assert acceptance._lattice_min_energy(np.array([[2.5]]), 48) == 2.5
+    """With one cell the lattice is the single point w = [1], which is
+    also the exact minimum's one support."""
+    K = np.array([[2.5]])
+    assert lattice_min_einsum(K, 48) == 2.5
+    energy, w = acceptance._exact_min_energy(K)
+    assert energy == 2.5 and w.tolist() == [1.0]
 
 
-def test_lattice_oracle_matches_einsum_route():
-    """The split scorer returns the chunked einsum route's float, bit for
-    bit, at 48 subdivisions: on the gate's own kernels (the sets that
-    small_instance_oracle draws, one to six cells, for three seeds) and
-    on random SPD kernels of one to six cells."""
+def _oracle_kernels(rounds):
+    """The kernels small_instance_oracle builds (one to six cells, for
+    three seeds), then ``rounds`` random SPD kernels of each size from
+    one to six cells."""
     for seed in (AcceptanceContext().seed, 1, 7):
         rng = AcceptanceContext(seed=seed).rng(8)
         for size in range(1, 7):
             idx = np.sort(rng.choice(64, size=size, replace=False))
-            K = _circulant_block("kernel", 64, 0.5, idx)
-            assert acceptance._lattice_min_energy(K, 48) == lattice_min_einsum(K, 48), (seed, size)
+            yield _circulant_block("kernel", 64, 0.5, idx)
     rng = np.random.default_rng(11)
-    for c in range(1, 7):
-        a = rng.standard_normal((c, c))
-        K = a @ a.T + 0.1 * np.eye(c)
-        assert acceptance._lattice_min_energy(K, 48) == lattice_min_einsum(K, 48), c
+    for _ in range(rounds):
+        for c in range(1, 7):
+            a = rng.standard_normal((c, c))
+            yield a @ a.T + 0.1 * np.eye(c)
 
 
-def _split_kernel(case, c, rng):
-    """A c-cell kernel whose last two cells a, b put the oracle's split
-    quadratic alpha + beta t + gamma t^2 in one regime:
-    - ``concave``: an indefinite K with gamma < 0;
-    - ``flat``: small integers with K_aa + K_bb = 2 K_ab, so gamma = 0;
-    - ``spanning`` and ``wide``: a tiny positive gamma, 4 and 32 margins
-      over S^2 (the oracle's margin at M = 1), whose windows span every
-      row and about half the longest;
-    - ``below`` and ``above``: the vertex of the prefix-free row (s = 0)
-      at -S/2 and 3S/2, outside [0, S].
-    All but ``flat`` are scaled to max|K| = 1."""
-    a, b = c - 2, c - 1
-    if case == "flat":
-        K = rng.integers(-3, 4, (c, c)).astype(float)
-        K += K.T  # an even diagonal, so the mean of K_aa and K_bb is whole
-        K[a, b] = K[b, a] = (K[a, a] + K[b, b]) / 2
-    else:
-        K = rng.standard_normal((c, c))
-        K += K.T
-    if case == "concave":
-        K[a, b] = K[b, a] = (K[a, a] + K[b, b]) / 2 + 1.0
-    elif case in ("below", "above"):
-        block = [[5.0, 2.0], [2.0, 1.0]] if case == "below" else [[1.0, 2.0], [2.0, 5.0]]
-        K[a:, a:] = block
-    if case != "flat":
-        K /= np.max(np.abs(K))
-    if case in ("spanning", "wide"):
-        margin = 4.0 * (c * c + 18 * c + 57) * 2.0**-53
-        K[a, b] = K[b, a] = (K[a, a] + K[b, b]) / 2 - (2.0 if case == "spanning" else 16.0) * margin
-    return K
+def test_exact_oracle_not_above_lattice():
+    """Every lattice point is a probability vector, so the exact minimum
+    is at most the lattice minimum at 48 subdivisions. At two gate cells
+    the minimizer (1/2, 1/2) is itself a lattice point, and the two
+    floats differ by rounding (two ulps), hence the relative slack."""
+    for K in _oracle_kernels(1):
+        energy, _ = acceptance._exact_min_energy(K)
+        assert energy <= lattice_min_einsum(K, 48) * (1.0 + 1e-14), K.shape
 
 
-_SPLIT_CASES = ("concave", "flat", "spanning", "wide", "below", "above")
+def test_exact_oracle_minimizer_passes_kkt():
+    """The returned w is a probability vector of the returned energy,
+    and the optimality conditions hold: (K w)_j >= w^T K w on every
+    cell, to 1e-12 relative."""
+    for K in _oracle_kernels(50):
+        energy, w = acceptance._exact_min_energy(K)
+        assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-14
+        assert abs(w @ K @ w - energy) <= 1e-14 * energy
+        assert np.all(K @ w >= energy * (1.0 - 1e-12)), K.shape
 
 
-@pytest.mark.parametrize("case", _SPLIT_CASES)
-def test_lattice_oracle_window_regimes(case):
-    """The split scorer returns the chunked einsum route's float, bit for
-    bit, in every regime its window argument covers: gamma < 0 on an
-    indefinite K, gamma = 0 (a linear score), tiny positive gammas whose
-    windows span whole rows or most of them, and a vertex outside
-    [0, R] on either side; two to six cells, 5, 8 and 20 subdivisions."""
-    rng = np.random.default_rng(_SPLIT_CASES.index(case))
-    for c in range(2, 7):
-        for subdivisions in (5, 8, 20):
-            K = _split_kernel(case, c, rng)
-            gamma = K[c - 2, c - 2] + K[c - 1, c - 1] - 2.0 * K[c - 2, c - 1]
-            if case == "concave":
-                assert np.linalg.eigvalsh(K)[0] < 0.0 and gamma < 0.0
-            elif case == "flat":
-                assert gamma == 0.0
-            elif case in ("spanning", "wide"):
-                assert 0.0 < gamma < 1e-11
-            got = acceptance._lattice_min_energy(K, subdivisions)
-            assert got == lattice_min_einsum(K, subdivisions), (c, subdivisions)
-
-
-def test_lattice_oracle_independent_of_thread_count():
-    """The six lattice minima of the gate's small_instance_oracle are the
-    same floats under one and two BLAS threads (the couplings are one
-    matrix product per batch)."""
+def test_exact_oracle_independent_of_thread_count():
+    """The six exact minima of the gate's small_instance_oracle, and
+    their weights, are the same bytes under one and two BLAS threads."""
     script = textwrap.dedent(
         """
         import numpy as np
@@ -370,7 +329,8 @@ def test_lattice_oracle_independent_of_thread_count():
         for size in range(1, 7):
             idx = np.sort(rng.choice(64, size=size, replace=False))
             K = _circulant_block("kernel", 64, 0.5, idx)
-            out.append(acceptance._lattice_min_energy(K, 48).hex())
+            energy, w = acceptance._exact_min_energy(K)
+            out.append((energy.hex(), w.tobytes().hex()))
         print(out)
         """
     )
@@ -388,20 +348,15 @@ def test_lattice_oracle_independent_of_thread_count():
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("c", [2, 3, 4])
-def test_lattice_oracle_exact_ties(c):
-    """With K = ones every lattice point scores 1 in exact arithmetic, so
-    every point is rescored; the result lies within the documented
-    rounding margin 4 (c^2 + 18 c + 57) 2^-53 max|K| of the einsum route
-    and of 1. Rescored in chunks of one first part, the chunks are then
-    the einsum route's own operands, so its float is met exactly too; a
-    zero margin would miss it at S = 48, one rescoring batch at c = 2,
-    S = 7."""
-    K = np.ones((c, c))
-    margin = 4.0 * (c * c + 18 * c + 57) * 2.0**-53
-    for subdivisions in (7, 8, 48):
-        got = acceptance._lattice_min_energy(K, subdivisions)
-        want = lattice_min_einsum(K, subdivisions)
-        assert abs(got - want) <= margin, subdivisions
-        assert abs(got - 1.0) <= margin, subdivisions
-        assert got == want, subdivisions
+def test_small_instance_oracle_fails_on_a_two_percent_error(monkeypatch):
+    """A solver that reports 1.02 times each capacity fails the
+    criterion, by that 2% against the exact minimum."""
+    solve = acceptance.classical_capacity
+    monkeypatch.setattr(
+        acceptance,
+        "classical_capacity",
+        lambda *args: dataclasses.replace(solve(*args), value=1.02 * solve(*args).value),
+    )
+    passed, details = acceptance.small_instance_oracle(AcceptanceContext())
+    assert not passed
+    assert abs(details["max_rel_error"] - 0.02) < 1e-12

@@ -487,6 +487,23 @@ def test_config_file_and_flag_override(capsys, tmp_path):
     assert code == 0, err
 
 
+def test_config_fourier_m_kept_under_grid_flag(capsys, tmp_path):
+    """A config file's fourier_m survives --grid-n and is checked against
+    the final grid: above N/2 it exits 2."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"grid_n": 4096, "fourier_m": 10}))
+    argv = ["energy", "--fn", "builtin:monomial,n=1", "--alpha", "0.5", "--fourier",
+            "--config", str(cfg)]
+    for grid in ("1024", "128"):
+        payload = run_json(capsys, *argv, "--grid-n", grid)
+        assert payload["config"]["grid_n"] == int(grid)
+        assert payload["config"]["fourier_m"] == 10
+    cfg.write_text(json.dumps({"grid_n": 4096, "fourier_m": 1000}))
+    code, out, err = run_cli(capsys, *argv, "--grid-n", "1024")
+    assert code == 2 and out == ""
+    assert "fourier_m must be in 1..512, got 1000" in err
+
+
 def test_cli_output_reproducible(capsys):
     argv = [
         "capacity", "--method", "compare", "--alpha", "0.5",

@@ -186,13 +186,12 @@ ARGV = st.one_of(
     ),
     # The selftest takes no solver options (a loose tolerance or a tiny
     # budget legitimately fails a criterion, exit 1) and runs at 128
-    # cells, the smallest grid at which every criterion passes. The
-    # lattice oracle does not depend on the grid and has its own test.
-    # A kernel fault is 0 or invalid, as a valid nonzero one also fails
-    # a criterion.
+    # cells, the smallest grid at which every criterion passes. A kernel
+    # fault is 0 or invalid, as a valid nonzero one also fails a
+    # criterion.
     st.tuples(
         st.lists(
-            mix([n for n in criterion_names() if n != "small_instance_oracle"], ["", "nope"]),
+            mix(criterion_names(), ["", "nope"]),
             min_size=1,
             max_size=3,
         ),
