@@ -346,7 +346,7 @@ def _exact_min_energy(K: np.ndarray) -> tuple[float, np.ndarray]:
     w = y / sum(y). So every support is tried, one stacked solve per
     support size; each positive y gives a feasible w, whose energy is
     evaluated directly. The least energy is returned with its w on all
-    of K's cells. It shares no code with the capacity polish."""
+    of K's cells. It shares no code with the capacity solve."""
     c = len(K)
     best, arg = math.inf, None
     for size in range(1, c + 1):

@@ -1,4 +1,4 @@
-"""Classical and L2 capacities by convex minimization on the grid.
+"""Classical and L2 capacities by one linear solve on the grid.
 
 Two capacities of a grid set E, both with the normalized arc measure:
 
@@ -21,32 +21,39 @@ on E and equality on the support of x. The classical problem is
 M = K, rhs = 1, with weights w = x / sum(x) and minimal energy
 1 / sum(x); the L2 dual is M = G, rhs = 2N, with lam = x. An estimate
 holds that solution on E's cells (w, or lam) and builds the N-cell
-minimizer from it only when it is read. One active-set
-polish (Lawson-Hanson style) solves both, starting from every cell of
-E, as Riesz equilibrium measures charge the whole set: solve
-M_AA x = rhs, drop cells with x <= 0, add cells whose residual
-r = rhs - M x exceeds tolerance * max(rhs, sum(x)). Its certificate,
-reported as kkt_residual, is
+minimizer from it only when it is read.
 
-    max( max |r| on the support, max(r, 0) off it ) / max(rhs, sum(x)).
+Equilibrium measures charge the whole set, and on the grid this is a
+sign pattern: x = M_EE^-1 rhs, one solve on every cell of E, has every
+entry positive, so x >= 0 holds, the support is E and nothing is left to
+search. Let A be the inverse of the full N x N circulant of a table t.
+When A's off-diagonal entries are <= 0 (A is an M-matrix), its row sums
+are 1 / sum(t), and the inverse of any principal block M_EE is a Schur
+complement of A, whose row sums are at least 1 / sum(t); so
+M_EE^-1 1 >= 1 / sum(t) entrywise, for every E (Dellacherie, Martinez &
+San Martin, Inverse M-Matrices and Ultrametric Matrices, LNM 2118, 2014;
+the discrete face of the domination principle, Landkof 1972). One FFT
+checks the sign pattern of a table, irfft(1 / rfft(t))[1:] <= 0: it
+holds for every L2 table (alpha = 1e-3 to 1) and for every kernel table
+with s >= 0.05, at N = 64 to 65536. It fails for the logarithmic kernel
+(s = 0) and for s = 1e-9 at N >= 4096, so at s = 0 and at s below about
+0.05 positivity is observed on every set tried, not proved. The
+certificate, reported as kkt_residual, is
 
-For the classical capacity this is the gap between the equilibrium
-potential and its level 1 / sum(x), relative to max(1, level). For the
-L2 dual sum(lam) = 2 C_{alpha,2} stays below 2N, so the scale is 2N and
-the certificate is the dual gradient 1 - (G lam) / (2N).
+    max |r| / max(rhs, sum(x)),    r = rhs - M x on E,
 
-The polish drops every nonpositive cell at once, without the
-Lawson-Hanson step back, so nothing but max_iterations bounds its
-number of solves, which is what ``iterations`` reports; every set in
-the tests, the release gate and the benchmark certifies on its first.
-A polish whose solve fails, that runs out of solves, or whose
-certificate misses the tolerance raises ConvergenceError carrying the
-estimate of its last solve with every entry positive, or None when no
-solve gave one.
+the KKT residual of a solution whose support is all of E. For the
+classical capacity this is the gap between the equilibrium potential
+and its level 1 / sum(x), relative to max(1, level). For the L2 dual
+sum(lam) = 2 C_{alpha,2} stays below 2N, so the scale is 2N and the
+certificate is the dual gradient 1 - (G lam) / (2N). A solve that fails
+or gives an entry <= 0 raises ConvergenceError without an estimate (the
+message names the grid cell of that entry); a certificate that misses
+the tolerance raises it carrying the uncertified estimate.
 
-Every block M_AA is symmetric positive definite (the full circulants
-are, and principal blocks inherit it). ``_block_solve`` routes an
-active set of k cells by its size and its runs. Up to _CG_CELLS cells,
+Every block M_EE is symmetric positive definite (the full circulants
+are, and principal blocks inherit it). ``_block_solve`` routes a set
+of k cells by its size and its runs. Up to _CG_CELLS cells,
 a set that is one cyclic run (an arc, across -pi too) is, in cyclic
 order, the symmetric Toeplitz system of the table's first k entries,
 solved by Levinson recursion (``scipy.linalg.solve_toeplitz``) in
@@ -57,17 +64,17 @@ and dpotrs, the only kernel matrix ever formed, which fails below full
 numerical rank. Not dpotrf: OpenBLAS threads its own from 128 cells, and
 its bytes then depend on the thread count; dpstrf is reference LAPACK.
 Larger sets are solved by conjugate gradients, whose products with
-M_AA, like every other product with K or G, are FFT convolutions
+M_EE, like every other product with K or G, are FFT convolutions
 (``energy._circulant_apply``). They are preconditioned by the circulant
-that the same FFT window embeds M_AA in (T. Chan 1988; R. Chan & Ng
+that the same FFT window embeds M_EE in (T. Chan 1988; R. Chan & Ng
 1996): its inverse, applied to the zero-padded vector and restricted to
-A, is exact on the full circle, which it solves without iterating, and
+E, is exact on the full circle, which it solves without iterating, and
 takes arcs and pairs of arcs to 5-15 iterations and depth-4 Cantor sets
 to at most 29 at every N measured (up to 65536), against 33-640
-unpreconditioned. The FFT window (``energy._window``) is made once per
-cell set: once per polish for its residual products and once per solve
-for every conjugate-gradient product and preconditioner application.
-The L2 value takes G lam from the polish's last residual product. All
+unpreconditioned. The FFT window of E (``energy._window``) is made once
+per capacity and serves its residual product and every
+conjugate-gradient product and preconditioner application. The L2
+value takes G lam from the residual product. All
 of these are indexed by cell difference, so rotating E by whole cells
 changes results by roundoff.
 
@@ -90,7 +97,7 @@ from scipy import linalg
 
 from .circle import GridSet, _cell_runs
 from .errors import ConvergenceError, PreconditionError
-from .energy import _check_kernel_exponent, _circulant_apply, _circulant_block, _table, _window
+from .energy import Window, _check_kernel_exponent, _circulant_apply, _circulant_block, _table, _window
 
 
 class KernelExponents(NamedTuple):
@@ -107,10 +114,9 @@ def kernel_exponents(beta: float) -> KernelExponents:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rules for the capacity solvers."""
+    """Certificate tolerance of the capacity solvers."""
 
     tolerance: float = 1e-8
-    max_iterations: int = 50_000
     # Accepted, validated and ignored: the two iteration rules it chose
     # between are gone, but the benchmark's capacity workload still labels
     # its queries by them. Not stored, so configs no longer echo it.
@@ -119,15 +125,13 @@ class SolverConfig:
     def __post_init__(self, step_rule):
         if not 0.0 < self.tolerance < math.inf:
             raise PreconditionError("tolerance must be positive and finite")
-        if self.max_iterations < 1:
-            raise PreconditionError("max_iterations must be >= 1")
         if step_rule not in ("frank_wolfe", "projected_gradient"):
             raise PreconditionError(f"unknown step_rule {step_rule!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class CapacityEstimate:
-    """Capacity value with solver diagnostics and the polish's solution.
+    """Capacity value with solver diagnostics and the solve's solution.
 
     value = 1/energy for the classical method (energy_or_norm holds the
     minimal energy) and the squared norm itself for the l2 method.
@@ -176,11 +180,11 @@ class CapacityEstimate:
 
 
 # ---------------------------------------------------------------------------
-# shared solver: active-set polish and its driver
+# shared solver: one solve on every cell and its certificate
 # ---------------------------------------------------------------------------
 
 
-# Active sets of more cells than this are solved by conjugate gradients,
+# Sets of more cells than this are solved by conjugate gradients,
 # smaller ones by Levinson recursion (one run) or a dense factorization
 # of the block (several runs), which are faster there (crossovers
 # measured on one thread; tables in CHANGES.md).
@@ -224,20 +228,20 @@ def _conjugate_gradient(apply, precondition, b: np.ndarray):
     return None
 
 
-def _block_solve(table: str, n: int, exponent: float, cells: np.ndarray, rhs: float):
-    """x with M_AA x = rhs on sorted ``cells``, or None when the solve
+def _block_solve(table: str, n: int, exponent: float, cells: np.ndarray, window: Window, rhs: float):
+    """x with M_EE x = rhs on sorted ``cells``, or None when the solve
     fails. Up to _CG_CELLS cells, one cyclic run is solved as the
     Toeplitz system of the table's first k entries and any other set by
     forming the block and factoring it by pivoted Cholesky, which fails
-    below full rank; above, conjugate gradients apply M_AA and the
-    preconditioner by ``energy._circulant_apply`` over one window of the
-    cells, and on all n cells the preconditioner alone solves the
+    below full rank; above, conjugate gradients apply M_EE and the
+    preconditioner by ``energy._circulant_apply`` over the cells'
+    ``window``, and on all n cells the preconditioner alone solves the
     system. Only the dense route forms a k x k array."""
     k = len(cells)
     b = np.full(k, rhs)
     if k > _CG_CELLS:
-        op = (table, n, exponent, _window(n, cells))
-        if k == n:  # the preconditioner's circulant is M_AA itself
+        op = (table, n, exponent, window)
+        if k == n:  # the preconditioner's circulant is M_EE itself
             return _circulant_apply(*op, b, inverse=True)
         return _conjugate_gradient(partial(_circulant_apply, *op),
                                    partial(_circulant_apply, *op, inverse=True), b)
@@ -271,89 +275,48 @@ def _block_solve(table: str, n: int, exponent: float, cells: np.ndarray, rhs: fl
     return x
 
 
-def _kkt_polish(op: tuple, rhs: float, tol: float, max_solves: int):
-    """Active-set solve of x >= 0, M x >= rhs, with equality on the support.
-
-    M is ``op = (table, n, exponent, cells)`` of ``energy``'s operator.
-    Starting from every cell, solves M_AA x = rhs on the active cells
-    (``_block_solve``: Levinson or pivoted Cholesky up to _CG_CELLS
-    cells, conjugate gradients above), drops cells with nonpositive
-    solution and adds off-active cells whose residual r = rhs - M x,
-    formed with x over every cell, exceeds tol * max(rhs, sum(x)). Stops
-    when no cell is added, when a solve fails (a singular Toeplitz
-    system, a dense block below full rank, or conjugate gradients
-    meeting nonpositive curvature or their iteration cap), when every
-    cell is dropped, or after max_solves solves. Returns (x, mx,
-    residual, solves): x over the local index range from the last solve
-    with every entry positive, mx = M x, the product its residual was
-    formed from, and residual its certificate (the module docstring's),
-    all None when no solve was positive, and the number of solves made.
-    The residual is at most tol only when the polish stopped clean.
-    Every residual product reuses one window of ``cells``
-    (``energy._window``).
-    """
-    table, n, exponent, cells = op
-    k = len(cells)
-    window = _window(n, cells)
-    act = np.arange(k)
-    last = None, None, None
-    solves = 0
-    while solves < max_solves:
-        x_act = _block_solve(table, n, exponent, cells[act], rhs)
-        if x_act is None:
-            break
-        solves += 1
-        if np.any(x_act <= 0.0):
-            keep = x_act > 0.0
-            if not np.any(keep):
-                break
-            act = act[keep]
-            continue
-        scale = max(rhs, float(np.sum(x_act)))
-        x = np.zeros(k)
-        x[act] = x_act
-        mx = _circulant_apply(table, n, exponent, window, x)
-        r = rhs - mx
-        off = np.ones(k, dtype=bool)
-        off[act] = False
-        on_res = float(np.max(np.abs(r[act])))
-        off_res = float(np.max(r[off], initial=0.0))
-        last = x, mx, max(on_res, off_res) / scale
-        viol = np.nonzero(off & (r > tol * scale))[0]
-        if viol.size == 0:
-            break
-        act = np.union1d(act, viol)
-    return *last, solves
-
-
 def _solve(method: str, alpha: float, op: tuple, rhs: float, cfg: SolverConfig) -> CapacityEstimate:
-    """Driver shared by both capacities: one polish of every cell of
-    ``op``, capped at cfg.max_iterations solves, returned as the estimate
-    of its solution when it certifies. Otherwise raises ConvergenceError
-    carrying the estimate of the polish's last positive solve, or None
-    when there was none. The empty set has capacity 0 by convention."""
-    _, n, _, cells = op
+    """Driver shared by both capacities: one ``_block_solve`` of M x = rhs
+    on every cell of ``op = (table, n, exponent, cells)`` and its
+    certificate (the module docstring's), returned as the estimate when
+    it is at most cfg.tolerance. A solve that fails (a singular Toeplitz
+    system, a dense block below full rank, or conjugate gradients meeting
+    nonpositive curvature or their iteration cap) or has an entry <= 0
+    raises ConvergenceError without an estimate; a certificate above the
+    tolerance raises it carrying the estimate. One window of the cells
+    (``energy._window``) serves the solve and the residual product. The
+    empty set has capacity 0 by convention."""
+    table, n, exponent, cells = op
     classical = method == "classical"
     if cells.size == 0:
         return CapacityEstimate(0.0, method, alpha, n, 0, 0.0, math.inf if classical else 0.0,
                                 cells, np.zeros(0), notes=("empty set",))
-    x, mx, residual, solves = _kkt_polish(op, rhs, cfg.tolerance, cfg.max_iterations)
-    best = None
-    if x is not None:
-        if classical:  # weights x / sum(x), minimal energy 1 / sum(x)
-            total = float(np.sum(x))
-            norm = 1.0 / total
-            value, weights = 1.0 / norm, x / total
-        else:  # lam = x, and mx = G lam is the polish's last residual product
-            value = norm = float(np.sum(x) - np.sum(x * mx) / (4.0 * n))
-            weights = x
-        best = CapacityEstimate(value, method, alpha, n, solves, residual, norm, cells, weights)
-    if best is None or not residual <= cfg.tolerance:
+    window = _window(n, cells)
+    x = _block_solve(table, n, exponent, cells, window, rhs)
+    if x is None:
+        raise ConvergenceError(f"{method} capacity solve failed on {len(cells)} cells")
+    nonpositive = np.flatnonzero(x <= 0.0)
+    if nonpositive.size:
+        j = int(nonpositive[0])
+        raise ConvergenceError(
+            f"{method} capacity solve gave {x[j]!r} <= 0 at grid cell {int(cells[j])}"
+        )
+    total = float(np.sum(x))
+    mx = _circulant_apply(table, n, exponent, window, x)
+    residual = float(np.max(np.abs(rhs - mx))) / max(rhs, total)
+    if classical:  # weights x / sum(x), minimal energy 1 / sum(x)
+        norm = 1.0 / total
+        value, weights = 1.0 / norm, x / total
+    else:  # lam = x and mx = G lam
+        value = norm = float(np.sum(x) - np.sum(x * mx) / (4.0 * n))
+        weights = x
+    est = CapacityEstimate(value, method, alpha, n, 1, residual, norm, cells, weights)
+    if not residual <= cfg.tolerance:
         raise ConvergenceError(
             f"{method} capacity solver did not reach tolerance {cfg.tolerance}",
-            best_estimate=best,
+            best_estimate=est,
         )
-    return best
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +326,7 @@ def _solve(method: str, alpha: float, op: tuple, rhs: float, cfg: SolverConfig) 
 
 # The smallest positive kernel exponent the classical capacity accepts.
 # As s -> 0, chord^(-s) -> 1 (not |log chord|, the s = 0 kernel), so K
-# tends to the singular all-ones matrix and the polish loses its
+# tends to the singular all-ones matrix and the solve loses its
 # certificate. Probed on arcs, scattered and Cantor sets of 2 to 52,153
 # cells at N = 64 to 65536, every set certified on its first solve down
 # to s = 1e-10; the first not to was the largest arc at N = 65536, at

@@ -543,9 +543,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="seed for builtin random inputs")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--tolerance", type=float, default=None, help="solver stationarity tolerance")
-    p.add_argument(
-        "--max-iterations", type=int, default=None, help="capacity solver budget, in polish solves"
-    )
     p.add_argument("--out", default=None, help="CSV output path")
 
 
@@ -565,10 +562,7 @@ def _config_from_args(args) -> Config:
         grid_n=pick("grid_n", raw, int, Config.grid_n),
         fourier_m=_field(raw, "fourier_m", int, None),
         seed=pick("seed", raw, int, Config.seed),
-        solver=SolverConfig(
-            tolerance=pick("tolerance", solver_raw, float, SolverConfig.tolerance),
-            max_iterations=pick("max_iterations", solver_raw, int, SolverConfig.max_iterations),
-        ),
+        solver=SolverConfig(tolerance=pick("tolerance", solver_raw, float, SolverConfig.tolerance)),
     )
 
 

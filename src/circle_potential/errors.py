@@ -39,8 +39,8 @@ class ConstructionError(PreconditionError):
 
 
 class ConvergenceError(CirclePotentialError):
-    """A solver could not certify its result: a solve failed, the
-    iteration budget ran out, or the certificate missed the tolerance.
+    """A solver could not certify its result: a solve failed, gave a
+    nonpositive entry, or the certificate missed the tolerance.
 
     ``best_estimate`` is the best uncertified estimate found, for callers
     to inspect, or None when the solver produced none.

@@ -202,7 +202,7 @@ def restricted_dense(table: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
 def block_solve_bunch_kaufman(M: np.ndarray, rhs: float) -> np.ndarray:
     """x with M x = rhs for a dense symmetric block M, by the
     Bunch-Kaufman factorization of ``scipy.linalg.solve(assume_a="sym")``,
-    the solve the capacity polish made before pivoted Cholesky."""
+    the solve the capacities made before pivoted Cholesky."""
     return linalg.solve(M, np.full(len(M), rhs), assume_a="sym")
 
 

@@ -1,4 +1,4 @@
-"""Property tests: the active-set polish alone solves both capacities, and
+"""Property tests: one solve on every cell solves both capacities, and
 one-run sets by the Toeplitz route.
 
 Derandomized, so every run draws the same 100 examples per test (about 3 s
@@ -56,6 +56,8 @@ def _property_set(draw, n):
 # table rounds to all ones, so every block is singular, and an L2 alpha
 # below about 4e-16 rounds the convolution exponent to 1, which
 # ``kernel_column`` refuses: the dense oracle has no answer there either.
+# Classical exponents in (0, S_MIN) are refused (test_capacity's
+# test_tiny_classical_exponents_are_refused), so they start at S_MIN.
 _SMALLEST_EXPONENT = 1e-12
 
 
@@ -63,7 +65,7 @@ _SMALLEST_EXPONENT = 1e-12
 def _property_case(draw):
     e = _property_set(draw, draw(st.sampled_from([64, 128, 256, 512, 1024])))
     if draw(st.booleans()):
-        return e, classical_capacity, draw(st.just(0.0) | st.floats(_SMALLEST_EXPONENT, 0.75))
+        return e, classical_capacity, draw(st.just(0.0) | st.floats(capacity.S_MIN, 0.75))
     return e, l2_capacity, draw(st.floats(_SMALLEST_EXPONENT, 1.0))
 
 
@@ -71,8 +73,8 @@ def _property_case(draw):
 @given(case=_property_case())
 def test_polish_alone_matches_dense_oracle(case):
     """On arc unions, scattered cells, Cantor sets and sets on both sides
-    of the dense/CG crossover, the polish certifies on its first solve and
-    agrees to 1e-9 with a direct dense active-set solve."""
+    of the dense/CG crossover, each capacity certifies on its one solve
+    and agrees to 1e-9 with a direct dense active-set solve."""
     e, solve, alpha = case
     est = solve(e, alpha)
     assert est.iterations == 1

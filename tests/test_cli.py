@@ -390,7 +390,7 @@ def test_precondition_exit_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag", ["--grid-n", "--max-iterations", "--tolerance"])
+@pytest.mark.parametrize("flag", ["--grid-n", "--tolerance"])
 def test_zero_flag_values_are_rejected(capsys, flag):
     """A zero flag value reaches config validation instead of falling
     back to the default."""
@@ -421,7 +421,7 @@ def test_l2_exponent_rounding_to_one_exits_2(capsys, argv):
 
 
 def test_infinite_tolerance_is_rejected(capsys):
-    """An infinite tolerance would count any polish as certified."""
+    """An infinite tolerance would count any solve as certified."""
     code, out, err = run_cli(
         capsys, "capacity", "--method", "classical", "--alpha", "0.5",
         "--set", "half", "--grid-n", "256", "--tolerance", "inf",
@@ -457,7 +457,7 @@ def test_no_convergence_exit_3(capsys):
     code, _, err = run_cli(
         capsys, "capacity", "--method", "classical", "--alpha", "0.5",
         "--set", "half", "--grid-n", "256",
-        "--tolerance", "1e-30", "--max-iterations", "5",
+        "--tolerance", "1e-30",
     )
     assert code == 3
     assert "error" in err
@@ -472,7 +472,8 @@ def test_config_file_and_flag_override(capsys, tmp_path):
     )
     assert payload["config"]["grid_n"] == 128
     assert payload["config"]["seed"] == 7
-    assert payload["config"]["solver"] == {"tolerance": 1e-8, "max_iterations": 777}
+    # the retired solve budget is ignored, like any other unknown key
+    assert payload["config"]["solver"] == {"tolerance": 1e-8}
     payload = run_json(
         capsys, "energy", "--fn", "builtin:monomial,n=1", "--alpha", "0.5",
         "--config", str(cfg), "--grid-n", "256",

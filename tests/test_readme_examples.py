@@ -39,8 +39,8 @@ def _value(args, flag):
 
 
 def _polish_route(text):
-    """The route of a capacity polish's first solve, on every cell of the
-    set at 4096 cells (``capacity._block_solve``)."""
+    """The route of a capacity's solve, on every cell of the set at 4096
+    cells (``capacity._block_solve``)."""
     grid = CircleGrid(4096)
     cells = cli.parse_set(grid, text).indices
     runs = _cell_runs(cells)
