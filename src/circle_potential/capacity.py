@@ -52,31 +52,39 @@ message names the grid cell of that entry); a certificate that misses
 the tolerance raises it carrying the uncertified estimate.
 
 Every block M_EE is symmetric positive definite (the full circulants
-are, and principal blocks inherit it). ``_block_solve`` routes a set
-of k cells by its size and its runs. Up to _CG_CELLS cells,
-a set that is one cyclic run (an arc, across -pi too) is, in cyclic
-order, the symmetric Toeplitz system of the table's first k entries,
-solved by Levinson recursion (``scipy.linalg.solve_toeplitz``) in
-O(k^2) time and O(k) memory, weakly stable on such matrices (Cybenko
-1980; Bunch 1985); any other set of up to _CG_CELLS cells by LAPACK's
-pivoted Cholesky of its block (dpstrf; Hammarling, Higham & Lucas 2007)
-and dpotrs, the only kernel matrix ever formed, which fails below full
-numerical rank. Not dpotrf: OpenBLAS threads its own from 128 cells, and
-its bytes then depend on the thread count; dpstrf is reference LAPACK.
-Larger sets are solved by conjugate gradients, whose products with
-M_EE, like every other product with K or G, are FFT convolutions
-(``energy._circulant_apply``). They are preconditioned by the circulant
-that the same FFT window embeds M_EE in (T. Chan 1988; R. Chan & Ng
-1996): its inverse, applied to the zero-padded vector and restricted to
-E, is exact on the full circle, which it solves without iterating, and
-takes arcs and pairs of arcs to 5-15 iterations and depth-4 Cantor sets
-to at most 29 at every N measured (up to 65536), against 33-640
-unpreconditioned. The FFT window of E (``energy._window``) is made once
+are, and principal blocks inherit it). ``_block_solve`` routes a set of
+k cells by its size and its runs. A set of at most _BLOCK_CELLS = 64
+cells is solved on its formed block, by LAPACK's pivoted Cholesky
+(dpstrf; Hammarling, Higham & Lucas 2007) and dpotrs, which fail below
+full numerical rank, and the same block gives the residual product M x
+and the L2 value's G lam: no FFT window, no transform and no Toeplitz
+call, whose fixed costs (13 to 37 us for a window and its FFT pair, 16
+to 22 us for scipy's Levinson wrapper) are most of a small set's solve.
+That crossover was measured on one thread at N = 4096: a one-run set
+costs the same either way at about 64 cells (60 against 68 us for the
+classical capacity), and Levinson wins above (83 against 71 us at 80);
+sets of several runs gain up to 96 cells and more. Up to _CG_CELLS
+cells, a set that is one cyclic run (an arc, across -pi too) is, in
+cyclic order, the symmetric Toeplitz system of the table's first k
+entries, solved by Levinson recursion (``scipy.linalg.solve_toeplitz``)
+in O(k^2) time and O(k) memory, weakly stable on such matrices (Cybenko
+1980; Bunch 1985); any other set by pivoted Cholesky of its block, the
+only kernel matrix formed above _BLOCK_CELLS cells. Not dpotrf: OpenBLAS
+threads its own from 128 cells, and its bytes then depend on the thread
+count; dpstrf is reference LAPACK. Larger sets are solved by conjugate
+gradients, whose products with M_EE, like every product with K or G off
+the block route, are FFT convolutions (``energy._circulant_apply``).
+They are preconditioned by the circulant that the same FFT window embeds
+M_EE in (T. Chan 1988; R. Chan & Ng 1996): its inverse, applied to the
+zero-padded vector and restricted to E, is exact on the full circle,
+which it solves without iterating, and takes arcs and pairs of arcs to
+5-15 iterations and depth-4 Cantor sets to at most 29 at every N
+measured (up to 65536), against 33-640 unpreconditioned. Above
+_BLOCK_CELLS cells the FFT window of E (``energy._window``) is made once
 per capacity and serves its residual product and every
-conjugate-gradient product and preconditioner application. The L2
-value takes G lam from the residual product. All
-of these are indexed by cell difference, so rotating E by whole cells
-changes results by roundoff.
+conjugate-gradient product and preconditioner application; the L2 value
+takes G lam from the residual product. All of these are indexed by cell
+difference, so rotating E by whole cells changes results by roundoff.
 
 Kernel exponent bookkeeping: for a divergence-test parameter beta, the
 classical capacity uses kernel exponent 1 - beta while the L2 capacity
@@ -97,7 +105,7 @@ from scipy import linalg
 
 from .circle import GridSet, _cell_runs
 from .errors import ConvergenceError, PreconditionError
-from .energy import Window, _check_kernel_exponent, _circulant_apply, _circulant_block, _table, _window
+from .energy import _check_kernel_exponent, _circulant_apply, _circulant_block, _table, _window
 
 
 class KernelExponents(NamedTuple):
@@ -184,10 +192,13 @@ class CapacityEstimate:
 # ---------------------------------------------------------------------------
 
 
-# Sets of more cells than this are solved by conjugate gradients,
-# smaller ones by Levinson recursion (one run) or a dense factorization
-# of the block (several runs), which are faster there (crossovers
-# measured on one thread; tables in CHANGES.md).
+# Sets of at most _BLOCK_CELLS cells are solved and certified on their
+# formed block, which costs less there than a window, its FFTs and a
+# Levinson call; sets of more than _CG_CELLS cells by conjugate
+# gradients; those in between by Levinson recursion (one run) or a dense
+# factorization of the block (several runs), which are faster there
+# (crossovers measured on one thread; tables in CHANGES.md).
+_BLOCK_CELLS = 64
 _CG_CELLS = 512
 # Conjugate gradients stop at ||r|| <= _CG_RTOL ||b||, far inside the KKT
 # tolerance. The cap is about eighteen times the most iterations measured:
@@ -228,51 +239,58 @@ def _conjugate_gradient(apply, precondition, b: np.ndarray):
     return None
 
 
-def _block_solve(table: str, n: int, exponent: float, cells: np.ndarray, window: Window, rhs: float):
-    """x with M_EE x = rhs on sorted ``cells``, or None when the solve
-    fails. Up to _CG_CELLS cells, one cyclic run is solved as the
-    Toeplitz system of the table's first k entries and any other set by
-    forming the block and factoring it by pivoted Cholesky, which fails
-    below full rank; above, conjugate gradients apply M_EE and the
-    preconditioner by ``energy._circulant_apply`` over the cells'
-    ``window``, and on all n cells the preconditioner alone solves the
-    system. Only the dense route forms a k x k array."""
+def _cholesky_solve(block: np.ndarray, b: np.ndarray):
+    """x with block x = b for constant b by pivoted Cholesky, or None
+    below full rank. P^T M P = U^T U is factored in place: the block's
+    transpose is the same matrix in LAPACK's column-major order. info > 0
+    is a computed rank below k (or a block not semidefinite). b is
+    constant, so only the solution y of U^T U y = b is unpermuted."""
+    u, piv, _, info = _pstrf(block.T, overwrite_a=True)
+    if info != 0:
+        return None
+    y, _ = _potrs(u, b)
+    x = np.empty(len(b))
+    x[piv - 1] = y
+    return x
+
+
+def _block_solve(table: str, n: int, exponent: float, cells: np.ndarray, rhs: float):
+    """(x, M_EE x) for x with M_EE x = rhs on sorted ``cells``, or None
+    when the solve fails. Up to _BLOCK_CELLS cells the block is formed
+    once, factored by pivoted Cholesky and multiplied by x. Up to
+    _CG_CELLS cells, one cyclic run is solved as the Toeplitz system of
+    the table's first k entries and any other set by pivoted Cholesky of
+    its block; above, conjugate gradients apply M_EE and the
+    preconditioner by ``energy._circulant_apply``, and on all n cells
+    the preconditioner alone solves the system. Those routes make one
+    ``Window`` of the cells, which also gives M_EE x."""
     k = len(cells)
     b = np.full(k, rhs)
-    if k > _CG_CELLS:
-        op = (table, n, exponent, window)
-        if k == n:  # the preconditioner's circulant is M_EE itself
-            return _circulant_apply(*op, b, inverse=True)
-        return _conjugate_gradient(partial(_circulant_apply, *op),
-                                   partial(_circulant_apply, *op, inverse=True), b)
-    # one cyclic run: one sorted run (cut 0), or two that meet across
-    # cell n - 1 -> 0, the run starting after the first one's cut cells
+    if k <= _BLOCK_CELLS:
+        block = _circulant_block(table, n, exponent, cells)
+        x = _cholesky_solve(block.copy(), b)
+        return None if x is None else (x, block @ x)
+    apply = partial(_circulant_apply, table, n, exponent, _window(n, cells))
     first, last = int(cells[0]), int(cells[-1])
-    if last - first == k - 1:
-        cut = 0
-    elif first == 0 and last == n - 1 and len(runs := _cell_runs(cells)) == 2:
-        cut = runs[0][1]
-    else:
-        cut = None
-    if cut is not None:
-        # in cyclic order the block is Toeplitz; b is constant, so only x
-        # goes back to sorted order
+    if k > _CG_CELLS:
+        if k == n:  # the preconditioner's circulant is M_EE itself
+            x = apply(b, inverse=True)
+        else:
+            x = _conjugate_gradient(apply, partial(apply, inverse=True), b)
+    elif last - first == k - 1 or (first == 0 and last == n - 1 and len(runs := _cell_runs(cells)) == 2):
+        # one cyclic run: one sorted run, or two that meet across cell
+        # n - 1 -> 0. In cyclic order the block is Toeplitz; b is
+        # constant, so only x goes back to sorted order, rolled by the
+        # first sorted run's count
         try:
             x = linalg.solve_toeplitz(_table(table, n, exponent)[:k], b, check_finite=False)
         except np.linalg.LinAlgError:
             return None
-        return np.roll(x, cut) if cut else x
-    # pivoted Cholesky P^T M_AA P = U^T U, factored in place: the block's
-    # transpose is the same matrix in LAPACK's column-major order. info > 0
-    # is a computed rank below k (or a block not semidefinite). b is
-    # constant, so only the solution y of U^T U y = b is unpermuted.
-    u, piv, _, info = _pstrf(_circulant_block(table, n, exponent, cells).T, overwrite_a=True)
-    if info != 0:
-        return None
-    y, _ = _potrs(u, b)
-    x = np.empty(k)
-    x[piv - 1] = y
-    return x
+        if last - first != k - 1:
+            x = np.roll(x, runs[0][1])
+    else:
+        x = _cholesky_solve(_circulant_block(table, n, exponent, cells), b)
+    return None if x is None else (x, apply(x))
 
 
 def _solve(method: str, alpha: float, op: tuple, rhs: float, cfg: SolverConfig) -> CapacityEstimate:
@@ -283,18 +301,18 @@ def _solve(method: str, alpha: float, op: tuple, rhs: float, cfg: SolverConfig) 
     system, a dense block below full rank, or conjugate gradients meeting
     nonpositive curvature or their iteration cap) or has an entry <= 0
     raises ConvergenceError without an estimate; a certificate above the
-    tolerance raises it carrying the estimate. One window of the cells
-    (``energy._window``) serves the solve and the residual product. The
-    empty set has capacity 0 by convention."""
+    tolerance raises it carrying the estimate. The residual product
+    comes with the solution, from the block or the window that served
+    the solve. The empty set has capacity 0 by convention."""
     table, n, exponent, cells = op
     classical = method == "classical"
     if cells.size == 0:
         return CapacityEstimate(0.0, method, alpha, n, 0, 0.0, math.inf if classical else 0.0,
                                 cells, np.zeros(0), notes=("empty set",))
-    window = _window(n, cells)
-    x = _block_solve(table, n, exponent, cells, window, rhs)
-    if x is None:
+    solved = _block_solve(table, n, exponent, cells, rhs)
+    if solved is None:
         raise ConvergenceError(f"{method} capacity solve failed on {len(cells)} cells")
+    x, mx = solved
     nonpositive = np.flatnonzero(x <= 0.0)
     if nonpositive.size:
         j = int(nonpositive[0])
@@ -302,7 +320,6 @@ def _solve(method: str, alpha: float, op: tuple, rhs: float, cfg: SolverConfig) 
             f"{method} capacity solve gave {x[j]!r} <= 0 at grid cell {int(cells[j])}"
         )
     total = float(np.sum(x))
-    mx = _circulant_apply(table, n, exponent, window, x)
     residual = float(np.max(np.abs(rhs - mx))) / max(rhs, total)
     if classical:  # weights x / sum(x), minimal energy 1 / sum(x)
         norm = 1.0 / total

@@ -567,16 +567,19 @@ class GridSet:
     @classmethod
     def from_indices(cls, grid: CircleGrid, indices: Iterable[int]) -> "GridSet":
         n = grid.n_points
-        idx = np.asarray(list(indices))
+        idx = indices if isinstance(indices, np.ndarray) else np.asarray(list(indices))
         if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n):
             raise PreconditionError(f"cell indices must be integers in [0, {n})")
         mask = np.zeros(n, dtype=bool)
         mask[idx.astype(int)] = True
         return cls(grid, mask)
 
-    @property
+    @cached_property
     def indices(self) -> np.ndarray:
-        return np.nonzero(self.mask)[0]
+        """The sorted cells of the set, found once and read-only."""
+        idx = np.flatnonzero(self.mask)
+        idx.setflags(write=False)
+        return idx
 
     @property
     def count(self) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import SolverConfig, l2_capacity
-from .circle import Arc, GridSet, _cell_runs, _check_resolved
+from .circle import Arc, GridSet, _check_resolved
 from .energy import BoundarySamples, _block_energies
 from .errors import PreconditionError
 
@@ -96,27 +96,30 @@ def poincare_check(
         raise PreconditionError("f and E live on different grids")
     grid = f.grid
     n = grid.n_points
-    in_i = grid.mask_of(arc)  # I resolved once, for E cap I, the energy and the mean
-    idx = np.flatnonzero(in_i)
-    e_in_i = GridSet(grid, e.mask & in_i)
-    if e_in_i.is_empty():
+    grid._check_target(arc, "centers")
+    runs = grid._arc_runs(arc, "centers")  # I, resolved once, as sorted runs
+    cells = e.indices
+    bounds = np.searchsorted(cells, [(first, first + count) for first, count in runs])
+    e_cells = np.concatenate([cells[lo:hi] for lo, hi in bounds])  # E cap I
+    if not e_cells.size:
         raise PreconditionError("E cap I contains no grid cells")
-    worst = float(np.max(np.abs(f.values[e_in_i.mask])))
+    worst = float(np.max(np.abs(f.values[e_cells])))
     if worst >= _VANISHING_TOL:
         raise PreconditionError(
             f"f does not vanish on E cap I (max |f| = {worst:.3g})"
         )
 
-    _check_resolved(idx.size, "arc I")
-    n2d = _block_energies(f.values[None], [_cell_runs(idx)], [(0, 0)], (alpha,))[0, 0, 0]
+    _check_resolved(sum(count for _, count in runs), "arc I")
+    n2d = _block_energies(f.values[None], [runs], [(0, 0)], (alpha,))[0, 0, 0]
     energy = float(n2d) / n**2
-    cap = l2_capacity(e_in_i, beta, cfg).value
+    cap = l2_capacity(GridSet.from_indices(grid, e_cells), beta, cfg).value
     scale = arc.length ** (alpha - beta)
     if energy == 0.0:
         lhs = 0.0
         ratio = 0.0
     else:
-        lhs = float(np.mean(np.abs(f.values[idx]))) ** 2
+        values = [f.values[first:first + count] for first, count in runs]
+        lhs = float(np.mean(np.abs(np.concatenate(values)))) ** 2
         ratio = lhs * cap / (scale * energy)
     return PoincareReport(
         lhs=lhs,

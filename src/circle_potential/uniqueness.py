@@ -495,8 +495,8 @@ def uniqueness_series(
     for k, part in enumerate(e_parts):
         if part.grid.n_points != grid.n_points:
             raise PreconditionError("set parts live on different grids")
-        # arc k's covered cells are the first count[k] after rolling its run to the front
-        if np.roll(part.mask, -int(first[k]))[count[k]:].any():
+        # arc k covers the count[k] cells from first[k] on, cyclically
+        if np.any((part.indices - first[k]) % grid.n_points >= count[k]):
             raise PreconditionError(
                 f"set part {k} is not contained in the covered cells of its arc"
             )

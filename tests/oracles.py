@@ -18,7 +18,8 @@ replaced, the per-arc Cantor parts and containment check and the
 remainder-based arc gaps that the batched and remainder-free array
 routes replaced, the model-by-model trend fit that one array pass
 replaced, the Bunch-Kaufman solve of a dense capacity block that
-pivoted Cholesky replaced, and three checks that only tests use: the Vitali
+pivoted Cholesky replaced, the N-long masks of I and of E cap I that
+``poincare_check`` built before it read both from runs, and three checks that only tests use: the Vitali
 covering check, the spectral measure energy and the KKT potential of
 an L2 minimizer. The frozen
 digits were produced by those same routes at high resolution and are
@@ -652,3 +653,47 @@ def density_potential(f: np.ndarray, alpha: float, e) -> np.ndarray:
     exponent = kernel_exponents(alpha).l2_convolution
     potential = _circulant_apply("kernel", n, exponent, np.arange(n), f)
     return potential[e.indices] / n
+
+
+def poincare_check_mask(f, e, arc, alpha: float, beta: float, gamma: float, cfg=None):
+    """``poincare_check`` as it resolved I and E cap I before it read both
+    from I's runs: N-long masks of I and of E cap I (``mask_of(arc)`` and
+    ``e.mask & in_i``) and boolean gathers over N, with the same
+    preconditions raised in the same order. Returns the report and the
+    cells of E cap I that the capacity is taken on."""
+    from circle_potential.capacity import l2_capacity
+    from circle_potential.circle import _cell_runs, _check_resolved
+    from circle_potential.energy import _block_energies
+    from circle_potential.poincare import _VANISHING_TOL, PoincareReport
+
+    if not 0.0 < beta <= alpha <= 1.0:
+        raise PreconditionError(f"need 0 < beta <= alpha <= 1, got beta={beta}, alpha={alpha}")
+    if not 0.0 < gamma < 1.0:
+        raise PreconditionError(f"gamma must be in (0, 1), got {gamma}")
+    if arc.length > gamma * math.pi + 1e-12:
+        raise PreconditionError(f"|I| = {arc.length:.6g} exceeds gamma*pi = {gamma * math.pi:.6g}")
+    if f.grid is not e.grid and f.grid.n_points != e.grid.n_points:
+        raise PreconditionError("f and E live on different grids")
+    grid = f.grid
+    n = grid.n_points
+    in_i = grid.mask_of(arc)
+    idx = np.flatnonzero(in_i)
+    e_in_i = GridSet(grid, e.mask & in_i)
+    if e_in_i.is_empty():
+        raise PreconditionError("E cap I contains no grid cells")
+    worst = float(np.max(np.abs(f.values[e_in_i.mask])))
+    if worst >= _VANISHING_TOL:
+        raise PreconditionError(f"f does not vanish on E cap I (max |f| = {worst:.3g})")
+    _check_resolved(idx.size, "arc I")
+    n2d = _block_energies(f.values[None], [_cell_runs(idx)], [(0, 0)], (alpha,))[0, 0, 0]
+    energy = float(n2d) / n**2
+    cap = l2_capacity(e_in_i, beta, cfg).value
+    scale = arc.length ** (alpha - beta)
+    if energy == 0.0:
+        lhs = ratio = 0.0
+    else:
+        lhs = float(np.mean(np.abs(f.values[idx]))) ** 2
+        ratio = lhs * cap / (scale * energy)
+    report = PoincareReport(lhs=lhs, cap=cap, energy=energy, scale=scale, ratio=ratio,
+                            alpha=alpha, beta=beta, gamma=gamma, grid_n=n)
+    return report, e_in_i.indices

@@ -275,26 +275,54 @@ def _run_isolated(script):
 def test_stalled_solver_raises_instead_of_hanging():
     """A capacity whose solve fails has nothing behind it: each solver
     raises ConvergenceError without an estimate after one attempt instead
-    of trying again."""
+    of trying again, on every route of ``_block_solve``. The solve fails
+    as a whole (``_block_solve`` gives None) and, on each route that can
+    fail, inside it: the pivoted Cholesky of the block route and of the
+    dense route reports a rank below k, the Levinson recursion finds the
+    system singular and conjugate gradients give up."""
     script = """
+        import numpy as np
+        from scipy import linalg
         import circle_potential.capacity as cap
         from circle_potential import (
             CircleGrid, ConvergenceError, GridSet, SolverConfig,
             classical_capacity, l2_capacity,
         )
 
-        calls = []
-        cap._block_solve = lambda *args: calls.append(args)  # every solve fails
-        e = GridSet.full(CircleGrid(64))
-        for solve in (classical_capacity, l2_capacity):
-            calls.clear()
-            try:
-                solve(e, 0.5)
-            except ConvergenceError as exc:
-                assert exc.best_estimate is None
-                assert len(calls) == 1, len(calls)
-            else:
-                raise SystemExit(f"{solve.__name__}: no ConvergenceError")
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+
+        def rank_deficient(a, **kwargs):
+            return a, np.arange(1, len(a) + 1, dtype=np.int32), 0, 1
+
+        grid = CircleGrid(4096)
+        routes = {  # route: (a set it takes, the module attribute that fails inside it)
+            "block": (GridSet.full(CircleGrid(64)), (cap, "_pstrf", rank_deficient)),
+            "Levinson": (GridSet.from_indices(grid, 100 + np.arange(100)),
+                         (linalg, "solve_toeplitz", singular)),
+            "dense": (GridSet.from_indices(grid, np.r_[100:150, 300:350]),
+                      (cap, "_pstrf", rank_deficient)),
+            "conjugate gradients": (GridSet.from_indices(grid, np.arange(600)),
+                                    (cap, "_conjugate_gradient", lambda *args: None)),
+            "full circle": (GridSet.full(grid), None),
+        }
+        block_solve, calls = cap._block_solve, []
+        whole = (cap, "_block_solve", lambda *args: calls.append(args))  # every solve fails
+        cap._block_solve = lambda *args: calls.append(args) or block_solve(*args)
+        for route, (e, inside) in routes.items():
+            for module, name, fault in filter(None, (whole, inside)):
+                kept = getattr(module, name)
+                setattr(module, name, fault)
+                for solve in (classical_capacity, l2_capacity):
+                    calls.clear()
+                    try:
+                        solve(e, 0.5)
+                    except ConvergenceError as exc:
+                        assert exc.best_estimate is None, (route, name)
+                        assert len(calls) == 1, (route, name, len(calls))
+                    else:
+                        raise SystemExit(f"{route}, {name}, {solve.__name__}: no ConvergenceError")
+                setattr(module, name, kept)
         print("ok")
         """
     assert _run_isolated(script) == "ok"
@@ -347,15 +375,19 @@ def test_kernel_fault_scales_both_capacities(grid256, solver, scale):
 
 def _one_run_sets(grid):
     """Sets that are one cyclic run of cells: an arc across -pi (two
-    sorted runs), one cell, and, where the grid has room, a run of
-    exactly _CG_CELLS cells across -pi."""
-    n, k = grid.n_points, capacity._CG_CELLS
+    sorted runs), one cell, and, where the grid has room, runs across -pi
+    of exactly _BLOCK_CELLS cells, one more, and exactly _CG_CELLS
+    cells."""
+    n = grid.n_points
     sets = {
         "arc-across-pi": GridSet.from_arcs(grid, Arc(2.9, -2.7)),
         "single-cell": GridSet.from_indices(grid, [n - 1]),
     }
-    if n > k:
-        sets["run-across-pi-at-crossover"] = GridSet.from_indices(grid, (np.arange(k) - k // 2) % n)
+    for name, k in (("at-block-crossover", capacity._BLOCK_CELLS),
+                    ("above-block-crossover", capacity._BLOCK_CELLS + 1),
+                    ("at-crossover", capacity._CG_CELLS)):
+        if n > k:
+            sets[f"run-across-pi-{name}"] = GridSet.from_indices(grid, (np.arange(k) - k // 2) % n)
     return sets
 
 
@@ -429,21 +461,29 @@ def _capacity_matches_dense(e, solver):
 
 @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
 def test_one_run_sets_take_toeplitz_route(n, solver, monkeypatch):
-    """A set that is one cyclic run of at most _CG_CELLS cells is solved
-    as a Toeplitz system: no dense block is formed and no conjugate
-    gradients run, across -pi too, and both capacities agree to 1e-9
-    with the dense oracle (at N = 4096 as well, with the run of exactly
-    _CG_CELLS cells at exponent 0 the worst-conditioned case)."""
+    """A set that is one cyclic run of more than _BLOCK_CELLS and at most
+    _CG_CELLS cells is solved as a Toeplitz system: no dense block is
+    formed, no conjugate gradients run and one window is made per solve,
+    across -pi too. One of at most _BLOCK_CELLS cells takes the block
+    route instead: one block per solve, no Levinson call and no window.
+    Both capacities agree to 1e-9 with the dense oracle on each (at N =
+    4096 as well, with the run of exactly _CG_CELLS cells at exponent 0
+    the worst-conditioned case)."""
     routes = []
-    block, cg = capacity._circulant_block, capacity._conjugate_gradient
+    block, cg, toeplitz = capacity._circulant_block, capacity._conjugate_gradient, capacity.linalg.solve_toeplitz
     monkeypatch.setattr(capacity, "_circulant_block",
-                        lambda *args: routes.append("dense") or block(*args))
+                        lambda *args: routes.append("block") or block(*args))
     monkeypatch.setattr(capacity, "_conjugate_gradient",
                         lambda *args: routes.append("cg") or cg(*args))
+    monkeypatch.setattr(capacity.linalg, "solve_toeplitz",
+                        lambda *args, **kw: routes.append("levinson") or toeplitz(*args, **kw))
+    monkeypatch.setattr(capacity, "_window",
+                        lambda n, cells: routes.append("window") or _window(n, cells))
     for name, e in _one_run_sets(CircleGrid(n)).items():
         routes.clear()
         _capacity_matches_dense(e, solver)
-        assert routes == [], (name, routes)
+        want = ["block"] if e.count <= capacity._BLOCK_CELLS else ["window", "levinson"]
+        assert routes == want * 5, (name, routes)
 
 
 def test_several_runs_keep_the_dense_block(monkeypatch, solver):
@@ -462,6 +502,37 @@ def test_several_runs_keep_the_dense_block(monkeypatch, solver):
             sizes.clear()
             solve(e, 0.5, solver)
             assert sizes == want, (e.count, solve.__name__, sizes)
+
+
+def test_block_route_matches_the_kept_routes(monkeypatch, solver):
+    """Sets of at most _BLOCK_CELLS cells solved and certified on their
+    formed block agree with the routes they would take without it
+    (``_BLOCK_CELLS`` = 0): Levinson on one run, across -pi too, and the
+    dense factorization with the FFT certificate on several runs. For k =
+    1 to _BLOCK_CELLS + 1 cells, both capacities agree to 1e-12 relative
+    and both certificates are within the tolerance; the block route
+    makes no window and the kept routes one."""
+    n = 4096
+    grid = CircleGrid(n)
+    windows = []
+    monkeypatch.setattr(capacity, "_window", lambda n, cells: windows.append(None) or _window(n, cells))
+    for k in range(1, capacity._BLOCK_CELLS + 2):
+        shapes = {"one-run": 100 + np.arange(k), "across-pi": (np.arange(k) - k // 2) % n}
+        if k > 1:
+            shapes["two-runs"] = np.concatenate([10 + np.arange(k // 2), 150 + np.arange(k - k // 2)])
+            shapes["every-third-cell"] = 30 + 3 * np.arange(k)
+        for name, cells in shapes.items():
+            e = GridSet.from_indices(grid, cells)
+            for solve, alpha in ((classical_capacity, 0.0), (classical_capacity, 0.5),
+                                 (l2_capacity, 0.5), (l2_capacity, 1.0)):
+                windows.clear()
+                got = solve(e, alpha, solver)
+                assert len(windows) == (k > capacity._BLOCK_CELLS), (k, name)
+                with monkeypatch.context() as m:
+                    m.setattr(capacity, "_BLOCK_CELLS", 0)
+                    want = solve(e, alpha, solver)
+                assert abs(got.value - want.value) <= 1e-12 * want.value, (k, name, solve.__name__, alpha)
+                assert max(got.kkt_residual, want.kkt_residual) <= solver.tolerance, (k, name)
 
 
 def test_half_circle_certifies_on_first_solve(grid256, solver):
@@ -537,7 +608,7 @@ def test_one_solve_meets_the_m_matrix_bound(n):
         rhs = 1.0 if table == "kernel" else 2.0 * n
         total = float(np.sum(_table(table, n, exponent)))
         for e in sets:
-            y = capacity._block_solve(table, n, exponent, e.indices, _window(n, e.indices), rhs)
+            y, _ = capacity._block_solve(table, n, exponent, e.indices, rhs)
             if exponent == 0.0:
                 assert np.min(y) > 0.0, e.count
             else:
@@ -547,7 +618,8 @@ def test_one_solve_meets_the_m_matrix_bound(n):
 def _dense_block_sets():
     """Depth-2 and depth-4 Cantor sets of 13 to 505 cells and 8 to 512
     scattered cells: none is one cyclic run, so ``_block_solve`` factors
-    the dense block of each."""
+    the dense block of each (by the block route up to _BLOCK_CELLS
+    cells)."""
     sets = []
     for n, depth, width in ((4096, 2, 0.02), (1024, 4, 0.5), (4096, 4, 1.0), (4096, 4, 2.0), (4096, 4, 2.2)):
         spec = CantorSpec(rule=PowerChoice(0.5), depth=depth, host=Arc.centered(0.7, width),
@@ -575,7 +647,7 @@ def test_dense_block_solve_matches_bunch_kaufman(monkeypatch):
                                      ("autocorr", 0.5, 2.0 * n), ("autocorr", 0.75, 2.0 * n)):
             want = oracles.block_solve_bunch_kaufman(
                 oracles.restricted_dense(_table(table, n, exponent), cells, n), rhs)
-            got = capacity._block_solve(table, n, exponent, cells, _window(n, cells), rhs)
+            got, _ = capacity._block_solve(table, n, exponent, cells, rhs)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (e.count, table, exponent)
         assert factored[-5:] == [e.count] * 5
 
@@ -584,15 +656,16 @@ def test_dense_block_solve_matches_bunch_kaufman(monkeypatch):
 def test_rank_deficient_block_fails_the_polish(monkeypatch, solve):
     """A dense block of rank below k (all ones) makes ``_block_solve``
     return None, so the solve fails and the capacity raises
-    ConvergenceError with no estimate, as on a singular block before."""
-    e = _dense_block_sets()[1]
-    n, cells = e.grid.n_points, e.indices
+    ConvergenceError with no estimate, as on a singular block before: on
+    the block route (42 cells) and on the dense route (238 cells)."""
     monkeypatch.setattr(capacity, "_circulant_block",
                         lambda table, n, exponent, cells: np.ones((len(cells), len(cells))))
-    assert capacity._block_solve("kernel", n, 0.5, cells, _window(n, cells), 1.0) is None
-    with pytest.raises(ConvergenceError) as info:
-        solve(e, 0.5)
-    assert info.value.best_estimate is None
+    for e in _dense_block_sets()[1:3]:
+        n, cells = e.grid.n_points, e.indices
+        assert capacity._block_solve("kernel", n, 0.5, cells, 1.0) is None
+        with pytest.raises(ConvergenceError) as info:
+            solve(e, 0.5)
+        assert info.value.best_estimate is None
 
 
 @pytest.mark.parametrize(
@@ -639,9 +712,9 @@ def test_nonpositive_entry_raises_without_estimate(monkeypatch, capsys, grid256,
 
     def one_negated(*args):
         calls.append(None)
-        x = block(*args)
+        x, mx = block(*args)
         x[j] = -x[j]
-        return x
+        return x, mx
 
     monkeypatch.setattr(capacity, "_block_solve", one_negated)
     with pytest.raises(ConvergenceError, match=rf"<= 0 at grid cell {e.indices[j]}$") as info:
@@ -658,16 +731,17 @@ def test_nonpositive_entry_raises_without_estimate(monkeypatch, capsys, grid256,
 
 def test_capacities_independent_of_thread_count():
     """Capacity JSON and minimizer bytes are the same with one and with
-    two BLAS threads on every route of ``_block_solve``: Levinson (an arc
-    below the crossover), the dense block (a depth-4 Cantor set of 458
-    cells in 16 runs, classical and L2), conjugate gradients (arcs above
-    the crossover) and the preconditioner alone (the full circle), up to
-    8192 cells."""
+    two BLAS threads on every route of ``_block_solve``: the block route
+    (a 34-cell arc and three 9-cell spikes, classical and L2), Levinson
+    (an arc below the crossover), the dense block (a depth-4 Cantor set
+    of 458 cells in 16 runs, classical and L2), conjugate gradients (arcs
+    above the crossover) and the preconditioner alone (the full circle),
+    up to 8192 cells."""
     script = textwrap.dedent(
         """
         import hashlib, json
         import numpy as np
-        from circle_potential import (Arc, CantorSpec, CircleGrid, GridSet, PowerChoice,
+        from circle_potential import (Arc, ArcFamily, CantorSpec, CircleGrid, GridSet, PowerChoice,
                                       cantor_grid_set, classical_capacity, l2_capacity)
 
         grid, large = CircleGrid(4096), CircleGrid(8192)
@@ -675,8 +749,15 @@ def test_capacities_independent_of_thread_count():
                           offset=3, scale_to_host=True)
         cantor = cantor_grid_set(spec, grid)
         assert len(cantor.indices) == 458
+        small_arc = GridSet.from_arcs(grid, Arc.centered(0.3, 0.05))
+        spikes = GridSet.from_arcs(grid, ArcFamily(tuple(Arc.centered(-0.4 + 0.3 * j, 0.012) for j in range(3))))
+        assert (small_arc.count, spikes.count) == (34, 27)
         out = []
         for est in (
+            classical_capacity(small_arc, 0.0),
+            l2_capacity(small_arc, 0.5),
+            classical_capacity(spikes, 0.5),
+            l2_capacity(spikes, 1.0),
             classical_capacity(GridSet.full(grid), 0.5),
             l2_capacity(GridSet.from_arcs(grid, Arc(-1.5, 1.5)), 0.5),
             classical_capacity(GridSet.from_arcs(grid, Arc(0.2, 0.9)), 0.0),
@@ -699,7 +780,7 @@ def test_capacities_independent_of_thread_count():
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
-    assert len(json.loads(outputs[0])) == 7
+    assert len(json.loads(outputs[0])) == 11
     assert outputs[0] == outputs[1]
 
 
@@ -804,7 +885,8 @@ def test_capacities_at_65536_cells():
 
 
 def _polish_sets(grid):
-    """An arc pair, a depth-4 Cantor set and 600 scattered cells."""
+    """An arc pair, a depth-4 Cantor set (48 cells in 16 runs at 4096
+    cells, the block route) and 600 scattered cells."""
     return {
         "arc-pair": _two_arcs(grid),
         "cantor-4": cantor_grid_set(CantorSpec(rule=PowerChoice(0.5), depth=4, offset=3), grid),
@@ -814,12 +896,13 @@ def _polish_sets(grid):
 
 @pytest.mark.parametrize("cg_cells", [capacity._CG_CELLS, 8])
 def test_polish_window_matches_gap_search(monkeypatch, cg_cells):
-    """A capacity makes one window of its cells, for its solve's
-    conjugate-gradient products and its residual product. Driven instead
-    by ``oracles.circulant_apply_gap_search``, which searches the window
-    again on every product, both capacities give the same bytes: value,
-    report and minimizer. With 8 cells every solve takes conjugate
-    gradients."""
+    """A capacity on an FFT route makes one window of its cells, for its
+    solve's conjugate-gradient products and its residual product; one on
+    the block route (at most _BLOCK_CELLS cells) makes none. Driven
+    instead by ``oracles.circulant_apply_gap_search``, which searches the
+    window again on every product, both capacities give the same bytes:
+    value, report and minimizer. With _CG_CELLS = 8 every solve of more
+    than _BLOCK_CELLS cells takes conjugate gradients."""
     grid = CircleGrid(4096)
     monkeypatch.setattr(capacity, "_CG_CELLS", cg_cells)
     for name, e in _polish_sets(grid).items():
@@ -829,7 +912,8 @@ def test_polish_window_matches_gap_search(monkeypatch, cg_cells):
                 for module in (capacity, energy):
                     m.setattr(module, "_window", lambda n, cells: windows.append(None) or _window(n, cells))
                 got = solve(e, alpha)
-            assert len(windows) == 1, (name, solve.__name__, len(windows))
+            want_windows = 0 if e.count <= capacity._BLOCK_CELLS else 1
+            assert len(windows) == want_windows, (name, solve.__name__, len(windows))
             with monkeypatch.context() as m:
                 m.setattr(capacity, "_window", lambda n, cells: cells)
                 m.setattr(capacity, "_circulant_apply", oracles.circulant_apply_gap_search)
@@ -839,32 +923,42 @@ def test_polish_window_matches_gap_search(monkeypatch, cg_cells):
 
 
 def test_l2_capacity_uses_the_polish_product(monkeypatch):
-    """The L2 value takes G lam from the residual product, the last
-    operator product of the capacity; it is the product recomputed from
-    lam, bit for bit, and so is the value sum(lam) - lam^T G lam / (4N)."""
-    apply = capacity._circulant_apply
+    """The L2 value takes G lam from the certificate product that
+    ``_block_solve`` returns with lam: on an FFT route the product over
+    the cells' window, on the block route the formed block times lam.
+    On every route it is that product recomputed from lam, bit for bit
+    (over a window made afresh, or a block formed afresh), and so is the
+    value sum(lam) - lam^T G lam / (4N)."""
+    block_solve = capacity._block_solve
     seen = []
 
-    def recorded(*args, **kwargs):
-        out = apply(*args, **kwargs)
+    def recorded(*args):
+        out = block_solve(*args)
         seen.append((args, out))
         return out
 
-    monkeypatch.setattr(capacity, "_circulant_apply", recorded)
+    monkeypatch.setattr(capacity, "_block_solve", recorded)
     grid = CircleGrid(4096)
-    for e in (*_polish_sets(grid).values(), GridSet.full(grid)):
+    sets = (*_polish_sets(grid).values(), GridSet.from_indices(grid, 300 + np.arange(100)), GridSet.full(grid))
+    routes = set()
+    for e in sets:
         seen.clear()
         est = l2_capacity(e, 0.75)
-        (table, n, exponent, _, lam), g_lam = seen[-1]
+        [((table, n, exponent, cells, _), (lam, g_lam))] = seen
         assert table == "autocorr" and lam is est.weights
-        again = apply("autocorr", n, exponent, e.indices, lam)
+        if len(cells) <= capacity._BLOCK_CELLS:
+            again = capacity._circulant_block(table, n, exponent, cells) @ lam
+        else:
+            again = capacity._circulant_apply(table, n, exponent, e.indices, lam)
+        routes.add(len(cells) <= capacity._BLOCK_CELLS)
         assert g_lam.tobytes() == again.tobytes()
         assert est.value == float(np.sum(lam) - np.sum(lam * again) / (4.0 * n))
+    assert routes == {True, False}
 
 
 def test_comparability_l2_is_l2_capacity_exactly():
     """``comparability_report`` reports the float ``l2_capacity`` does: spike arcs, arcs and a Cantor set, by
-    the dense block and by conjugate gradients."""
+    the block route, Levinson and conjugate gradients."""
     grid = CircleGrid(4096)
     spikes = ArcFamily(tuple(Arc.centered(-0.4 + 0.3 * j, 0.012) for j in range(3)))
     sets = [

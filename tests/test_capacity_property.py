@@ -109,9 +109,10 @@ def _arc_case(draw):
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(case=_arc_case())
 def test_one_run_route_matches_dense_oracle_and_rotation(case):
-    """Arcs of up to _CG_CELLS cells take the Toeplitz route: they agree
-    to 1e-9 with the dense oracle, and rotating them by whole cells
-    across -pi changes the value only by roundoff."""
+    """Arcs of up to _CG_CELLS cells take the block route (up to
+    _BLOCK_CELLS cells) or the Toeplitz route: they agree to 1e-9 with
+    the dense oracle, and rotating them by whole cells across -pi changes
+    the value only by roundoff."""
     e, shift, solve, alpha = case
     est = solve(e, alpha)
     exponent = alpha if solve is classical_capacity else kernel_exponents(alpha).l2_convolution

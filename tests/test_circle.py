@@ -377,6 +377,22 @@ def test_grid_set_from_indices_refuses_bad_cells(grid64):
     assert GridSet.from_indices(grid64, []).is_empty()
 
 
+def test_grid_set_indices_found_once_and_read_only(grid64):
+    """``indices`` is computed once per set and handed out read-only, so
+    no caller can change the set through it; an integer ndarray given to
+    ``from_indices`` makes the same set as its list."""
+    s = GridSet.from_indices(grid64, np.array([40, 2, 0, 1]))
+    idx = s.indices
+    assert s.indices is idx
+    assert idx.tolist() == [0, 1, 2, 40]
+    with pytest.raises(ValueError):
+        idx[0] = 5
+    assert np.array_equal(s.mask, GridSet.from_indices(grid64, [0, 1, 2, 40]).mask)
+    for bad in (np.array([-1]), np.array([64]), np.array([1.5]), np.array([True])):
+        with pytest.raises(PreconditionError):
+            GridSet.from_indices(grid64, bad)
+
+
 def test_grid_set_mismatched_grids_rejected(grid64, grid256):
     a = GridSet.full(grid64)
     b = GridSet.full(grid256)

@@ -1,4 +1,6 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from circle_potential import (
     poincare_check,
     spike_function,
 )
+from circle_potential import poincare
 from circle_potential.capacity import _CG_CELLS
 
 
@@ -209,8 +212,9 @@ def test_constant_estimate_is_max(grid1024, solver):
 
 
 def _value_route_instances(grid):
-    """(E, I) pairs whose E cap I takes the dense route (spike arcs, a
-    short arc, a Cantor set) or conjugate gradients (a 653-cell arc)."""
+    """(E, I) pairs whose E cap I takes the block route (spike arcs, 27
+    cells, and a Cantor set, 48), Levinson (a 79-cell arc) or conjugate
+    gradients (a 653-cell arc)."""
     spikes = ArcFamily(tuple(Arc.centered(-0.4 + 0.3 * j, 0.012) for j in range(3)))
     return [
         (GridSet.from_arcs(grid, spikes), Arc.centered(0.0, 1.2)),
@@ -242,3 +246,96 @@ def test_poincare_capacity_is_l2_capacity_exactly():
         assert got.minimizer.tobytes() == want.minimizer.tobytes()
         assert got.value == want.value
     assert min(sizes) <= _CG_CELLS < max(sizes)
+
+
+def _mask_route_instances(rng):
+    """(f, E, I, alpha, beta) at 256 to 4096 cells: spike families, arcs,
+    Cantor sets and scattered cells for E, I anywhere (across -pi too),
+    f the spike of E or a function vanishing on E and zero elsewhere in
+    I (zero energy)."""
+    out = []
+    for n in (256, 1024, 4096):
+        grid = CircleGrid(n)
+        for trial in range(12):
+            c = float(rng.uniform(-math.pi, math.pi)) if trial % 3 else math.pi - 0.1
+            spikes = ArcFamily(tuple(Arc.centered(c - 0.2 + 0.1 * j, 0.02) for j in range(1 + trial % 4)))
+            sets = [
+                GridSet.from_arcs(grid, spikes),
+                GridSet.from_arcs(grid, Arc.centered(c + 0.1, 0.15)),
+                cantor_grid_set(CantorSpec(rule=PowerChoice(0.5), depth=3, offset=3), grid),
+                GridSet.from_indices(grid, rng.choice(n, size=n // 16, replace=False)),
+            ]
+            arc = Arc.centered(c, float(rng.uniform(0.3, 2.0)))
+            beta = float(rng.uniform(0.2, 1.0))
+            alpha = float(rng.uniform(beta, 1.0))
+            for e in sets:
+                out.append((spike_function(e, 0.1), e, arc, alpha, beta))
+            zero = BoundarySamples(grid, np.where(sets[1].mask, 0.0, 1.0).astype(np.complex128))
+            out.append((zero, sets[1], Arc.centered(c + 0.1, 0.1), alpha, beta))
+    return out
+
+
+def test_poincare_matches_mask_route(monkeypatch):
+    """E cap I found from I's runs is the set the N-long masks gave
+    (``oracles.poincare_check_mask``), and lhs, energy, scale, cap and
+    ratio have the same bytes, on instances with I across -pi and with
+    zero energy; an instance the mask route refuses is refused with the
+    same error."""
+    capacity_cells = []
+    l2 = poincare.l2_capacity
+    monkeypatch.setattr(poincare, "l2_capacity",
+                        lambda e, beta, cfg=None: capacity_cells.append(e.indices) or l2(e, beta, cfg))
+    across = zero = checked = refusals = 0
+    for f, e, arc, alpha, beta in _mask_route_instances(np.random.default_rng(32)):
+        capacity_cells.clear()
+        try:
+            want, cells = oracles.poincare_check_mask(f, e, arc, alpha, beta, 0.75)
+        except PreconditionError as refused:
+            with pytest.raises(type(refused), match=f"^{re.escape(str(refused))}$"):
+                poincare_check(f, e, arc, alpha, beta, 0.75)
+            refusals += 1
+            continue
+        got = poincare_check(f, e, arc, alpha, beta, 0.75)
+        assert capacity_cells[0].tolist() == cells.tolist()
+        assert got.to_json() == want.to_json()
+        for name in ("lhs", "energy", "scale", "cap", "ratio"):
+            assert np.float64(getattr(got, name)).tobytes() == np.float64(getattr(want, name)).tobytes(), name
+        checked += 1
+        across += len(f.grid._arc_runs(arc, "centers")) == 2
+        zero += got.energy == 0.0
+    assert checked >= 100 and across and zero and refusals, (checked, across, zero, refusals)
+
+
+def _precondition_cases():
+    """(f, E, I, alpha, beta, gamma) breaking each precondition of
+    ``poincare_check`` in turn, with I across -pi where it can be."""
+    grid = CircleGrid(1024)
+    e = GridSet.from_arcs(grid, Arc.centered(math.pi - 0.05, 0.05))  # across -pi
+    f = spike_function(e, 0.2)
+    across = Arc.centered(math.pi, 1.0)
+    tiny_across = Arc.centered(-math.pi + 0.02, 0.03)  # under RESOLUTION_CELLS cells
+    far = GridSet.from_arcs(grid, Arc.centered(0.0, 0.1))
+    return {
+        "beta above alpha": (f, e, across, 0.5, 0.75, 0.75),
+        "gamma": (f, e, across, 0.75, 0.5, 1.5),
+        "arc too long": (f, e, Arc.centered(math.pi, 0.5 * math.pi + 0.2), 0.75, 0.5, 0.5),
+        "grids differ": (f, GridSet.from_arcs(CircleGrid(256), Arc.centered(0.0, 0.1)), across, 0.75, 0.5, 0.75),
+        "not an arc": (f, e, SimpleNamespace(length=0.5), 0.75, 0.5, 0.75),
+        "E cap I empty": (spike_function(far, 0.2), far, across, 0.75, 0.5, 0.75),
+        "E cap I empty, I unresolved": (spike_function(far, 0.2), far, tiny_across, 0.75, 0.5, 0.75),
+        "f does not vanish": (BoundarySamples.constant(grid, 1.0), e, across, 0.75, 0.5, 0.75),
+        "I unresolved": (f, e, tiny_across, 0.75, 0.5, 0.75),
+    }
+
+
+@pytest.mark.parametrize("case", list(_precondition_cases()))
+def test_poincare_preconditions_match_mask_route(case):
+    """Each precondition raises the exception, type and message, that
+    the mask route raises, in the same order."""
+    args = _precondition_cases()[case]
+    with pytest.raises(Exception) as want:
+        oracles.poincare_check_mask(*args)
+    with pytest.raises(Exception) as got:
+        poincare_check(*args)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)

@@ -13,7 +13,7 @@ import pytest
 
 from circle_potential import CircleGrid, cli
 from circle_potential.acceptance import REFERENCE_GRID
-from circle_potential.capacity import _CG_CELLS
+from circle_potential.capacity import _BLOCK_CELLS, _CG_CELLS
 from circle_potential.circle import _cell_runs
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +44,8 @@ def _polish_route(text):
     grid = CircleGrid(4096)
     cells = cli.parse_set(grid, text).indices
     runs = _cell_runs(cells)
+    if len(cells) <= _BLOCK_CELLS:
+        return "block, one run" if len(runs) == 1 else "block, several runs"
     if len(cells) == grid.n_points:
         return "full circle"
     if len(cells) > _CG_CELLS:
@@ -75,7 +77,8 @@ def test_readme_runs_energy_on_one_arc_and_on_two(runnable):
 
 def test_readme_runs_a_capacity_on_every_polish_route(runnable):
     routes = {_polish_route(_value(args, "--set")) for args in runnable if args[0] == "capacity"}
-    assert {"Levinson across -pi", "dense", "conjugate gradients", "full circle"} <= routes
+    assert {"block, one run", "block, several runs", "Levinson across -pi", "dense",
+            "conjugate gradients", "full circle"} <= routes
 
 
 def test_readme_writes_a_minimizer_for_each_capacity_method(runnable):

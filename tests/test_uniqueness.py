@@ -699,6 +699,30 @@ def test_uniqueness_series_names_the_first_uncontained_part(solver):
                 uniqueness_series(parts, fam, 0.8, 0.8, solver)
 
 
+def test_uniqueness_series_containment_from_cells(solver):
+    """Containment is read from each part's cells against its arc's
+    covered run: a part wholly outside its arc is named, the covered
+    cells of an arc across -pi pass as its part, and that part moved one
+    cell either way, still across -pi, is named."""
+    grid = CircleGrid(64)
+    fam = ArcFamily.from_endpoints([2.8, -2.0, 0.2], [-2.8, -1.2, 0.9])
+    hulls = [GridSet.from_arcs(grid, arc, mode="cover") for arc in fam]
+    assert hulls[0].indices[0] == 0 and hulls[0].indices[-1] == 63  # across -pi
+    assert len(uniqueness_series(hulls, fam, 0.8, 0.8, solver).term_records) == 3
+    for k in range(3):
+        parts = list(hulls)
+        parts[k] = hulls[(k + 1) % 3]
+        assert oracles.uncontained_part_direct(parts, fam) == k
+        with pytest.raises(PreconditionError, match=f"^set part {k} is not contained in the covered cells of its arc$"):
+            uniqueness_series(parts, fam, 0.8, 0.8, solver)
+    for shift in (1, -1):
+        parts = [hulls[0].rotated(shift), *hulls[1:]]
+        assert parts[0].indices[0] == 0 and parts[0].indices[-1] == 63
+        assert oracles.uncontained_part_direct(parts, fam) == 0
+        with pytest.raises(PreconditionError, match="^set part 0 is not contained"):
+            uniqueness_series(parts, fam, 0.8, 0.8, solver)
+
+
 def test_cantor_parts_feed_the_series(grid1024, solver):
     """Scaled Cantor copies inside the log-reciprocal arcs: every part
     is trapped in its host arc, and the assembled diagnostic matches
