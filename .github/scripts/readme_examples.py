@@ -16,10 +16,11 @@ Commands that read a file the README does not give are skipped and
 listed.
 
 Each command must exit 0, or with the code its trailing comment names
-("exit 1"), under both settings, and its stdout and every ``--out`` file
-must be the same bytes under both. The script stops at the first
-example that does not, naming it (and the file that differs) on
-stderr, and exits 1.
+("exit 1"), under both settings, write no Python traceback or warning
+line ("<file>:<line>: RuntimeWarning: ...") on stderr, and give the same
+bytes on stdout and in every ``--out`` file under both. The script
+stops at the first example that does not, naming it (and the file that
+differs) on stderr, and exits 1.
 
 Usage: python .github/scripts/readme_examples.py OUT_DIR
 """
@@ -36,6 +37,8 @@ CLI = [sys.executable, "-m", "circle_potential.cli"]
 BLOCK = re.compile(r"^((?:[^\n]*\n){0,2})```(sh|json)\n(.*?)^```", re.MULTILINE | re.DOTALL)
 THREADS = (1, 2)
 THREAD_VARS = ("OMP_", "OPENBLAS_", "MKL_", "NUMEXPR_", "VECLIB_")
+# Python's own formats only: OpenBLAS's "OpenBLAS Warning : ..." is not one
+PYTHON_STDERR = re.compile(rb"^(Traceback \(most recent call last\):|.+:\d+: \w*Warning: )", re.MULTILINE)
 
 
 def examples(text):
@@ -85,6 +88,9 @@ def problem(args, expected, dirs):
         if proc.returncode != expected:
             return (f"exit {proc.returncode} under {t} thread(s), expected {expected}; "
                     f"stderr:\n{proc.stderr.decode(errors='replace')}")
+        if PYTHON_STDERR.search(proc.stderr):
+            return (f"Python traceback or warning on stderr under {t} thread(s):\n"
+                    f"{proc.stderr.decode(errors='replace')}")
     if procs[0].stdout != procs[1].stdout:
         return "stdout differs between 1 and 2 threads"
     for i in range(len(args) - 1):

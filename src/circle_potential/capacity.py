@@ -137,6 +137,9 @@ class SolverConfig:
             raise PreconditionError(f"unknown step_rule {step_rule!r}")
 
 
+_DEFAULT_SOLVER = SolverConfig()
+
+
 @dataclass(frozen=True, eq=False)
 class CapacityEstimate:
     """Capacity value with solver diagnostics and the solve's solution.
@@ -149,7 +152,8 @@ class CapacityEstimate:
     optimal density f = (1/2) K^T lam. The density is made from the
     kernel table in force at that read, so one first read inside
     ``energy.kernel_fault`` (as in the release gate's determinism probe)
-    sees the faulted kernel.
+    sees the faulted kernel. The estimate takes ``cells`` and ``weights``
+    over, uncopied, and makes them read-only, as ``minimizer`` is.
     """
 
     value: float
@@ -163,6 +167,10 @@ class CapacityEstimate:
     weights: np.ndarray
     notes: tuple[str, ...] = field(default=())
 
+    def __post_init__(self):
+        self.cells.setflags(write=False)
+        self.weights.setflags(write=False)
+
     @cached_property
     def minimizer(self) -> np.ndarray:
         n = self.grid_n
@@ -171,7 +179,8 @@ class CapacityEstimate:
         if self.method == "l2" and self.cells.size:
             # the kernel is even, so K^T lam is a convolution
             exponent = kernel_exponents(self.alpha).l2_convolution
-            return 0.5 * _circulant_apply("kernel", n, exponent, np.arange(n), full)
+            full = 0.5 * _circulant_apply("kernel", n, exponent, np.arange(n), full)
+        full.setflags(write=False)
         return full
 
     def to_json(self) -> dict:
@@ -325,7 +334,7 @@ def _solve(method: str, alpha: float, op: tuple, rhs: float, cfg: SolverConfig) 
         norm = 1.0 / total
         value, weights = 1.0 / norm, x / total
     else:  # lam = x and mx = G lam
-        value = norm = float(np.sum(x) - np.sum(x * mx) / (4.0 * n))
+        value = norm = float(total - np.sum(x * mx) / (4.0 * n))
         weights = x
     est = CapacityEstimate(value, method, alpha, n, 1, residual, norm, cells, weights)
     if not residual <= cfg.tolerance:
@@ -365,7 +374,7 @@ def classical_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None
             f"classical kernel exponent must be 0 or at least S_MIN = {S_MIN:g}, got {alpha}"
         )
     op = ("kernel", e.grid.n_points, alpha, e.indices)
-    return _solve("classical", alpha, op, 1.0, cfg or SolverConfig())
+    return _solve("classical", alpha, op, 1.0, cfg or _DEFAULT_SOLVER)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +396,7 @@ def l2_capacity(e: GridSet, alpha: float, cfg: SolverConfig | None = None) -> Ca
     exponent = kernel_exponents(alpha).l2_convolution
     _check_kernel_exponent(exponent)  # 1 - alpha/2 rounds to 1.0 for alpha <= 2^-53
     n = e.grid.n_points
-    return _solve("l2", alpha, ("autocorr", n, exponent, e.indices), 2.0 * n, cfg or SolverConfig())
+    return _solve("l2", alpha, ("autocorr", n, exponent, e.indices), 2.0 * n, cfg or _DEFAULT_SOLVER)
 
 
 @dataclass(frozen=True)

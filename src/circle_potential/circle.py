@@ -244,17 +244,6 @@ class ArcFamily:
     def __iter__(self):
         return iter(self.arcs)
 
-    def __eq__(self, other):
-        if not isinstance(other, ArcFamily):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def _key(self):
-        return self.arcs, self.pairwise_disjoint, self.full
-
     def to_json(self) -> dict:
         if self.full:
             return {"arcs": [], "disjoint": True, "full": True}
@@ -532,6 +521,20 @@ def _merge_runs(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return out
 
 
+def _hold(value, field: str, dtype, count: str = "") -> np.ndarray:
+    """The rule of every array-holding value: replace ``field`` of the
+    frozen dataclass ``value`` by one owned, read-only copy of it as
+    ``dtype``, and return the copy for further checks. With ``count``,
+    the name the error gives its shape, the copy must hold one entry per
+    cell of ``value.grid``."""
+    arr = np.array(getattr(value, field), dtype=dtype)
+    if count and arr.shape != (value.grid.n_points,):
+        raise PreconditionError(f"{count} {arr.shape} does not match grid {value.grid.n_points}")
+    arr.setflags(write=False)
+    object.__setattr__(value, field, arr)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class GridSet:
     """A subset of the circle represented by a boolean mask over grid cells.
@@ -543,14 +546,7 @@ class GridSet:
     mask: np.ndarray
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool)
-        if mask.shape != (self.grid.n_points,):
-            raise PreconditionError(
-                f"mask length {mask.shape} does not match grid {self.grid.n_points}"
-            )
-        mask = mask.copy()
-        mask.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
+        _hold(self, "mask", bool, "mask length")
 
     @classmethod
     def empty(cls, grid: CircleGrid) -> "GridSet":

@@ -52,6 +52,7 @@ from .extension import (
 )
 from .poincare import poincare_check, spike_function
 from .uniqueness import (
+    MAX_INDEX,
     CantorSpec,
     PowerChoice,
     RatioRule,
@@ -434,8 +435,8 @@ def _cmd_extend(args, cfg: Config) -> int:
 
 
 def _cmd_poincare(args, cfg: Config) -> int:
-    if args.sweep < 0:
-        raise PreconditionError(f"--sweep must be >= 0, got {args.sweep}")
+    if not 0 <= args.sweep <= MAX_INDEX:
+        raise PreconditionError(f"--sweep must be in [0, 2^53], got {args.sweep}")
     grid = cfg.grid
     e = parse_set(grid, args.set)
     arc = parse_arc(args.arc)

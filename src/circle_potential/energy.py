@@ -43,7 +43,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .circle import FULL_CIRCLE, TWO_PI, Arc, ArcFamily, CircleGrid, _cell_runs, _merge_runs
+from .circle import FULL_CIRCLE, TWO_PI, Arc, ArcFamily, CircleGrid, _cell_runs, _hold, _merge_runs
 from .errors import PreconditionError, SingularityError
 
 EnergyDomain = Union[Arc, ArcFamily]
@@ -283,16 +283,9 @@ class BoundarySamples:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.grid.n_points,):
-            raise PreconditionError(
-                f"sample count {vals.shape} does not match grid {self.grid.n_points}"
-            )
+        vals = _hold(self, "values", np.complex128, "sample count")
         if not np.all(np.isfinite(vals.view(np.float64))):
             raise PreconditionError("samples must be finite")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
     @classmethod
     def constant(cls, grid: CircleGrid, c: complex) -> "BoundarySamples":
@@ -524,19 +517,12 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (self.grid.n_points,):
-            raise PreconditionError(
-                f"weight count {w.shape} does not match grid {self.grid.n_points}"
-            )
+        w = _hold(self, "weights", np.float64, "weight count")
         if np.any(w < 0.0):
             raise PreconditionError("weights must be nonnegative")
         total = float(w.sum())
         if abs(total - 1.0) > 1e-10:
             raise PreconditionError(f"weights sum to {total}, expected 1 within 1e-10")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
 
     @classmethod
     def uniform(cls, grid: CircleGrid) -> "DiscreteMeasure":

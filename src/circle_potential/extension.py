@@ -188,7 +188,7 @@ def bump_phi(grid: CircleGrid, setup: ExtensionSetup) -> BoundarySamples:
     t = np.abs(grid.angles)
     ramp = (setup.theta_gamma - t) / (setup.theta_gamma - setup.theta)
     vals = np.clip(ramp, 0.0, 1.0)
-    return BoundarySamples(grid, vals.astype(np.complex128))
+    return BoundarySamples(grid, vals)
 
 
 def bump_slope_constant(setup: ExtensionSetup) -> float:
@@ -217,4 +217,4 @@ def test_function_F(
     if m == 0.0:
         raise DegenerateInputError("f~ vanishes identically on J; the mean m is zero")
     vals = phi.values.real * np.abs(1.0 - np.abs(f_tilde.values) / m)
-    return TestFunction(BoundarySamples(grid, vals.astype(np.complex128)), m)
+    return TestFunction(BoundarySamples(grid, vals), m)

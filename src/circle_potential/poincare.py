@@ -168,5 +168,5 @@ def spike_function(e: GridSet, delta: float) -> BoundarySamples:
     above = np.searchsorted(ext, j)
     d = np.minimum(ext[above] - j, j - ext[above - 1])
     dist = np.maximum(d - 0.5, 0.0) * e.grid.cell_width
-    vals = np.minimum(1.0, dist / delta)
-    return BoundarySamples(e.grid, vals.astype(np.complex128))
+    vals = np.minimum(dist, delta) / delta  # dist / delta would overflow for tiny delta
+    return BoundarySamples(e.grid, vals)

@@ -34,10 +34,14 @@ from typing import Sequence
 import numpy as np
 
 from .capacity import SolverConfig, classical_capacity, kernel_exponents
-from .circle import TWO_PI, Arc, ArcFamily, CircleGrid, GridSet, _arc_arrays, _run_cells
+from .circle import TWO_PI, Arc, ArcFamily, CircleGrid, GridSet, _arc_arrays, _hold, _run_cells
 from .errors import ConstructionError, PreconditionError
 
 LN2 = math.log(2.0)
+
+# Series and stage indices and counts enter the arithmetic as floats,
+# which hold every integer only up to 2^53; larger ones are refused.
+MAX_INDEX = 2**53
 
 TREND_CONVERGES = "converges"
 TREND_PLUS_INF = "diverges_plus_inf"
@@ -210,6 +214,8 @@ def _stage_logs(rule: LengthRule, depth: int, offset: int, host_lengths: np.ndar
         raise PreconditionError(
             f"offset {offset} is below the rule's first defined index {rule.min_index}"
         )
+    if offset > MAX_INDEX - depth:
+        raise PreconditionError(f"offset {offset} + depth {depth} exceeds 2^53")
     logs = rule.log_lengths(offset + np.arange(depth + 1))
     bad = np.flatnonzero(logs[1:] > logs[:-1] - LN2 + 1e-12)
     if bad.size:
@@ -286,10 +292,7 @@ class SeriesDiagnostic:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        sums = np.asarray(self.partial_sums, dtype=float)
-        sums = sums.copy()
-        sums.setflags(write=False)
-        object.__setattr__(self, "partial_sums", sums)
+        _hold(self, "partial_sums", float)
 
     @property
     def final_sum(self) -> float:
@@ -425,8 +428,8 @@ def cantor_capacity_series(rule: LengthRule, s: float, n_terms: int) -> SeriesDi
     if not 0.0 <= s < 1.0:
         raise PreconditionError(f"s must be in [0, 1), got {s}")
     start = max(1, rule.min_index)
-    if n_terms < start:
-        raise PreconditionError(f"need at least {start} terms, got {n_terms}")
+    if not start <= n_terms <= MAX_INDEX:
+        raise PreconditionError(f"n_terms must be in [{start}, 2^53], got {n_terms}")
     ns = np.arange(start, n_terms + 1)
     log_l = rule.log_lengths(ns)
     terms = np.exp(-ns * LN2 - s * log_l)
@@ -546,8 +549,8 @@ def log_reciprocal_arcs(n_max: int) -> ArcFamily:
     """Arcs (1/log(n+1), 1/log n) for n = 2..n_max: consecutive, disjoint,
     accumulating at angle 0 with lengths ~ 1/(n log^2 n); their Carleson
     sum drifts to -inf like -log log N."""
-    if n_max < 2:
-        raise PreconditionError(f"n_max must be >= 2, got {n_max}")
+    if not 2 <= n_max <= MAX_INDEX:
+        raise PreconditionError(f"n_max must be in [2, 2^53], got {n_max}")
     inv = 1.0 / np.log(np.arange(2.0, n_max + 2))
     return ArcFamily.from_endpoints(inv[1:], inv[:-1])
 
@@ -559,8 +562,8 @@ def geometric_arcs(ratio: float, count: int, start: float = 0.0) -> ArcFamily:
     representable."""
     if not 0.0 < ratio < 1.0:
         raise PreconditionError(f"ratio must be in (0, 1), got {ratio}")
-    if count < 1:
-        raise PreconditionError(f"count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_INDEX:
+        raise PreconditionError(f"count must be in [1, 2^53], got {count}")
     lengths = ratio ** np.arange(1, count + 1)
     total = float(lengths.sum())
     if total >= TWO_PI:

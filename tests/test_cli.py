@@ -342,6 +342,36 @@ def test_non_finite_rule_lengths_exit_2(argv):
     assert "positive and finite" in proc.stderr
 
 
+_HUGE = "100000000000000000000"  # 10^20, beyond int64
+
+
+@pytest.mark.parametrize("argv", [
+    ["cantor", "--rule", "power:beta=0.5", "--depth", "2", "--offset", _HUGE],
+    ["cantor", "--rule", "power:beta=0.5", "--depth", "2", "--offset", "9223372036854775806"],
+    ["capacity", "--method", "classical", "--alpha", "0.5", "--grid-n", "64", "--set",
+     '{"cantor": {"rule": "power:beta=0.5", "depth": 2, "offset": 1e20}}'],
+    ["series", "uniqueness", "--grid-n", "64", "--spec",
+     '{"arcs": "log-recip,n=9", "rule": "power:beta=0.5", "depth": 2, "offset": 1e20}'],
+    ["series", "cantor-capacity", "--n", _HUGE],
+    ["series", "cantor-capacity", "--n", "9223372036854775807"],
+    ["series", "carleson", "--arcs", f"geometric,count={_HUGE}"],
+    ["series", "carleson", "--arcs", f"log-recip,n={_HUGE}"],
+    ["poincare-check", "--alpha", "0.75", "--beta", "0.5", "--gamma", "0.75",
+     "--set", '{"arcs":[[0.0,0.1]]}', "--arc", "[-0.4,0.4]", "--fn", "builtin:spike,delta=0.1",
+     "--grid-n", "64", "--sweep", _HUGE, "--out", "TMP/sweep.csv"],
+], ids=["cantor-offset", "cantor-offset-near-int64", "set-offset", "spec-offset", "series-n",
+        "series-n-int64-max", "geometric-count", "log-recip-n", "poincare-sweep"])
+def test_huge_integers_exit_2(capsys, tmp_path, argv):
+    """Indices and counts beyond 2^53, where float64 stops holding every
+    integer, are refused with one ``error:`` line (exit 2), not an
+    OverflowError or numpy's "Maximum allowed size exceeded" traceback,
+    and nothing is written."""
+    code, out, err = run_cli(capsys, *[a.replace("TMP", str(tmp_path)) for a in argv])
+    assert code == 2 and out == "", err
+    assert err.startswith("error:") and err.count("\n") == 1 and "2^53" in err, err
+    assert not list(tmp_path.iterdir())
+
+
 def test_selftest_single_criterion(capsys):
     code, out, err = run_cli(
         capsys, "selftest", "--only", "determinism", "--grid-n", "256",

@@ -7,7 +7,8 @@ the argument readers. Every run must end with a documented exit code
 empty or one strict (RFC 8259) JSON document: no NaN or Infinity. The work per example stays small: 64-cell
 grids (512 for ``extend``, whose reflected arcs need it; 128 for the
 selftest, whose criteria need it), and small series lengths, Cantor
-depths and sweeps.
+depths and sweeps; the near misses include integers beyond int64, which
+are refused before any work.
 """
 
 import io
@@ -24,6 +25,7 @@ from circle_potential.acceptance import criterion_names  # noqa: E402
 from circle_potential.cli import main  # noqa: E402
 
 JUNK = st.text(alphabet='{}[]":,.=-_0123456789eaxnrt ', max_size=16)
+HUGE = "100000000000000000000"
 BAD_NUMBERS = ["-1", "0", "1.5", "nan", "inf", "1e400", "x", ""]
 FAULTS = ["0", "-1", "-1.5", "-1e400", "nan", "inf", "-inf", "x"]
 
@@ -66,6 +68,7 @@ SET = mix(
         '{"cantor": {"depth": 2}}', '{"cantor": 3}',
         '{"cantor": {"rule": "power:beta=0.5", "depth": "x", "offset": 3}}',
         '{"cantor": {"rule": 5, "depth": 2}}', '{"union": [5]}', '{"union": 7}', "[]", "{}",
+        '{"cantor": {"rule": "power:beta=0.5", "depth": 2, "offset": 1e20}}',
     ],
 )
 FAMILY = mix(
@@ -74,7 +77,8 @@ FAMILY = mix(
         '{"arcs": [[0, 0.5], [1, 1.2]]}',
     ],
     ["geometric,ratio=x", "geometric,ratio=1.5,count=3", "geometric,count=-1", "geometric,ratio",
-     "log-recip,n=0", "log-recip,n=x", '{"arcs": 5}', '{"nope": []}'],
+     "log-recip,n=0", "log-recip,n=x", '{"arcs": 5}', '{"nope": []}',
+     f"geometric,count={HUGE}", f"log-recip,n={HUGE}"],
 )
 FN = mix(
     ["builtin:monomial,n=2", "builtin:trigpoly,degree=3,seed=4", "builtin:constant,re=1,im=2"],
@@ -91,6 +95,7 @@ SPEC = mix(
         '{"rule": "power:beta=0.5"}', '{"arcs": [1, 2], "rule": "ratio:r=0.4", "depth": 1}',
         '{"arcs": "log-recip,n=9", "rule": "power:beta=0.5", "depth": "x"}',
         '{"arcs": "geometric,count=4", "rule": 3}', "[]",
+        '{"arcs": "log-recip,n=9", "rule": "power:beta=0.5", "depth": 2, "offset": 1e20}',
     ],
 )
 COMMON = {
@@ -156,15 +161,16 @@ ARGV = st.one_of(
             "--gamma": mix(["0.75", "0.9"], BAD_NUMBERS),
             "--set": mix(['{"arcs": [[0, 0.1]]}', '{"arcs": [[-0.3, -0.2], [0.2, 0.25]]}']) | SET,
             "--arc": mix(["[-0.6, 0.6]", '{"center": 0, "length": 1.5}'], ["full"]) | ARC,
-            "--fn": mix(["builtin:spike,delta=0.1", "builtin:spike,delta=0.3"]) | FN,
+            "--fn": mix(["builtin:spike,delta=0.1", "builtin:spike,delta=0.3"],
+                        ["builtin:spike,delta=1e-320"]) | FN,
         },
-        {"--sweep": mix(["0", "2"], ["-1", "x"])},
+        {"--sweep": mix(["0", "2"], ["-1", "x", HUGE])},
     ),
     command(
         "series", "64",
         {},
         {"--rule": RULE, "--s": mix(["0.25", "0.5"], BAD_NUMBERS),
-         "--n": mix(["1", "40"], ["-1", "0", "x"]), "--arcs": FAMILY,
+         "--n": mix(["1", "40"], ["-1", "0", "x", HUGE, "9223372036854775807"]), "--arcs": FAMILY,
          "--alpha": mix(["0.8"], BAD_NUMBERS), "--beta": mix(["0.8", "0.5"], BAD_NUMBERS),
          "--spec": SPEC},
         positional=["cantor-capacity"],
@@ -180,7 +186,8 @@ ARGV = st.one_of(
     command(
         "cantor", "64",
         {"--rule": RULE, "--depth": mix(["0", "2", "5"], ["-1", "x", "40"])},
-        {"--offset": mix(["3", "4"], ["-1", "0", "x"]), "--host": ARC, "--scale-to-host": FLAG},
+        {"--offset": mix(["3", "4"], ["-1", "0", "x", HUGE, "9223372036854775806"]), "--host": ARC,
+         "--scale-to-host": FLAG},
     ),
     # The selftest takes no solver options (a loose tolerance legitimately
     # fails a criterion, exit 1) and runs at 128 cells, the smallest grid

@@ -99,6 +99,14 @@ def test_spike_matches_run_route(n):
             assert np.max(np.abs(got.real - want)) * delta <= 1e-14, (name, delta)
 
 
+def test_spike_tiny_delta_is_a_step(grid64):
+    """A subnormal delta gives the step 0 on E and 1 off it, without the
+    overflow warning of dist / delta (an error under this suite)."""
+    e = GridSet.from_arcs(grid64, Arc(0.0, 0.5))
+    f = spike_function(e, 1e-320)
+    assert np.array_equal(f.values, np.where(e.mask, 0.0, 1.0))
+
+
 def test_spike_validation(grid64):
     e = GridSet.from_arcs(grid64, Arc(0.0, 0.5))
     with pytest.raises(PreconditionError):

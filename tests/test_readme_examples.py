@@ -89,12 +89,21 @@ def test_readme_writes_a_minimizer_for_each_capacity_method(runnable):
 
 
 # stands in for the CLI: prints the thread count when told to, and writes
-# it to its --out file when told to; exits 3 on an inherited OMP_ variable
+# it to its --out file when told to; exits 3 on an inherited OMP_ variable;
+# writes the stderr line an argument names
 FAKE_CLI = textwrap.dedent("""
     import os, sys
     args = sys.argv[1:]
     if any(k.startswith("OMP_") for k in os.environ):
         sys.exit(3)
+    stderr = {
+        "warns": "/lib/numpy/core.py:12: RuntimeWarning: overflow encountered in divide",
+        "raises": "Traceback (most recent call last):",
+        "openblas": "OpenBLAS Warning : Detect OpenMP Loop and this application may hang.",
+    }
+    for arg in args:
+        if arg in stderr:
+            print(stderr[arg], file=sys.stderr)
     threads = os.environ["CIRCLE_POTENTIAL_THREADS"]
     print(threads if "stdout-varies" in args else "same")
     if "--out" in args:
@@ -122,3 +131,23 @@ def test_comparison_fails_and_names_the_example(script, tmp_path, monkeypatch, c
     else:
         assert code == 1
         assert err.startswith(f"{example}: {named} differs between 1 and 2 threads")
+
+
+@pytest.mark.parametrize("line, fails", [("warns", True), ("raises", True), ("openblas", False)])
+def test_python_warning_or_traceback_fails_the_example(script, tmp_path, monkeypatch, capsys,
+                                                       line, fails):
+    """An example that writes a Python warning or traceback line on stderr
+    fails, named, even when it exits as documented; OpenBLAS's own
+    "OpenBLAS Warning :" line is not Python's format and passes."""
+    example = f"circle-potential steady {line}"
+    readme = tmp_path / "README.md"
+    readme.write_text(f"```sh\ncircle-potential steady\n{example}\n```\n")
+    monkeypatch.setattr(script, "README", readme)
+    monkeypatch.setattr(script, "CLI", [sys.executable, "-c", FAKE_CLI])
+    code = script.main(tmp_path / "out")
+    err = capsys.readouterr().err
+    if fails:
+        assert code == 1
+        assert err.startswith(f"{example}: Python traceback or warning on stderr under 1 thread(s)")
+    else:
+        assert code == 0 and err == ""
