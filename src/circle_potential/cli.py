@@ -144,17 +144,23 @@ _REQUIRED = object()
 def _field(obj, key, kind, default=_REQUIRED):
     """``kind(obj[key])`` for a spec read from JSON; ``default`` when the
     key is absent or null. A non-object, a missing required key or a
-    value ``kind`` rejects raises PreconditionError."""
+    value ``kind`` rejects raises PreconditionError, and so do a boolean
+    for a number and a non-integral number for an int, which ``int``
+    and ``float`` would read as 0 or 1 or truncate."""
     if not isinstance(obj, dict):
         raise PreconditionError(f"expected a JSON object, got {obj!r}")
-    if obj.get(key) is None:
+    value = obj.get(key)
+    if value is None:
         if default is _REQUIRED:
             raise PreconditionError(f"spec {obj!r} needs the key {key!r}")
         return default
     try:
-        return kind(obj[key])
+        if (kind in (int, float) and isinstance(value, bool)) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise PreconditionError(f"malformed {key!r} in spec: {obj[key]!r}")
+        raise PreconditionError(f"malformed {key!r} in spec: {value!r}")
 
 
 def _arc_from_obj(obj) -> Arc:

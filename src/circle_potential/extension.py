@@ -160,8 +160,8 @@ def six_term_decomposition(
     weighted total D_I + D_L + D_R + 2(D_IL + D_IR + D_LR), which equals
     the direct D_J whenever the arc endpoints fall strictly between grid
     cell centers (the cells of J are then partitioned exactly). The six
-    are the three-block case of ``energy._block_energies``: one transform
-    of nine rows over the window of I u L u R.
+    are the three-block case of ``energy._block_energies``: one forward
+    transform of twelve rows, four per block, over the window of I u L u R.
     """
     _check_energy_exponent(alpha)
     grid = f_tilde.grid

@@ -14,11 +14,13 @@ spike that the index-distance spike replaced, the one-function
 extension and I = J energy that the stacked ones replaced, the
 mode-by-mode sum that the inverse FFT of trigonometric polynomials
 replaced, the six localized energy calls that one block transform
-replaced, the per-arc Cantor parts and containment check and the
-remainder-based arc gaps that the batched and remainder-free array
-routes replaced, the model-by-model trend fit that one array pass
-replaced, the Bunch-Kaufman solve of a dense capacity block that
-pivoted Cholesky replaced, the N-long masks of I and of E cap I that
+replaced, the inverse-FFT block energies (one inverse transform per
+exponent) that Parseval sums over forward spectra replaced, the
+per-arc Cantor parts and containment check and the remainder-based
+arc gaps that the batched and remainder-free array routes replaced,
+the model-by-model trend fit that one array pass replaced, the
+Bunch-Kaufman solve of a dense capacity block that pivoted Cholesky
+replaced, the N-long masks of I and of E cap I that
 ``poincare_check`` built before it read both from runs, and three checks that only tests use: the Vitali
 covering check, the spectral measure energy and the KKT potential of
 an L2 minimizer. The frozen
@@ -38,9 +40,9 @@ from circle_potential import (Arc, ArcFamily, CantorSpec, GridSet, PowerChoice,
                               PreconditionError, RatioRule, cantor_grid_set,
                               dirichlet_energy_local)
 from circle_potential.capacity import kernel_exponents
-from circle_potential.circle import ANGLE_TOL, TWO_PI, normalize_angle
+from circle_potential.circle import ANGLE_TOL, TWO_PI, _merge_runs, normalize_angle
 from circle_potential.energy import (_TABLES, _circulant_apply, _coeffs_from_dft, _faulted,
-                                     _spectrum_base)
+                                     _spectrum_base, _window_span)
 from circle_potential.uniqueness import _N_CHECKPOINTS, _POWER_GRID, _checkpoint_indices
 
 # Mean of the chord kernel (2 sin(t/2))^{-1/2} over the circle; also the
@@ -450,6 +452,75 @@ def circulant_apply_gap_search(table: str, n: int, exponent: float, cells: np.nd
     spec = _faulted(_spectrum_base(table, n, float(exponent), m), _TABLES[table][1])
     ft = np.fft.rfft(buf)
     return np.fft.irfft(ft / spec if inverse else ft * spec, m)[..., pos]
+
+
+def block_energies_inverse_fft(values: np.ndarray, blocks: list, pairs: list,
+                               alphas: tuple) -> np.ndarray:
+    """``energy._block_energies`` as it was before it summed its inner
+    products over half spectra: one forward transform of the rows 1_X of
+    every block and g_Y of every block second in a pair, one inverse per
+    exponent, and each entry's terms summed over the cells of U in
+    increasing order."""
+    k, n = values.shape
+    union = _merge_runs(sum(blocks, []))
+    start, m = _window_span(n, union)
+    # each run of U is one slice of window positions [0, span)
+    at = [((first - start) % n, count) for first, count in union]
+    span = max(p + count for p, count in at)
+    vals = values[:, start:start + span]
+    if start + span > n:
+        vals = np.concatenate((vals, values[:, :start + span - n]), axis=1)
+    c0 = values[:, union[0][0], None]
+    g_re, g_im = vals.real - c0.real, vals.imag - c0.imag
+    g2 = g_re * g_re + g_im * g_im
+    # rows 1_X per block, then from g_row[Y] k rows of g_Y.real and k of g_Y.imag; zero off U
+    g_row: dict[int, int] = {}
+    for _, y in pairs:
+        if y not in g_row:
+            g_row[y] = len(blocks) + 2 * k * len(g_row)
+    rows = np.zeros((len(blocks) + 2 * k * len(g_row), m))
+    for b, runs in enumerate(blocks):
+        r = g_row.get(b)
+        for first, count in runs:
+            p = (first - start) % n
+            rows[b, p:p + count] = 1.0
+            if r is not None:
+                rows[r:r + k, p:p + count] = g_re[:, p:p + count]
+                rows[r + k:r + 2 * k, p:p + count] = g_im[:, p:p + count]
+    lo = at[0][0] if len(at) == 1 else 0  # where the cells of U start in a term row
+    ft = np.fft.rfft(rows)
+    out = np.empty((len(alphas), len(pairs), k))
+    for e, out_e in zip(alphas, out):
+        spec = _faulted(_spectrum_base("chord", n, float(e), m), _TABLES["chord"][1])
+        t = np.fft.irfft(ft * spec, m)[..., :span]
+        for i, (x, y) in enumerate(pairs):
+            # 1_X (-2 (g.real T g_Y.real + g.imag T g_Y.imag) + |g|^2 T1_Y) + 1_Y |g|^2 T1_X;
+            # row slices x:x+1 keep one-row operands the same shape as the terms
+            r = g_row[y]
+            w = g_re * t[r:r + k]
+            w += g_im * t[r + k:r + 2 * k]
+            w *= -2.0
+            g2_t = g2 * t[y:y + 1]
+            w += g2_t
+            if len(blocks) == 1:  # X = Y = U: no masks, and the last term is |g|^2 T1_Y
+                w += g2_t
+            else:
+                w *= rows[x:x + 1, :span]
+                w += g2 * (rows[y:y + 1, :span] * t[x:x + 1])
+            if len(at) > 1:  # the cells of U in increasing order, gaps left out
+                w = np.concatenate([w[:, p:p + c] for p, c in at], axis=1)
+            np.add.reduce(w[:, lo:], axis=-1, out=out_e[i])
+    return out
+
+
+def energy_local_inverse_fft(f, arc_i, arc_j, alpha: float) -> float:
+    """``dirichlet_energy_local`` through ``block_energies_inverse_fft``."""
+    grid = f.grid
+    blocks = [grid.resolved_runs(arc_i, "arc I")]
+    if not (arc_j is arc_i or (isinstance(arc_i, Arc) and arc_j == arc_i)):
+        blocks.append(grid.resolved_runs(arc_j, "arc J"))
+    n2d = block_energies_inverse_fft(f.values[None], blocks, [(0, len(blocks) - 1)], (alpha,))
+    return float(n2d[0, 0, 0]) / grid.n_points**2
 
 
 def energy_local_members(f, arc_i, arc_j, alpha: float) -> float:

@@ -596,6 +596,42 @@ def test_malformed_specs_exit_2(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+_CANTOR_SET = '{"cantor": {"rule": "power:beta=0.5", "depth": %s, "offset": %s}}'
+_UNIQUENESS_SPEC = ('{"arcs": "log-recip,n=9", "rule": "power:beta=0.5", '
+                    '"depth": %s, "offset": %s}')
+
+
+@pytest.mark.parametrize("key", ["depth", "offset"])
+@pytest.mark.parametrize("value", ["2.9", "3.7", "true", "false", "1e400"])
+@pytest.mark.parametrize("spec", [_CANTOR_SET, _UNIQUENESS_SPEC], ids=["set", "uniqueness"])
+def test_non_integral_counts_exit_2(capsys, spec, value, key):
+    """A Cantor depth or offset that is a non-integral number or a
+    boolean, in a set spec or a ``series uniqueness`` spec, is malformed
+    (exit 2, one error line naming the key), not truncated or read as
+    0 or 1; an integral float reads as its integer."""
+    argv = _CAPACITY + ["--set"] if spec is _CANTOR_SET else _UNIQUENESS
+
+    def run(**fields):
+        fields = dict({"depth": "2", "offset": "3"}, **fields)
+        return run_cli(capsys, *argv, spec % (fields["depth"], fields["offset"]))
+
+    code, out, err = run(**{key: value})
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed '{key}'") and len(err.splitlines()) == 1
+    want = run()
+    assert want[0] == 0 and run(**{key: {"depth": "2.0", "offset": "3.0"}[key]}) == want
+
+
+@pytest.mark.parametrize("raw", ['{"grid_n": 64.5}', '{"grid_n": true}', '{"seed": 1.5}',
+                                 '{"solver": {"tolerance": false}}'])
+def test_non_integral_config_values_exit_2(capsys, raw):
+    """The config file's counts refuse non-integral numbers and booleans,
+    and its tolerance refuses booleans, like the spec fields."""
+    code, out, err = run_cli(capsys, *_ENERGY, "--config", raw)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed") and "Traceback" not in err
+
+
 _POINCARE = ["poincare-check", "--alpha", "0.75", "--beta", "0.5", "--gamma", "0.75",
              "--fn", "builtin:spike,delta=0.1", "--grid-n", "64"]
 

@@ -492,10 +492,11 @@ def test_random_polynomial_matches_direct_sum(n):
 
 
 def test_local_energy_matches_member_rows():
-    """The span-sized energy, and its one-row route when I = J, return the
-    float of the N-long membership rows: random arcs (I and J equal but
-    distinct objects, and one object twice), random arc pairs, families,
-    the full circle, arcs across -pi, at several N and alpha."""
+    """The span-sized energy, and its one-row route when I = J, agree to
+    1e-12 relative with the inverse-FFT route, which returns the float of
+    the N-long membership rows: random arcs (I and J equal but distinct
+    objects, and one object twice), random arc pairs, families, the full
+    circle, arcs across -pi, at several N and alpha."""
     rng = np.random.default_rng(17)
 
     def arc():
@@ -515,8 +516,10 @@ def test_local_energy_matches_member_rows():
             pairs = [(a, Arc(a.start, a.end)), (a, a), (a, b), (fam, fam), (fam, b), (b, fam),
                      (FULL_CIRCLE, FULL_CIRCLE), (FULL_CIRCLE, a), (Arc.centered(math.pi, 1.0), a)]
             for arc_i, arc_j in pairs:
-                want = oracles.energy_local_members(f, arc_i, arc_j, alpha)
-                assert dirichlet_energy_local(f, arc_i, arc_j, alpha) == want, (n, arc_i, arc_j)
+                want = oracles.energy_local_inverse_fft(f, arc_i, arc_j, alpha)
+                assert want == oracles.energy_local_members(f, arc_i, arc_j, alpha)
+                got = dirichlet_energy_local(f, arc_i, arc_j, alpha)
+                assert abs(got - want) <= 1e-12 * want, (n, arc_i, arc_j)
 
 
 @pytest.mark.parametrize("n", [256, 2048, 4096])
@@ -525,9 +528,9 @@ def test_stacked_self_energies_match_one_row(n, k):
     """D_{I,I} of a stack of k functions at three exponents, from the
     one-block case of ``_block_energies`` (its double sums divided by
     N^2), is, entry for entry, the float
-    of one ``dirichlet_energy_local`` call per function and exponent and
-    of the one-function route before stacking: an arc, an arc across -pi
-    and the full circle."""
+    of one ``dirichlet_energy_local`` call per function and exponent, and
+    within 1e-12 relative of the one-function route before stacking: an
+    arc, an arc across -pi and the full circle."""
     rng = np.random.default_rng(n + k)
     grid = CircleGrid(n)
     fs = [random_trig_polynomial(grid, 6, rng)[0] for _ in range(k)]
@@ -540,7 +543,8 @@ def test_stacked_self_energies_match_one_row(n, k):
         for e, alpha in enumerate(alphas):
             for r, f in enumerate(fs):
                 assert got[e, r] == dirichlet_energy_local(f, arc, arc, alpha), (arc, alpha, r)
-                assert got[e, r] == oracles.self_energy_one_row(f, cells, alpha), (arc, alpha, r)
+                want = oracles.self_energy_one_row(f, cells, alpha)
+                assert abs(got[e, r] - want) <= 1e-12 * want, (arc, alpha, r)
 
 
 @pytest.mark.parametrize("n", [512, 4096])
@@ -582,6 +586,92 @@ def test_stacked_block_energies_match_one_row(n, k):
                 assert got[e, :, r].tolist() == [want[key] for key in keys], (setup, alpha, r)
 
 
+def _block_energy_shapes(grid, rng):
+    """(stack, blocks, pairs, alphas) of every kind of call: I != J pairs
+    (overlapping, far apart, across -pi against a family), I = J on an arc
+    and on the full circle (the global energy), the six-term split of two
+    extensions, and a 20-row stack at three exponents."""
+    fs = [random_trig_polynomial(grid, 6, rng)[0] for _ in range(20)]
+    stack = np.stack([f.values + float(rng.uniform(0, 9)) for f in fs])
+    fam = ArcFamily((Arc.centered(-1.0, 0.7), Arc.centered(1.5, 0.4)))
+    shapes = []
+    for arc_i, arc_j in ((Arc.centered(0.3, 0.8), Arc.centered(0.6, 0.5)),
+                         (Arc.centered(0.0, 0.3), Arc.centered(2.5, 0.3)),
+                         (Arc.centered(math.pi, 0.9), fam)):
+        blocks = [grid.resolved_runs(arc_i, "arc I"), grid.resolved_runs(arc_j, "arc J")]
+        shapes.append((stack[:1], blocks, [(0, 1)], (0.5,)))
+    for arc in (Arc.centered(0.4, 1.3), FULL_CIRCLE):
+        shapes.append((stack[:1], [grid.resolved_runs(arc, "arc I")], [(0, 0)], (0.25, 1.0)))
+    pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+    for setup in (ExtensionSetup(theta=0.45, gamma=0.3), ExtensionSetup(theta=0.6, gamma=0.4)):
+        blocks = [grid.resolved_runs(a, "block") for a in (setup.arc_i, setup.arc_l, setup.arc_r)]
+        shapes.append((extend(fs[0], setup).values[None], blocks, pairs, (0.5,)))
+    shapes.append((stack, [grid.resolved_runs(FULL_CIRCLE, "arc I")], [(0, 0)], (0.25, 0.5, 1.0)))
+    return shapes
+
+
+@pytest.mark.parametrize("n", [512, 2048, 4096])
+def test_block_energies_match_inverse_fft_route(n):
+    """Every entry of ``_block_energies``, for every kind of call,
+    agrees to 1e-12 relative with the route it replaced: one inverse FFT
+    per exponent and sums over the cells of U."""
+    grid = CircleGrid(n)
+    for stack, blocks, pairs, alphas in _block_energy_shapes(grid, np.random.default_rng(n)):
+        got = _block_energies(stack, blocks, pairs, alphas)
+        want = oracles.block_energies_inverse_fft(stack, blocks, pairs, alphas)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * want), (len(blocks), pairs, alphas)
+
+
+@pytest.mark.parametrize("n", [1024, 2048, 4096])
+def test_six_term_entries_match_within_largest_energy(n):
+    """The six-term split of 30 random extensions (offset by a constant),
+    theta log-uniform from L and R 10 cells wide to 0.95 gamma pi / 2, at
+    random exponents: every entry within 1e-12 of the call's largest
+    energy of the inverse-FFT route and of the direct pair sums. Entry
+    for entry, a small D_LL is up to 7e-12 relative off the direct sum
+    here (the inverse-FFT route's 1.3e-11), so a bound relative to each
+    entry holds for neither route."""
+    grid = CircleGrid(n)
+    rng = np.random.default_rng(n + 7)
+    pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+    for _ in range(30):
+        gamma = float(rng.uniform(0.25, 0.6))
+        lo, hi = 10 * 2 * math.pi / n * (1 + gamma) / (1 - gamma), 0.95 * gamma * math.pi / 2
+        setup = ExtensionSetup(theta=lo * (hi / lo) ** float(rng.uniform()), gamma=gamma)
+        alpha = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
+        f, _ = random_trig_polynomial(grid, 6, rng)
+        f = extend(BoundarySamples(grid, f.values + float(rng.uniform(0.0, 50.0))), setup)
+        arcs = (setup.arc_i, setup.arc_l, setup.arc_r)
+        blocks = [grid.resolved_runs(a, "block") for a in arcs]
+        cells = [grid.resolved_cells(a, "block") for a in arcs]
+        got = _block_energies(f.values[None], blocks, pairs, (alpha,))[0, :, 0]
+        kept = oracles.block_energies_inverse_fft(f.values[None], blocks, pairs, (alpha,))[0, :, 0]
+        pw = _chord_power_table_base(n, alpha)
+        direct = [oracles.pair_sum_direct(f.values, cells[x], cells[y], pw, n) for x, y in pairs]
+        tol = 1e-12 * max(kept)
+        assert np.all(np.abs(got - kept) <= tol), (setup, alpha)
+        assert np.all(np.abs(got - direct) <= tol), (setup, alpha)
+
+
+def test_block_energies_make_one_forward_transform(monkeypatch):
+    """A call makes exactly one forward FFT, of every row at once, and no
+    inverse, whatever its blocks, pairs, rows and exponents."""
+    grid = CircleGrid(1024)
+    shapes = _block_energy_shapes(grid, np.random.default_rng(5))
+    for shape in shapes:  # the windowed spectra are cached before counting
+        _block_energies(*shape)
+    calls = []
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, name=name, fn=fn, **kw: calls.append(name)
+                            or fn(*a, **kw))
+    for shape in shapes:
+        calls.clear()
+        _block_energies(*shape)
+        assert calls == ["rfft"], (len(shape[1]), shape[2], shape[3])
+
+
 @pytest.mark.parametrize("n", [1, 2, 64, 4096])
 def test_circulant_apply_run_window_matches_gap_search(n):
     """A sorted run of cells skips the widest-gap search and lands in one
@@ -603,10 +693,11 @@ def test_circulant_apply_run_window_matches_gap_search(n):
 
 
 def test_short_arc_pairs_match_member_rows():
-    """The benchmark's regime, float for float: arcs of 0.02-0.2 rad at
-    N = 4096, J's centre within 0.3 rad of I's, overlapping, nested,
-    equal but distinct (the same cells from other endpoints), touching,
-    disjoint and across -pi, against the N-long membership rows."""
+    """The benchmark's regime, to 1e-12 relative of the inverse-FFT route
+    (which is float for float the N-long membership rows): arcs of
+    0.02-0.2 rad at N = 4096, J's centre within 0.3 rad of I's,
+    overlapping, nested, equal but distinct (the same cells from other
+    endpoints), touching, disjoint and across -pi."""
     grid = CircleGrid(4096)
     h = 2.0 * math.pi / 4096
     rng = np.random.default_rng(18)
@@ -644,17 +735,20 @@ def test_short_arc_pairs_match_member_rows():
             kinds["touching"] += 1
         else:
             kinds["disjoint"] += 1
-        want = oracles.energy_local_members(f, arc_i, arc_j, alpha)
+        want = oracles.energy_local_inverse_fft(f, arc_i, arc_j, alpha)
+        assert want == oracles.energy_local_members(f, arc_i, arc_j, alpha)
         got = dirichlet_energy_local(f, arc_i, arc_j, alpha)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (arc_i, arc_j, alpha)
+        assert abs(got - want) <= 1e-12 * want, (arc_i, arc_j, alpha)
     assert min(kinds.values()) >= 5, kinds
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
 def test_unions_with_inner_widest_gap_match_member_rows(n):
     """Unions whose widest cyclic gap lies between cells of I u J in
-    index order: arcs on either side of -pi, long arcs on opposite sides
-    (a union over half the circle), and a family against an arc."""
+    index order, to 1e-12 relative of the inverse-FFT route (float for
+    float the N-long membership rows): arcs on either side of -pi, long
+    arcs on opposite sides (a union over half the circle), and a family
+    against an arc."""
     grid = CircleGrid(n)
     rng = np.random.default_rng(n + 1)
     f, _ = random_trig_polynomial(grid, 6, rng)
@@ -672,9 +766,10 @@ def test_unions_with_inner_widest_gap_match_member_rows(n):
         gaps = np.diff(cells, prepend=cells[-1] - n)
         assert np.argmax(gaps) > 0  # the widest gap is not the one before the lowest cell
         for alpha in (0.25, 1.0):
-            want = oracles.energy_local_members(f, arc_i, arc_j, alpha)
+            want = oracles.energy_local_inverse_fft(f, arc_i, arc_j, alpha)
+            assert want == oracles.energy_local_members(f, arc_i, arc_j, alpha)
             got = dirichlet_energy_local(f, arc_i, arc_j, alpha)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (arc_i, arc_j, alpha)
+            assert abs(got - want) <= 1e-12 * want, (arc_i, arc_j, alpha)
 
 
 @pytest.mark.parametrize("n", [64, 1024, 4096])

@@ -18,7 +18,7 @@ from circle_potential import (
     random_trig_polynomial,
     six_term_decomposition,
 )
-from circle_potential import energy, extension
+from circle_potential import extension
 from circle_potential.acceptance import AcceptanceContext, extension_ceiling
 from circle_potential.extension import (
     ExtensionSetup,
@@ -124,8 +124,10 @@ def _polynomial_stack(grid, k, seed):
 @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
 def test_stacked_extension_matches_one_row(grid1024, gamma):
     """Each row of a stacked extension, and each entry of the stacked
-    D_I, D_J and ratio, is the float of the one-function call and of the
-    one-function route before stacking."""
+    D_I, D_J and ratio, is the float of the one-function call; the rows
+    are those of the one-function route before stacking, and D_I and D_J
+    are within 1e-12 relative of its energies (the route before Parseval
+    sums)."""
     s = ExtensionSetup(theta=0.45 * gamma * math.pi / 2.0, gamma=gamma)
     fs, stack = _polynomial_stack(grid1024, 5, int(gamma * 100))
     rows = _extend_rows(grid1024, stack, s)
@@ -140,8 +142,10 @@ def test_stacked_extension_matches_one_row(grid1024, gamma):
         for e, alpha in enumerate(alphas):
             one = extension_ratio(f, s, alpha)
             assert (d_i[e, r], d_j[e, r], ratio[e, r]) == (one.d_i, one.d_j, one.ratio)
-            assert one.d_i == oracles.self_energy_one_row(f, cells_i, alpha)
-            assert one.d_j == oracles.self_energy_one_row(ext, cells_j, alpha)
+            want_i = oracles.self_energy_one_row(f, cells_i, alpha)
+            want_j = oracles.self_energy_one_row(ext, cells_j, alpha)
+            assert abs(one.d_i - want_i) <= 1e-12 * want_i
+            assert abs(one.d_j - want_j) <= 1e-12 * want_j
 
 
 def test_stack_with_a_constant_row_is_degenerate(grid1024):
@@ -154,26 +158,30 @@ def test_stack_with_a_constant_row_is_degenerate(grid1024):
 
 @pytest.mark.parametrize("n", [256, 2048])
 def test_extension_ceiling_matches_per_call_loop(n):
-    """The stacked criterion finds the maximum ratio and the case that
-    attains it first, as the loop of one extension and two energies per
-    (gamma, alpha, polynomial) did."""
+    """The stacked criterion finds the case that attains the maximum ratio
+    first, as the loop of one extension and two energies per (gamma,
+    alpha, polynomial) did, and that ratio to 1e-12 relative."""
     _, details = extension_ceiling(AcceptanceContext(grid_n=n))
-    assert (details["max_ratio"], details["worst_case"]) == oracles.extension_ceiling_per_call(n)
+    max_ratio, worst_case = oracles.extension_ceiling_per_call(n)
+    assert details["worst_case"] == worst_case
+    assert abs(details["max_ratio"] - max_ratio) <= 1e-12 * max_ratio
 
 
 def test_extension_ceiling_does_only_distinct_work(monkeypatch):
-    """Per gamma, one window product per arc (I, J) for all 20
-    polynomials and three exponents, and each polynomial extended once.
-    Every window product goes through ``_circulant_padded``."""
-    applies, rows = [], []
-    apply, extend_rows = energy._circulant_padded, extension._extend_rows
-    monkeypatch.setattr(energy, "_circulant_padded",
-                        lambda *a, **kw: applies.append(1) or apply(*a, **kw))
+    """Per gamma, one energy call (one forward transform, see
+    ``test_block_energies_make_one_forward_transform``) per arc (I, J)
+    for all 20 polynomials and three exponents, and each polynomial
+    extended once."""
+    calls, rows = [], []
+    block_energies, extend_rows = extension._block_energies, extension._extend_rows
+    monkeypatch.setattr(extension, "_block_energies",
+                        lambda values, blocks, pairs, alphas: calls.append((len(values), alphas))
+                        or block_energies(values, blocks, pairs, alphas))
     monkeypatch.setattr(extension, "_extend_rows",
                         lambda grid, values, setup: rows.append(len(values))
                         or extend_rows(grid, values, setup))
     extension_ceiling(AcceptanceContext(grid_n=2048))
-    assert len(applies) == 6
+    assert calls == [(20, (0.25, 0.5, 1.0))] * 6
     assert rows == [20, 20, 20]
 
 
